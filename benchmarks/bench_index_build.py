@@ -1,4 +1,4 @@
-"""Index build cost — and the price/payoff of the two index stores.
+"""Index build cost — and the price/payoff of the binary index store.
 
 The impact-ordering change moved every query-independent factor of
 Eq. 9 — CorS(c) and the two α-free components of P(n₁..n_k|Oᵢ) — into
@@ -10,15 +10,13 @@ escape hatches:
 * **shard-parallel build** (2 workers, smallest size) — asserted
   bit-identical to the serial build; wall-clock wins need real cores,
   so no speedup is asserted (CI boxes are often single-core);
-* **save / load of both artifact formats** — the serving cold-start
-  path.  The v2 JSONL artifact parses every posting on load; the v3
-  binary artifact mmaps and decodes lazily, and must load ≥20× faster
-  and occupy ≤50% of the JSONL bytes at the largest build size (the
-  binary-store acceptance gates);
+* **save / load of the v3 artifact** — the serving cold-start path:
+  the artifact mmaps and decodes lazily, and its load must beat
+  re-scoring (the build) by at least ``MIN_LOAD_SPEEDUP``;
 * **scale sweep** (``REPRO_BENCH_INDEX_SWEEP``, default
   ``2500,10000,25000`` synthetic objects) — per size: load wall time
-  for both formats, resident-set delta of an mmap load vs a parsed
-  load (``/proc/self/status`` VmRSS), and on-disk posting bytes raw
+  and resident-set delta of an mmap open (``/proc/self/status``
+  RssAnon, in a fresh interpreter), and on-disk posting bytes raw
   (u64 per id) vs d-gap varint;
 * **segmented direct-to-binary build** per sweep size (4 shard
   workers) — asserted byte-identical to the monolithic artifact, with
@@ -58,12 +56,6 @@ REPEATS = 3
 #: the serving cold-start claim.
 MIN_LOAD_SPEEDUP = 3.0
 
-#: Binary-store acceptance gates, enforced at the largest build size:
-#: mmap load p50 at least this many times faster than the JSONL parse,
-#: on-disk at most this fraction of the JSONL artifact.
-MIN_BINARY_LOAD_SPEEDUP = 20.0
-MAX_BINARY_SIZE_FRACTION = 0.5
-
 #: Scale sweep sizes; override with REPRO_BENCH_INDEX_SWEEP=2500,5000.
 SWEEP_SIZES = tuple(
     int(s)
@@ -93,11 +85,10 @@ def _timed(fn, repeats=REPEATS):
     }
 
 
-#: Child-process probe for the sweep: measures one load in a fresh
+#: Child-process probe for the sweep: measures one open in a fresh
 #: interpreter so allocator arena reuse in the bench process cannot
-#: mask the parsed path's allocations.  RssAnon (heap) is the honest
-#: metric — an mmap's file-backed pages are evictable and shared, so
-#: they are exactly the cost the binary store avoids.
+#: mask its allocations.  RssAnon (heap) is the honest metric — an
+#: mmap's file-backed pages are evictable and shared.
 _LOAD_PROBE = """
 import json, sys, time
 
@@ -108,26 +99,18 @@ def anon_kib():
                 return int(line.split()[1])
     return 0
 
-path, kind = sys.argv[1], sys.argv[2]
-if kind == "binary":
-    from repro.index.binfmt import BinaryIndexReader
-    base = anon_kib()
-    start = time.perf_counter()
-    held = BinaryIndexReader(path)
-else:
-    from pathlib import Path
-    from repro.storage.store import _read_index_jsonl
-    base = anon_kib()
-    start = time.perf_counter()
-    held = _read_index_jsonl(Path(path))
+from repro.index.binfmt import BinaryIndexReader
+base = anon_kib()
+start = time.perf_counter()
+held = BinaryIndexReader(sys.argv[1])
 elapsed = time.perf_counter() - start
 print(json.dumps({"load_s": elapsed, "rss_anon_delta_kib": anon_kib() - base}))
 """
 
 
-def _isolated_load(path, kind: str) -> dict:
-    """Run one artifact load in a fresh interpreter; returns the
-    probe's ``{"load_s", "rss_anon_delta_kib"}``."""
+def _isolated_load(path) -> dict:
+    """Open one artifact in a fresh interpreter; returns the probe's
+    ``{"load_s", "rss_anon_delta_kib"}``."""
     import subprocess
     import sys
 
@@ -135,7 +118,7 @@ def _isolated_load(path, kind: str) -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE, str(path), kind],
+        [sys.executable, "-c", _LOAD_PROBE, str(path)],
         capture_output=True,
         text=True,
         check=True,
@@ -145,7 +128,7 @@ def _isolated_load(path, kind: str) -> dict:
 
 
 def _postings_identical(a: CliqueInvertedIndex, b: CliqueInvertedIndex) -> bool:
-    """Exact match including entry order (the JSONL round trip)."""
+    """Exact match including entry order (the shard-parallel merge)."""
     if len(a) != len(b) or a.n_objects != b.n_objects:
         return False
     for posting in a.iter_postings():
@@ -180,25 +163,14 @@ def _postings_equivalent(a: CliqueInvertedIndex, b: CliqueInvertedIndex) -> bool
     return True
 
 
-def _format_comparison(index, correlations, tmp_dir, size):
-    """Save/load both formats; return the per-format detail row."""
-    jsonl_path = tmp_dir / f"index_{size}.jsonl"
+def _save_load(index, correlations, tmp_dir, size):
+    """Save and load the v3 artifact; return the detail row."""
     bin_path = tmp_dir / f"index_{size}.bin"
-    _, jsonl_save = _timed(lambda: save_index(index, jsonl_path))
     _, bin_save = _timed(lambda: save_index(index, bin_path))
-    jsonl_loaded, jsonl_load = _timed(lambda: load_index(jsonl_path, correlations))
     bin_loaded, bin_load = _timed(lambda: load_index(bin_path, correlations))
-    assert _postings_identical(index, jsonl_loaded)
     assert _postings_equivalent(index, bin_loaded)
     bin_loaded.close()
-    jsonl_bytes = jsonl_path.stat().st_size
-    bin_bytes = bin_path.stat().st_size
-    return {
-        "jsonl": {"save": jsonl_save, "load": jsonl_load, "bytes": jsonl_bytes},
-        "binary": {"save": bin_save, "load": bin_load, "bytes": bin_bytes},
-        "binary_load_speedup_p50": jsonl_load["p50_s"] / bin_load["p50_s"],
-        "binary_size_fraction": bin_bytes / jsonl_bytes,
-    }
+    return {"save": bin_save, "load": bin_load, "bytes": bin_path.stat().st_size}
 
 
 def run_experiment(tmp_dir):
@@ -211,25 +183,22 @@ def run_experiment(tmp_dir):
             return CliqueInvertedIndex(correlations, max_clique_size=3).build(corpus)
 
         index, build_stats = _timed(build)
-        formats = _format_comparison(index, correlations, tmp_dir, size)
-        load_stats = formats["jsonl"]["load"]
+        artifact = _save_load(index, correlations, tmp_dir, size)
+        load_stats = artifact["load"]
 
         detail[size] = {
             "build": build_stats,
-            "save": formats["jsonl"]["save"],
+            "save": artifact["save"],
             "load": load_stats,
-            "formats": formats,
             "n_cliques": len(index),
             "total_postings": int(index.stats()["total_postings"]),
-            "artifact_bytes": formats["jsonl"]["bytes"],
+            "artifact_bytes": artifact["bytes"],
             "load_speedup_p50": build_stats["p50_s"] / load_stats["p50_s"],
         }
         rows.append(
             f"{size:>6}  build p50 {build_stats['p50_s'] * 1000:8.1f} ms   "
-            f"jsonl load p50 {load_stats['p50_s'] * 1000:7.1f} ms   "
-            f"bin load p50 {formats['binary']['load']['p50_s'] * 1000:7.1f} ms   "
-            f"bin speedup {formats['binary_load_speedup_p50']:6.1f}x   "
-            f"bin/jsonl bytes {formats['binary_size_fraction']:.2f}   "
+            f"bin load p50 {load_stats['p50_s'] * 1000:7.1f} ms   "
+            f"bin bytes {artifact['bytes']:>10}   "
             f"cliques {len(index)}"
         )
 
@@ -246,9 +215,9 @@ def run_experiment(tmp_dir):
 
 
 def run_scale_sweep(tmp_dir):
-    """Size sweep of the two stores: load time, resident-memory delta
-    (mmap open vs parsed postings, each in a fresh interpreter), and
-    raw-vs-varint posting bytes per size."""
+    """Size sweep of the binary store: open time and resident-memory
+    delta (in a fresh interpreter), and raw-vs-varint posting bytes per
+    size."""
     rows, detail = [], {}
     full = H.retrieval_corpus(max(SWEEP_SIZES))
     for size in SWEEP_SIZES:
@@ -258,9 +227,7 @@ def run_scale_sweep(tmp_dir):
         index = CliqueInvertedIndex(correlations, max_clique_size=3).build(corpus)
         build_s = time.perf_counter() - build_start
 
-        jsonl_path = tmp_dir / f"sweep_{size}.jsonl"
         bin_path = tmp_dir / f"sweep_{size}.bin"
-        save_index(index, jsonl_path)
         save_index(index, bin_path)
         total_entries = int(index.stats()["total_postings"])
         varint_bytes = read_section_table(bin_path)["postings"][1]
@@ -285,19 +252,14 @@ def run_scale_sweep(tmp_dir):
         shard_rss = seg.shard_peak_rss_kb
         rss_spread = max(shard_rss) / min(shard_rss) if shard_rss else 1.0
 
-        mapped = _isolated_load(bin_path, "binary")
-        parsed = _isolated_load(jsonl_path, "jsonl")
+        mapped = _isolated_load(bin_path)
 
         detail[size] = {
             "build_s": build_s,
-            "load_s": {"binary": mapped["load_s"], "jsonl": parsed["load_s"]},
-            "rss_anon_delta_kib": {
-                "mmap": mapped["rss_anon_delta_kib"],
-                "parsed": parsed["rss_anon_delta_kib"],
-            },
+            "load_s": {"binary": mapped["load_s"]},
+            "rss_anon_delta_kib": {"mmap": mapped["rss_anon_delta_kib"]},
             "bytes": {
                 "binary": bin_path.stat().st_size,
-                "jsonl": jsonl_path.stat().st_size,
                 "postings_raw_u64": raw_bytes,
                 "postings_varint": varint_bytes,
                 "varint_fraction_of_raw": varint_bytes / raw_bytes if raw_bytes else 0.0,
@@ -318,8 +280,6 @@ def run_scale_sweep(tmp_dir):
         rows.append(
             f"{size:>6}  bin open {mapped['load_s'] * 1000:7.1f} ms "
             f"(anon +{mapped['rss_anon_delta_kib'] / 1024:6.1f} MiB)   "
-            f"jsonl parse {parsed['load_s'] * 1000:8.1f} ms "
-            f"(anon +{parsed['rss_anon_delta_kib'] / 1024:6.1f} MiB)   "
             f"postings raw {raw_bytes / 1e6:6.1f} MB -> varint "
             f"{varint_bytes / 1e6:5.1f} MB"
         )
@@ -339,7 +299,7 @@ def test_index_build(benchmark, capsys, tmp_path):
         run_experiment, args=(tmp_path,), rounds=1, iterations=1
     )
     sweep_rows, sweep_detail = run_scale_sweep(tmp_path)
-    rows = rows + ["-- scale sweep (binary mmap vs parsed JSONL) --"] + sweep_rows
+    rows = rows + ["-- scale sweep (binary mmap open) --"] + sweep_rows
     H.report("index_build", "Index build: score-at-build-time cost vs artifact pickup", rows, capsys)
     H.report_json(
         "index_build",
@@ -356,10 +316,6 @@ def test_index_build(benchmark, capsys, tmp_path):
     assert detail[BUILD_SIZES[-1]]["build"]["p50_s"] > detail[BUILD_SIZES[0]]["build"]["p50_s"]
     for size, d in detail.items():
         assert d["load_speedup_p50"] >= MIN_LOAD_SPEEDUP, size
-    # Binary-store acceptance gates at the largest build size.
-    top = detail[BUILD_SIZES[-1]]["formats"]
-    assert top["binary_load_speedup_p50"] >= MIN_BINARY_LOAD_SPEEDUP
-    assert top["binary_size_fraction"] <= MAX_BINARY_SIZE_FRACTION
     # Segmented-build acceptance: per-shard peak RSS stays flat across
     # shards at every sweep size (byte identity was asserted in-sweep).
     for size, d in sweep_detail.items():

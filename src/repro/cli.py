@@ -10,8 +10,6 @@ Examples::
     repro generate --objects 1000 --out ./corpus
     repro info ./corpus
     repro index build ./corpus --workers 4           # v3 binary index.bin
-    repro index build ./corpus --format jsonl        # v2 text artifact
-    repro index convert ./corpus/index.jsonl         # migrate v2 -> v3
     repro search ./corpus --query obj000003 --k 10
     repro generate --objects 1500 --tracked-users 10 --recommendation --out ./rec
     repro recommend ./rec --user tracked000 --k 10 --delta 0.4
@@ -47,14 +45,12 @@ from repro.serving.service import QueryService
 from repro.serving.snapshot import SnapshotManager
 from repro.social.generator import GeneratorConfig, SyntheticFlickr
 from repro.social.ingest import IngestConfig, IngestError, ingest_object
-from repro.index.binfmt import BinaryIndexReader
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import build_segmented
 from repro.storage.store import (
     StorageError,
-    convert_index,
-    index_artifact_version,
     load_corpus,
+    load_index,
     save_corpus,
     save_index,
 )
@@ -83,9 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="summarize a saved corpus")
     info.add_argument("corpus", help="corpus directory")
 
-    index = sub.add_parser(
-        "index", help="build, inspect or migrate the clique inverted index"
-    )
+    index = sub.add_parser("index", help="build the clique inverted index")
     index_sub = index.add_subparsers(dest="index_command", required=True)
     build = index_sub.add_parser(
         "build", help="precompute the clique inverted index and save it with the corpus"
@@ -95,31 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="parallel build shards (1 = serial)"
     )
     build.add_argument(
-        "--format",
-        choices=("binary", "jsonl"),
-        default="binary",
-        help="artifact format: v3 binary mmap (default) or v2 JSONL",
-    )
-    build.add_argument(
         "--no-verify-payload",
         action="store_true",
-        help="skip the post-write payload checksum sweep of a binary artifact",
-    )
-    convert = index_sub.add_parser(
-        "convert", help="migrate an index artifact between binary (v3) and JSONL (v2)"
-    )
-    convert.add_argument("artifact", help="index artifact path (index.bin or index.jsonl)")
-    convert.add_argument(
-        "--to",
-        choices=("binary", "jsonl"),
-        default=None,
-        help="target format (default: the other one)",
-    )
-    convert.add_argument("--out", default=None, help="output path (default: suffix swap)")
-    convert.add_argument(
-        "--verify",
-        action="store_true",
-        help="full payload CRC sweep of a binary source before converting",
+        help="skip the post-write payload checksum sweep of the artifact",
     )
 
     search = sub.add_parser("search", help="retrieve objects similar to a query object")
@@ -249,23 +221,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    if args.index_command == "convert":
-        return _cmd_index_convert(args)
-    return _cmd_index_build(args)
-
-
-def _cmd_index_build(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     corpus = load_corpus(args.corpus)
     engine = RetrievalEngine(corpus, build_index=False)
-    if args.format == "binary" and args.workers > 1:
-        # Direct-to-binary segmented build: shard workers write v3
-        # segment files and a streaming merge assembles index.bin, so
-        # no process ever holds the whole posting heap.  Byte-identical
-        # to the serial build + save path at any worker count.
-        path = Path(args.corpus) / "index.bin"
+    path = Path(args.corpus) / "index.bin"
+    merged = ""
+    if args.workers > 1:
+        # Segmented build: shard workers write v3 segment files and a
+        # streaming merge assembles index.bin, so no process ever holds
+        # the whole posting heap.  Byte-identical to the serial build +
+        # save path at any worker count.
         report = build_segmented(
             list(corpus),
             engine.correlations,
@@ -273,51 +240,22 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
             n_workers=args.workers,
             out_path=path,
         )
-        reader = BinaryIndexReader(path, verify_payload=not args.no_verify_payload)
-        n_cliques, total_postings = reader.n_cliques, reader.total_entries
-        reader.close()
-        verified = not args.no_verify_payload
-        note = ", payload verified" if verified else ""
-        print(
-            f"wrote {n_cliques} cliques / {total_postings} postings to {path} "
-            f"(binary, {path.stat().st_size} bytes{note}; "
-            f"{report.n_segments} segments merged in {report.merge_seconds:.2f}s)"
-        )
+        merged = f"; {report.n_segments} segments merged in {report.merge_seconds:.2f}s"
     else:
         index = CliqueInvertedIndex(
             engine.correlations, max_clique_size=engine.params.max_clique_size
-        ).build(corpus, n_workers=args.workers)
-        artifact = "index.bin" if args.format == "binary" else "index.jsonl"
-        path = save_index(index, Path(args.corpus) / artifact, format=args.format)
-        verified = False
-        if args.format == "binary" and not args.no_verify_payload:
-            # Re-open with the eager payload checksum sweep: a torn or
-            # bit-flipped write fails here, at build time, not at serve
-            # time.
-            BinaryIndexReader(path, verify_payload=True).close()
-            verified = True
-        stats = index.stats()
-        note = ", payload verified" if verified else ""
-        print(
-            f"wrote {int(stats['n_cliques'])} cliques / {int(stats['total_postings'])} "
-            f"postings to {path} ({args.format}, {path.stat().st_size} bytes{note})"
-        )
-    other = Path(args.corpus) / ("index.jsonl" if args.format == "binary" else "index.bin")
-    if other.exists():
-        print(
-            f"warning: stale {other.name} also present; serving prefers index.bin "
-            "— remove or reconvert the other artifact",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _cmd_index_convert(args: argparse.Namespace) -> int:
-    src = Path(args.artifact)
-    path = convert_index(src, dst_path=args.out, to=args.to, verify=args.verify)
+        ).build(corpus)
+        save_index(index, path)
+    # Re-open the artifact, by default with the eager payload checksum
+    # sweep: a torn or bit-flipped write fails here, at build time, not
+    # at serve time.
+    verified = not args.no_verify_payload
+    with load_index(path, engine.correlations, verify_payload=verified) as written:
+        stats = written.stats()
+    note = ", payload verified" if verified else ""
     print(
-        f"converted {src} (v{index_artifact_version(src)}, {src.stat().st_size} bytes) "
-        f"-> {path} (v{index_artifact_version(path)}, {path.stat().st_size} bytes)"
+        f"wrote {int(stats['n_cliques'])} cliques / {int(stats['total_postings'])} "
+        f"postings to {path} (binary, {path.stat().st_size} bytes{note}{merged})"
     )
     return 0
 
@@ -514,19 +452,6 @@ _COMMANDS = {
 }
 
 
-def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    """Back-compat shim: ``repro index <corpus> ...`` (the pre-subcommand
-    spelling) is rewritten to ``repro index build <corpus> ...``."""
-    args = list(argv)
-    if (
-        len(args) >= 2
-        and args[0] == "index"
-        and args[1] not in ("build", "convert", "-h", "--help")
-    ):
-        args.insert(1, "build")
-    return args
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
@@ -536,7 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_normalize_argv(argv))
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (StorageError, FileNotFoundError) as exc:

@@ -28,7 +28,7 @@ from repro.core.objects import MediaObject
 from repro.core.retrieval import RankedResult, RetrievalEngine, ranked_sort
 from repro.core.sharding import split_shards
 
-__all__ = ["ParallelScanner", "split_shards"]
+__all__ = ["ParallelScanner"]
 
 
 def _score_shard(

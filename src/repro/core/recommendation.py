@@ -226,9 +226,7 @@ class Recommender:
             if posting is None:
                 continue
             if self._params.use_cors:
-                cors = posting.cors
-                if cors is not None:
-                    inner *= cors
+                inner *= posting.cors
                 if inner == 0.0:
                     continue
             view = posting.impact_view(alpha)
@@ -263,9 +261,7 @@ class Recommender:
             if vectors is None:
                 continue
             if self._params.use_cors:
-                cors = vectors.cors
-                if cors is not None:
-                    inner *= cors
+                inner *= vectors.cors
                 if inner == 0.0:
                     continue
             source = BlockMaxSource(vectors, alpha, inner=inner, outer=outer)

@@ -422,9 +422,7 @@ class RetrievalEngine:
             if posting is None:
                 continue
             if self._params.use_cors:
-                cors = posting.cors
-                if cors is not None:
-                    weight *= cors
+                weight *= posting.cors
                 if weight == 0.0:
                     continue
             view = posting.impact_view(alpha)
@@ -473,9 +471,7 @@ class RetrievalEngine:
             if vectors is None:
                 continue
             if self._params.use_cors:
-                cors = vectors.cors
-                if cors is not None:
-                    weight *= cors
+                weight *= vectors.cors
                 if weight == 0.0:
                     continue
             source = BlockMaxSource(vectors, alpha, inner=weight, exclude=exclude_dense)

@@ -1,10 +1,11 @@
 """Binary memory-mapped index format (v3) — the packed on-disk layout.
 
-``index.jsonl`` (format v2) parses every posting line on load: ~1 s at
-toy sizes and O(corpus) everywhere.  Format v3 is the classic IR
-answer: one file of packed contiguous sections that a reader ``mmap``s
-and decodes *per clique on demand*, so opening an index costs header
-parsing plus CRC sweeps — not a parse of every posting.
+The clique inverted index's one on-disk format.  A text format parses
+every posting on load — O(corpus) before the first query.  Format v3
+is the classic IR answer: one file of packed contiguous sections that a
+reader ``mmap``s and decodes *per clique on demand*, so opening an
+index costs header parsing plus CRC sweeps — not a parse of every
+posting.
 
 Layout (all integers little-endian, sections 8-byte aligned)::
 
@@ -32,7 +33,8 @@ Sections (fixed set, any order on disk):
   order == code-point order), enabling binary-search lookup straight
   off the mmap with no materialized dictionary.
 * ``postmeta`` — per key slot: posting byte offset/length, entry
-  count, entry offset into the float arrays, and CorS (NaN = unset).
+  count, entry offset into the float arrays, and CorS (never NaN; a
+  reader rejects the file otherwise).
 * ``order`` — u32 per clique: the slot of the i-th posting in the
   original index iteration order, so a binary round trip preserves
   iteration (and therefore re-serialization) order exactly.
@@ -41,7 +43,7 @@ Sections (fixed set, any order on disk):
 * ``freq`` / ``smooth`` — the two build-time Eq. 7 components as
   contiguous f64 arrays, parallel to the decoded id streams.  f64 (not
   f32) because loaded rankings must stay **bit-identical** to the
-  JSONL path and the in-memory build.
+  in-memory build.
 * ``blockmax`` (*optional*) — per fixed-size posting block of
   :data:`BLOCK_SIZE` entries, the block's component maxima: all
   blocks' ``max(freq)`` f64s (slot order, blocks in storage order
@@ -62,7 +64,7 @@ String tables: ``u32 count | u32 offsets[count+1] | utf-8 blob``.
 
 Entry order inside a posting is canonicalized to ascending object id
 (string order == dense-int order), which is what d-gap encoding needs.
-That is a pure permutation of the JSONL entry order and cannot change
+That is a pure permutation of the build's entry order and cannot change
 any ranking: every consumer sorts by ``(-score, id)``
 (:meth:`Posting.impact_view`, ``SortedListSource``) before use.
 
@@ -77,7 +79,6 @@ bounds checks and per-posting varint validation still apply).
 
 from __future__ import annotations
 
-import math
 import mmap
 import os
 import shutil
@@ -173,12 +174,10 @@ def pack_string_table(strings: Sequence[str]) -> bytes:
 
 
 def pack_postmeta_record(
-    post_off: int, post_len: int, count: int, entry_off: int, cors: float | None
+    post_off: int, post_len: int, count: int, entry_off: int, cors: float
 ) -> bytes:
-    """Pack one ``postmeta`` record (``cors=None`` stores as NaN)."""
-    return _POSTMETA_RECORD.pack(
-        post_off, post_len, count, entry_off, math.nan if cors is None else float(cors)
-    )
+    """Pack one ``postmeta`` record."""
+    return _POSTMETA_RECORD.pack(post_off, post_len, count, entry_off, float(cors))
 
 
 def pack_postmeta_table(
@@ -191,8 +190,7 @@ def pack_postmeta_table(
     """Pack a whole ``postmeta`` section from parallel column arrays —
     bit-identical to :func:`pack_postmeta_record` per row (the dtype is
     packed, little-endian, field order matching the struct), without a
-    per-slot Python loop.  ``cors`` is copied as raw f8 (NaN payloads
-    survive)."""
+    per-slot Python loop.  ``cors`` is copied as raw f8."""
     table = np.empty(len(counts), dtype=_POSTMETA_DTYPE)
     table["post_off"] = post_off
     table["post_len"] = post_len
@@ -642,6 +640,10 @@ class BinaryIndexReader:
                     section="postmeta",
                     offset=offset,
                 )
+            if bool(np.any(np.isnan(meta["cors"]))):
+                raise BinaryFormatError(
+                    "a posting stores a NaN CorS", section="postmeta", offset=offset
+                )
         elif self.total_entries:
             raise BinaryFormatError(
                 "zero cliques but nonzero total_entries", section="postmeta", offset=offset
@@ -780,9 +782,8 @@ class BinaryIndexReader:
         """All posting lengths, slot-ordered (stats without decoding)."""
         return self._postmeta["count"].astype(np.int64)
 
-    def posting_cors(self, slot: int) -> float | None:
-        cors = float(self._postmeta[slot]["cors"])
-        return None if math.isnan(cors) else cors
+    def posting_cors(self, slot: int) -> float:
+        return float(self._postmeta[slot]["cors"])
 
     def posting_dense_ids(self, slot: int, *, cache: bool = True) -> np.ndarray:
         """The ascending dense object ids of slot ``slot`` as an int64
@@ -864,7 +865,7 @@ class BinaryIndexReader:
             return None
         return self._blockmax_freq[lo:hi], self._blockmax_smooth[lo:hi]
 
-    def read_posting(self, slot: int) -> tuple[list[str], list[float], list[float], float | None]:
+    def read_posting(self, slot: int) -> tuple[list[str], list[float], list[float], float]:
         """Decode slot ``slot``: ``(object_ids, freq, smooth, cors)``.
 
         Ids come back in ascending (string == dense) order; the float
@@ -924,7 +925,7 @@ class BinaryIndexReader:
     def postmeta_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(post_off, post_len, counts, entry_off, cors)`` column
         copies of the postmeta section, slot-ordered; ints as int64,
-        cors as raw f8 (NaN = unset, payload bits preserved)."""
+        cors as raw f8."""
         meta = self._postmeta
         return (
             meta["post_off"].astype(np.int64),
@@ -947,7 +948,8 @@ class BinaryIndexReader:
 
     def verify(self) -> None:
         """CRC-check every section (including payloads) — the full
-        integrity sweep behind ``repro index convert --verify``."""
+        integrity sweep, for a reader opened with
+        ``verify_payload=False``."""
         for name, (offset, length) in self.sections.items():
             if zlib.crc32(self._mm[offset:offset + length]) != self._section_crcs[name]:
                 raise BinaryFormatError(

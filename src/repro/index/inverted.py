@@ -38,9 +38,6 @@ from repro.index.vectorized import (
     SegmentedVectorView,
 )
 
-#: Objects whose row-sum caches are kept alive during a rescore pass.
-_RESCORE_CACHE_CAP = 256
-
 #: One shard's partial postings: key -> (cors, [(oid, freq, smooth)]).
 ShardPostings = dict[str, tuple[float, list[tuple[str, float, float]]]]
 
@@ -166,44 +163,12 @@ class CliqueInvertedIndex:
             posting.extend_scored(entries)
         self._vector_view = None
 
-    def adopt_posting(self, posting: Posting) -> None:
-        """Install a deserialized posting (the storage load path).
-
-        Raises ``ValueError`` on a duplicate key — a loader feeding the
-        same posting twice would double-count its objects.
-        """
-        if posting.key in self._postings:
-            raise ValueError(f"duplicate posting {posting.key!r}")
-        self._postings[posting.key] = posting
-        self._vector_view = None
-
     def set_n_objects(self, n: int) -> None:
-        """Restore the indexed-object count (storage load path)."""
+        """Set the indexed-object count (segment views over stored or
+        stacked postings)."""
         if n < 0:
             raise ValueError("object count must be >= 0")
         self._n_objects = n
-
-    def rescore(self, corpus: Iterable[MediaObject]) -> None:
-        """Recompute every posting's components from ``corpus`` — the
-        upgrade path for legacy (unscored) index artifacts."""
-        by_id = {obj.object_id: obj for obj in corpus}
-        row_sum_cache: dict[str, dict[Feature, float]] = {}
-        for posting in self._postings.values():
-            clique = Clique.from_key(posting.key)
-            if posting.cors is None:
-                posting.set_cors(self._cor.cors(clique.features))
-            components: dict[str, tuple[float, float]] = {}
-            for object_id in posting:
-                obj = by_id[object_id]
-                row_sums = row_sum_cache.get(object_id)
-                if row_sums is None:
-                    if len(row_sum_cache) >= _RESCORE_CACHE_CAP:
-                        row_sum_cache.pop(next(iter(row_sum_cache)))
-                    row_sums = {}
-                    row_sum_cache[object_id] = row_sums
-                components[object_id] = joint_components(clique, obj, self._cor, row_sums)
-            posting.rescore(components)
-        self._vector_view = None
 
     def precompute_impact(self, alpha: float) -> None:
         """Materialize every posting's impact-ordered view for ``alpha``
@@ -245,19 +210,14 @@ class CliqueInvertedIndex:
 
     def lookup(self, clique: Clique | str) -> Posting | None:
         """Posting for a clique (``None`` when no object contains it) —
-        Algorithm 1's ``InvList(c_i)``.  Fills the posting's CorS on
-        first access when a legacy artifact left it unset."""
+        Algorithm 1's ``InvList(c_i)``."""
         key = clique.key if isinstance(clique, Clique) else clique
-        posting = self._postings.get(key)
-        if posting is not None and posting.cors is None:
-            features = Clique.from_key(key).features
-            posting.set_cors(self._cor.cors(features))
-        return posting
+        return self._postings.get(key)
 
     def cors_for_key(self, key: str) -> float | None:
         """Stored CorS of ``key`` without scoring anything — ``None``
-        when the clique is unknown (or a legacy artifact left it
-        unset).  The delta-build reuse hook behind ``cors_lookup``."""
+        when the clique is unknown.  The delta-build reuse hook behind
+        ``cors_lookup``."""
         posting = self._postings.get(key)
         return posting.cors if posting is not None else None
 

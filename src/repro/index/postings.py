@@ -62,9 +62,9 @@ class Posting:
 
     __slots__ = ("_key", "_cors", "_object_ids", "_freq", "_smooth", "_views")
 
-    def __init__(self, key: str, cors: float | None = None) -> None:
+    def __init__(self, key: str, cors: float) -> None:
         self._key = key
-        self._cors = float(cors) if cors is not None else None
+        self._cors = float(cors)
         self._object_ids: list[str] = []
         self._freq: list[float] = []
         self._smooth: list[float] = []
@@ -74,7 +74,7 @@ class Posting:
     def from_arrays(
         cls,
         key: str,
-        cors: float | None,
+        cors: float,
         object_ids: list[str],
         freq: list[float],
         smooth: list[float],
@@ -101,17 +101,11 @@ class Posting:
         return self._key
 
     @property
-    def cors(self) -> float | None:
-        """Correlation strength of the clique (Eq. 8).
-
-        Computed eagerly by the index builder (it is query-independent,
-        like the joint components); still fillable lazily on lookup for
-        postings loaded from a legacy artifact.
-        """
+    def cors(self) -> float:
+        """Correlation strength of the clique (Eq. 8), computed eagerly
+        by the index builder (it is query-independent, like the joint
+        components)."""
         return self._cors
-
-    def set_cors(self, value: float) -> None:
-        self._cors = float(value)
 
     def add(self, object_id: str, freq_part: float = 0.0, smooth_part: float = 0.0) -> None:
         """Append a scored entry (idempotent for repeated tail adds, the
@@ -141,15 +135,6 @@ class Posting:
         — the bulk-conversion path of the vectorized scorer.  Callers
         must not mutate them."""
         return self._freq, self._smooth
-
-    def rescore(self, components: dict[str, tuple[float, float]]) -> None:
-        """Replace every entry's components (legacy-artifact upgrade
-        path).  Ids absent from ``components`` keep zero components."""
-        for i, object_id in enumerate(self._object_ids):
-            freq_part, smooth_part = components.get(object_id, (0.0, 0.0))
-            self._freq[i] = freq_part
-            self._smooth[i] = smooth_part
-        self._views.clear()
 
     # ------------------------------------------------------------------
     # impact-ordered access

@@ -16,10 +16,9 @@ Forked worker processes share the underlying read-only mapping through
 the page cache, which is the multi-process-serving story the ROADMAP
 asks for.
 
-Mutation (``add_object`` / ``build`` / ``adopt_posting`` / ``rescore``)
-raises ``TypeError``: a mapped segment is immutable by construction.
-Streaming ingest composes *around* segments (delta segment + merge),
-not by writing into one.
+Mutation (``add_object`` / ``build``) raises ``TypeError``: a mapped
+segment is immutable by construction.  Streaming ingest composes
+*around* segments (delta segment + merge), not by writing into one.
 """
 
 from __future__ import annotations
@@ -45,20 +44,12 @@ class MmapCliqueIndex(CliqueInvertedIndex):
         Open :class:`BinaryIndexReader`; the index takes ownership and
         closes it via :meth:`close`.
     correlations:
-        Correlation model, used only to fill a missing CorS on lookup
-        (v3 artifacts normally store every CorS).
-    max_clique_size:
-        Optional override of the stored clique-size bound.
+        Reported as :attr:`correlations`; the segment itself never
+        scores anything (every CorS and component is stored).
     """
 
-    def __init__(
-        self,
-        reader: BinaryIndexReader,
-        correlations: CorrelationModel,
-        max_clique_size: int | None = None,
-    ) -> None:
-        bound = max_clique_size if max_clique_size is not None else reader.max_clique_size
-        super().__init__(correlations, max_clique_size=bound)
+    def __init__(self, reader: BinaryIndexReader, correlations: CorrelationModel) -> None:
+        super().__init__(correlations, max_clique_size=reader.max_clique_size)
         self._reader = reader
         # Share count for the underlying mapping: segmented indexes
         # derived by ingest share one main segment across generations
@@ -88,14 +79,10 @@ class MmapCliqueIndex(CliqueInvertedIndex):
     def lookup(self, clique: Clique | str) -> Posting | None:
         key = clique.key if isinstance(clique, Clique) else clique
         posting = self._postings.get(key)
-        if posting is None:
-            slot = self._reader.find_slot(key)
-            if slot is None:
-                return None
-            posting = self._materialize(key, slot)
-        if posting.cors is None:
-            posting.set_cors(self._cor.cors(Clique.from_key(key).features))
-        return posting
+        if posting is not None:
+            return posting
+        slot = self._reader.find_slot(key)
+        return None if slot is None else self._materialize(key, slot)
 
     def cors_for_key(self, key: str) -> float | None:
         """Stored CorS straight from the postmeta table — no posting is
@@ -141,7 +128,7 @@ class MmapCliqueIndex(CliqueInvertedIndex):
         cached per clique inside the reader, so repeated queries
         against the same snapshot skip the varint decode."""
         if self._vector_view is None:
-            self._vector_view = MmapVectorView(self._reader, self._cor)
+            self._vector_view = MmapVectorView(self._reader)
         return self._vector_view
 
     def stats(self) -> dict[str, float]:
@@ -173,12 +160,6 @@ class MmapCliqueIndex(CliqueInvertedIndex):
     def build(
         self, objects: Iterable[MediaObject], n_workers: int = 1
     ) -> "CliqueInvertedIndex":
-        self._read_only()
-
-    def adopt_posting(self, posting: Posting) -> None:
-        self._read_only()
-
-    def rescore(self, corpus: Iterable[MediaObject]) -> None:
         self._read_only()
 
     # ------------------------------------------------------------------

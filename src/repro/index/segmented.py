@@ -71,8 +71,8 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
         each must be built with the same correlation model and clique
         bound as ``main``.
     correlations:
-        The frozen correlation model shared by every segment (used to
-        fill a missing CorS on lookup, like the base class).
+        The frozen correlation model shared by every segment (defaults
+        to ``main``'s).
     """
 
     def __init__(
@@ -259,12 +259,6 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
     def build(
         self, objects: Iterable[MediaObject], n_workers: int = 1
     ) -> "CliqueInvertedIndex":
-        self._read_only()
-
-    def adopt_posting(self, posting: Posting) -> None:
-        self._read_only()
-
-    def rescore(self, corpus: Iterable[MediaObject]) -> None:
         self._read_only()
 
     # ------------------------------------------------------------------

@@ -49,8 +49,6 @@ from collections.abc import Collection, Iterable
 
 import numpy as np
 
-from repro.core.cliques import Clique
-from repro.core.correlation import CorrelationModel
 from repro.core.mrf import mix_components, scale_impacts
 from repro.diagnostics.contracts import check_block_bound, contracts_enabled
 from repro.index.binfmt import BLOCK_SIZE, BinaryIndexReader
@@ -63,8 +61,9 @@ MAX_MIXED_CACHE = 8
 
 def block_maxima(values: np.ndarray) -> np.ndarray:
     """Per-block maxima of ``values`` over :data:`BLOCK_SIZE`-sized
-    blocks — the in-memory fallback for artifacts without a stored
-    ``blockmax`` section (JSONL/v2 loads, freshly built indexes)."""
+    blocks — the in-memory fallback for postings without stored bounds
+    (freshly built indexes, single-block postings, pre-blockmax v3
+    files)."""
     arr = np.asarray(values, dtype=np.float64)
     if not len(arr):
         return np.empty(0, dtype=np.float64)
@@ -153,7 +152,7 @@ class PostingVectors:
     def __init__(
         self,
         key: str,
-        cors: float | None,
+        cors: float,
         ids: np.ndarray,
         freq: np.ndarray,
         smooth: np.ndarray,
@@ -535,9 +534,8 @@ class MmapVectorView(_PooledViewMixin):
     reader's cached dense-id decode, and stored block maxima (rebuilt
     in memory for artifacts written before the ``blockmax`` section)."""
 
-    def __init__(self, reader: BinaryIndexReader, correlations: CorrelationModel) -> None:
+    def __init__(self, reader: BinaryIndexReader) -> None:
         self._reader = reader
-        self._cor = correlations
         self._cache: dict[str, PostingVectors | None] = {}
 
     @property
@@ -562,9 +560,6 @@ class MmapVectorView(_PooledViewMixin):
         stored = self._reader.posting_block_max(slot)
         bmf, bms = stored if stored is not None else (None, None)
         cors = self._reader.posting_cors(slot)
-        if cors is None:
-            # Same lazy CorS fill as the scalar lookup path.
-            cors = self._cor.cors(Clique.from_key(key).features)
         result = PostingVectors(key, cors, ids, freq, smooth, bmf, bms)
         self._cache[key] = result
         return result
@@ -602,7 +597,7 @@ class InMemoryVectorView(_PooledViewMixin):
     def vectors(self, key: str) -> PostingVectors | None:
         if key in self._cache:
             return self._cache[key]
-        posting = self._index.lookup(key)  # fills a legacy posting's CorS
+        posting = self._index.lookup(key)
         if posting is None:
             self._cache[key] = None
             return None

@@ -37,31 +37,26 @@ from repro.core.mrf import MRFParameters
 from repro.core.objects import MediaObject
 from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine
+from repro.index.binfmt import BINARY_FORMAT_VERSION
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import merge_segment_files
 from repro.index.segment import MmapCliqueIndex
 from repro.index.segmented import SegmentedCliqueIndex
 from repro.social.corpus import Corpus
 from repro.storage.store import (
-    BINARY_INDEX_FORMAT_VERSION,
     StorageError,
     append_objects,
-    index_artifact_version,
     load_corpus,
     load_index,
     load_params,
     save_index,
 )
 
-#: Artifacts the snapshot loader probes for a persisted retrieval index
-#: (written by ``repro index`` / :func:`repro.storage.store.save_index`),
-#: in preference order: the v3 binary artifact loads O(metadata) via
-#: mmap (read-only pages shared across reloads and worker processes),
-#: the v2 JSONL artifact is the parse-on-load fallback.
-INDEX_ARTIFACTS = ("index.bin", "index.jsonl")
-
-#: Back-compat alias (pre-binary name of the single probed artifact).
-INDEX_ARTIFACT = "index.jsonl"
+#: The persisted retrieval index the snapshot loader picks up (written
+#: by ``repro index build`` / :func:`repro.storage.store.save_index`):
+#: a v3 binary artifact, loaded O(metadata) via mmap (read-only pages
+#: shared across reloads and worker processes).
+INDEX_ARTIFACT = "index.bin"
 
 
 @dataclass(frozen=True)
@@ -69,11 +64,11 @@ class IndexProvenance:
     """Where the serving retrieval index came from, and what it holds.
 
     ``origin`` is ``"built"`` (preprocessed from the corpus at load
-    time) or ``"loaded"`` (picked up from ``index.bin``/``index.jsonl``);
+    time) or ``"loaded"`` (picked up from ``index.bin``);
     ``build_seconds`` is the wall time of whichever of those happened.
-    ``format_version`` is the artifact's on-disk version (3 = binary
-    mmap, 2 = JSONL; a built snapshot reports the current default save
-    format).  ``payload_verified`` records whether payload checksums
+    ``format_version`` is the on-disk index format (always 3, the
+    binary mmap format; a built snapshot reports the format it would
+    save as).  ``payload_verified`` records whether payload checksums
     were swept at load time (``False`` when the operator passed
     ``--no-verify-payload`` for a faster cold start; always ``True``
     for a built index, which has no artifact to distrust).  Surfaced
@@ -203,40 +198,36 @@ def _attach_index(
     verify_payload: bool = True,
 ) -> tuple[RetrievalEngine, IndexProvenance]:
     """Give the engine its retrieval index: pick up ``index.bin`` (v3
-    mmap) or ``index.jsonl`` when a valid one sits next to the corpus,
-    otherwise preprocess.
+    mmap) when a valid one sits next to the corpus, otherwise
+    preprocess.
 
     A stale artifact (object count differing from the corpus) or a
-    corrupt one falls through — first to the next artifact format, then
-    to building — serving correctness never depends on an artifact
-    being right, only cold-start time does.  The binary artifact's
+    corrupt one falls through to building — serving correctness never
+    depends on an artifact being right, only cold-start time does.  The
     mapping is read-only, so successive generations reloading the same
     file share page-cache pages instead of re-parsing.
     """
-    for name in INDEX_ARTIFACTS:
-        artifact = directory.joinpath(name)
-        if not artifact.is_file():
-            continue
+    artifact = directory.joinpath(INDEX_ARTIFACT)
+    if artifact.is_file():
         started = time.perf_counter()
+        loaded: MmapCliqueIndex | None
         try:
-            index = load_index(
-                artifact, engine.correlations, corpus=corpus, verify_payload=verify_payload
-            )
-            version = index_artifact_version(artifact)
+            loaded = load_index(artifact, engine.correlations, verify_payload=verify_payload)
         except StorageError:
-            continue
-        if index.n_objects != len(corpus):
-            continue
-        engine.adopt_index(index)
-        stats = index.stats()
-        return engine, IndexProvenance(
-            origin="loaded",
-            build_seconds=time.perf_counter() - started,
-            n_cliques=int(stats["n_cliques"]),
-            total_postings=int(stats["total_postings"]),
-            format_version=version,
-            payload_verified=verify_payload,
-        )
+            loaded = None
+        if loaded is not None:
+            if loaded.n_objects == len(corpus):
+                engine.adopt_index(loaded)
+                stats = loaded.stats()
+                return engine, IndexProvenance(
+                    origin="loaded",
+                    build_seconds=time.perf_counter() - started,
+                    n_cliques=int(stats["n_cliques"]),
+                    total_postings=int(stats["total_postings"]),
+                    format_version=BINARY_FORMAT_VERSION,
+                    payload_verified=verify_payload,
+                )
+            loaded.close()  # stale: release the mapping before rebuilding
 
     started = time.perf_counter()
     index = CliqueInvertedIndex(
@@ -249,7 +240,7 @@ def _attach_index(
         build_seconds=time.perf_counter() - started,
         n_cliques=int(stats["n_cliques"]),
         total_postings=int(stats["total_postings"]),
-        format_version=BINARY_INDEX_FORMAT_VERSION,
+        format_version=BINARY_FORMAT_VERSION,
     )
 
 
@@ -506,8 +497,8 @@ class SnapshotManager:
         rewrites the artifact without materializing the main segment's
         postings in the heap — compaction cost is O(artifact bytes +
         delta), published atomically via ``os.replace`` while the old
-        inode keeps serving.  Any other main segment (in-memory build,
-        JSONL pickup) falls back to serializing the merged stack.
+        inode keeps serving.  An in-memory main segment (a snapshot that
+        built its index) falls back to serializing the merged stack.
 
         The merged artifact is byte-identical to a from-scratch write
         over the extended corpus *under the frozen model*.  The reload
@@ -534,12 +525,12 @@ class SnapshotManager:
                 try:
                     for i, delta in enumerate(index.deltas):
                         path = self._corpus_dir.joinpath(f"index-delta-{i:05d}.tmp.bin")
-                        save_index(delta, path, format="binary")
+                        save_index(delta, path)
                         delta_paths.append(path)
                     merge_segment_files([out_path, *delta_paths], out_path)
                 finally:
                     for path in delta_paths:
                         path.unlink(missing_ok=True)
             else:
-                save_index(index, out_path, format="binary")
+                save_index(index, out_path)
             return self._load_locked(), folded

@@ -17,24 +17,13 @@ centroid matrix is the only binary artifact.  ``MRFParameters`` get a
 single-file JSON round trip so trained parameters can ship with an
 index.
 
-The clique inverted index persists in one of two formats, autodetected
-on load by content (binary magic bytes, never file name):
-
-* **v3 binary** (default; see :mod:`repro.index.binfmt`) — packed
-  contiguous sections behind a CRC-checked header, loaded O(metadata)
-  via ``mmap`` with lazy per-clique decode
-  (:class:`repro.index.segment.MmapCliqueIndex`);
-* **v2 JSONL** (``index.jsonl``) — a metadata first line followed by
-  one posting per line, storing each entry's build-time Eq. 7
-  components (``freq`` / ``smooth`` arrays parallel to ``ids``) so a
-  loaded index serves impact-ordered queries without touching the
-  corpus.  JSON float serialization uses ``repr`` shortest round-trip,
-  so stored components are bit-identical after a load.  Version-1
-  artifacts (ids only) still load but need the corpus to rescore — the
-  upgrade path.
-
-:func:`convert_index` migrates between v2 and v3 without a corpus or a
-correlation model; rankings from either format are bit-identical.
+The clique inverted index persists as one v3 binary artifact
+(``index.bin``; see :mod:`repro.index.binfmt`): packed contiguous
+sections behind a CRC-checked header, recognised by its magic bytes
+(never its file name) and loaded O(metadata) via ``mmap`` with lazy
+per-clique decode (:class:`repro.index.segment.MmapCliqueIndex`).  It
+stores each posting's CorS and build-time Eq. 7 components, so a
+loaded index serves queries without touching the corpus.
 """
 
 from __future__ import annotations
@@ -51,7 +40,6 @@ from repro.core.objects import Feature, MediaObject
 from repro.index import binfmt
 from repro.index.binfmt import BinaryFormatError
 from repro.index.inverted import CliqueInvertedIndex
-from repro.index.postings import Posting
 from repro.index.segment import MmapCliqueIndex
 from repro.social.corpus import Corpus, FavoriteEvent
 from repro.social.users import SocialGraph
@@ -59,13 +47,6 @@ from repro.text.taxonomy import Taxonomy
 from repro.vision.visual_words import VisualCodebook
 
 FORMAT_VERSION = 1
-
-#: JSONL index artifact format.  v1 = posting ids only (rescore on
-#: load); v2 = ids + build-time Eq. 7 components (impact-ready).
-INDEX_FORMAT_VERSION = 2
-
-#: Binary (mmap) index artifact format — the v3 default.
-BINARY_INDEX_FORMAT_VERSION = binfmt.BINARY_FORMAT_VERSION
 
 
 class StorageError(RuntimeError):
@@ -348,84 +329,21 @@ def load_params(file_path: str | Path) -> MRFParameters:
 # ----------------------------------------------------------------------
 # clique inverted index
 # ----------------------------------------------------------------------
-def _resolve_index_format(path: Path, format: str) -> str:
-    """Map a ``save_index`` format argument to ``"jsonl"``/``"binary"``.
-
-    ``"auto"`` infers from the suffix: ``.jsonl`` stays the v2 text
-    format (keeping every existing call site and artifact name stable),
-    anything else gets the v3 binary default.
-    """
-    if format == "auto":
-        return "jsonl" if path.suffix == ".jsonl" else "binary"
-    if format not in ("jsonl", "binary"):
-        raise ValueError(f"unknown index format {format!r} (use 'binary' or 'jsonl')")
-    return format
-
-
-def _posting_record(posting: Posting) -> dict:
-    freq: list[float] = []
-    smooth: list[float] = []
-    for i in range(len(posting)):
-        f, s = posting.components(i)
-        freq.append(f)
-        smooth.append(s)
-    return {
-        "key": posting.key,
-        "cors": posting.cors,
-        "ids": list(posting.object_ids),
-        "freq": freq,
-        "smooth": smooth,
-    }
-
-
-def _write_index_jsonl(
-    path: Path,
-    postings: Sequence[Posting],
-    *,
-    n_objects: int,
-    max_clique_size: int,
-) -> Path:
-    meta = {
-        "format_version": INDEX_FORMAT_VERSION,
-        "kind": "clique-index",
-        "max_clique_size": max_clique_size,
-        "n_objects": n_objects,
-        "n_cliques": len(postings),
-    }
-    with path.open("w") as fh:
-        fh.write(json.dumps(meta) + "\n")
-        for posting in postings:
-            fh.write(json.dumps(_posting_record(posting)) + "\n")
-    return path
-
-
-def save_index(
-    index: CliqueInvertedIndex, file_path: str | Path, format: str = "auto"
-) -> Path:
-    """Persist the index — v3 binary by default, v2 ``index.jsonl`` for
-    ``.jsonl`` paths or an explicit ``format="jsonl"``.
+def save_index(index: CliqueInvertedIndex, file_path: str | Path) -> Path:
+    """Persist the index as a v3 binary artifact.
 
     Postings serialize in index iteration order (first-encounter corpus
-    order); both formats preserve that order (the binary format via its
-    ``order`` section) so a save/load round trip re-serializes
-    identically.  The binary format canonicalizes entry order *within*
-    a posting to ascending object id — a pure permutation that cannot
-    change rankings, since every consumer sorts by ``(-score, id)``.
+    order), which the format's ``order`` section preserves, so a
+    save/load round trip re-serializes identically.  Entry order
+    *within* a posting is canonicalized to ascending object id — a pure
+    permutation that cannot change rankings, since every consumer sorts
+    by ``(-score, id)``.
     """
     path = Path(file_path)
-    fmt = _resolve_index_format(path, format)
-    postings = list(index.iter_postings())
     try:
-        if fmt == "jsonl":
-            return _write_index_jsonl(
-                path,
-                postings,
-                n_objects=index.n_objects,
-                max_clique_size=index.max_clique_size,
-            )
         return binfmt.write_index_file(
             path,
-            postings,
+            list(index.iter_postings()),
             n_objects=index.n_objects,
             max_clique_size=index.max_clique_size,
         )
@@ -435,127 +353,17 @@ def save_index(
         raise StorageError(f"cannot write index artifact {path}: {exc}") from exc
 
 
-def index_artifact_version(file_path: str | Path) -> int:
-    """Sniff the on-disk format version of an index artifact (1, 2 or
-    3) without loading it.  Binary detection is by magic bytes, never
-    by file name."""
-    path = Path(file_path)
-    try:
-        with path.open("rb") as fh:
-            head = fh.read(len(binfmt.MAGIC))
-    except FileNotFoundError:
-        raise StorageError(f"missing index artifact: {path}") from None
-    except OSError as exc:
-        raise StorageError(f"unreadable index artifact {path}: {exc}") from exc
-    if head == binfmt.MAGIC:
-        return BINARY_INDEX_FORMAT_VERSION
-    meta, _version = _read_jsonl_meta_line(path)
-    return int(meta["format_version"])
-
-
-def _read_jsonl_meta_line(path: Path) -> tuple[dict, int]:
-    """Parse and validate the metadata first line of a JSONL artifact."""
-    try:
-        with path.open() as fh:
-            first = fh.readline()
-    except FileNotFoundError:
-        raise StorageError(f"missing index artifact: {path}") from None
-    except OSError as exc:
-        raise StorageError(f"unreadable index artifact {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise StorageError(
-            f"{path} is neither a binary index (bad magic) nor JSONL: {exc}"
-        ) from exc
-    if not first:
-        raise StorageError(f"empty index artifact: {path}")
-    try:
-        meta = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise StorageError(
-            f"corrupt index metadata in {path} (meta section, line 1): {exc}"
-        ) from exc
-    if not isinstance(meta, dict) or meta.get("kind") != "clique-index":
-        raise StorageError(f"{path} is not a clique-index artifact")
-    version = meta.get("format_version")
-    if version not in (1, INDEX_FORMAT_VERSION):
-        raise StorageError(f"unsupported index format version {version!r}")
-    meta["format_version"] = version
-    return meta, int(version)
-
-
-def _read_index_jsonl(path: Path) -> tuple[dict, list[Posting], int]:
-    """Read a v1/v2 JSONL artifact into ``(meta, postings, version)``.
-
-    Every corruption mode names the failing section (meta vs postings)
-    and the line it was detected on; v1 postings come back unscored
-    (the caller rescores against the corpus).
-    """
-    meta, version = _read_jsonl_meta_line(path)
-    postings: list[Posting] = []
-    seen: set[str] = set()
-    with path.open() as fh:
-        fh.readline()  # meta line, already parsed
-        for line_number, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StorageError(
-                    f"corrupt or truncated {path} at line {line_number} "
-                    f"(postings section): {exc}"
-                ) from exc
-            key = _record_field(record, "key", path, line_number)
-            ids = _record_field(record, "ids", path, line_number)
-            cors = record.get("cors")
-            if key in seen:
-                raise StorageError(
-                    f"corrupt index artifact {path}: duplicate posting {key!r} "
-                    f"at line {line_number} (postings section)"
-                )
-            seen.add(key)
-            posting = Posting(key, cors=cors)
-            if version == 1:
-                for object_id in ids:
-                    posting.add(object_id)
-            else:
-                freq = _record_field(record, "freq", path, line_number)
-                smooth = _record_field(record, "smooth", path, line_number)
-                if len(freq) != len(ids) or len(smooth) != len(ids):
-                    raise StorageError(
-                        f"corrupt posting {key!r} in {path} line {line_number} "
-                        "(postings section): component arrays do not match the id list"
-                    )
-                posting.extend_scored(list(zip(ids, freq, smooth)))
-            postings.append(posting)
-
-    promised = meta.get("n_cliques", len(postings))
-    if len(postings) != promised:
-        raise StorageError(
-            f"truncated {path} (postings section): metadata promises {promised} "
-            f"postings, found {len(postings)}"
-        )
-    return meta, postings, version
-
-
 def load_index(
     file_path: str | Path,
     correlations: CorrelationModel,
-    corpus: Corpus | None = None,
-    max_clique_size: int | None = None,
+    *,
     verify_payload: bool = True,
-) -> CliqueInvertedIndex:
-    """Load an index artifact, autodetecting its format by content.
-
-    v3 binary artifacts (magic sniff) come back as a lazily-decoding
+) -> MmapCliqueIndex:
+    """Open a v3 index artifact as a lazily-decoding
     :class:`MmapCliqueIndex` — O(metadata) to open, postings decode per
-    clique on first touch.  v2 JSONL artifacts parse eagerly as before;
-    v1 artifacts (posting ids only) additionally need ``corpus`` to
-    recompute the components — without it the load fails rather than
-    silently returning an index that scores everything 0.
-    ``max_clique_size`` overrides the stored bound; ``verify_payload``
-    (binary only) controls the eager CRC sweep of the posting/component
-    payload sections.
+    clique on first touch.  ``verify_payload`` controls the eager CRC
+    sweep of the posting/component payload sections.  Any file that is
+    missing, not a v3 index or corrupt raises :class:`StorageError`.
     """
     path = Path(file_path)
     try:
@@ -565,108 +373,13 @@ def load_index(
         raise StorageError(f"missing index artifact: {path}") from None
     except OSError as exc:
         raise StorageError(f"unreadable index artifact {path}: {exc}") from exc
-
-    if head == binfmt.MAGIC:
-        try:
-            reader = binfmt.BinaryIndexReader(path, verify_payload=verify_payload)
-        except BinaryFormatError as exc:
-            raise StorageError(f"corrupt binary index artifact {path}: {exc}") from exc
-        return MmapCliqueIndex(reader, correlations, max_clique_size=max_clique_size)
-
-    meta, postings, version = _read_index_jsonl(path)
-    if version == 1 and corpus is None:
-        raise StorageError(
-            f"index artifact {path} is format version 1 (no stored components); "
-            "pass the corpus so the postings can be rescored"
-        )
-    bound = max_clique_size if max_clique_size is not None else meta.get("max_clique_size", 3)
-    index = CliqueInvertedIndex(correlations, max_clique_size=bound)
-    for posting in postings:
-        index.adopt_posting(posting)
-    index.set_n_objects(int(meta.get("n_objects", 0)))
-    if version == 1:
-        assert corpus is not None
-        index.rescore(corpus)
-    return index
-
-
-def convert_index(
-    src_path: str | Path,
-    dst_path: str | Path | None = None,
-    to: str | None = None,
-    verify: bool = False,
-) -> Path:
-    """Migrate an index artifact between the v2 JSONL and v3 binary
-    formats — the ``repro index convert`` engine.
-
-    Conversion is format-level: no corpus and no correlation model are
-    needed, because v2/v3 artifacts carry their build-time components
-    and CorS.  v1 artifacts cannot convert (no stored components) —
-    re-run ``repro index`` instead.  ``to`` defaults to the *other*
-    format; ``dst_path`` defaults to the source name with the
-    conventional suffix (``.bin``/``.jsonl``).  ``verify`` runs a full
-    payload CRC sweep over a binary source before converting.
-    """
-    src = Path(src_path)
-    version = index_artifact_version(src)
-    if version == 1:
-        raise StorageError(
-            f"cannot convert {src}: format version 1 stores no components; "
-            "rebuild with `repro index` instead"
-        )
-    src_format = "binary" if version == BINARY_INDEX_FORMAT_VERSION else "jsonl"
-    if to is None:
-        to = "jsonl" if src_format == "binary" else "binary"
-    if to not in ("jsonl", "binary"):
-        raise ValueError(f"unknown index format {to!r} (use 'binary' or 'jsonl')")
-    if dst_path is None:
-        dst = src.with_suffix(".jsonl" if to == "jsonl" else ".bin")
-    else:
-        dst = Path(dst_path)
-    if dst == src:
-        raise StorageError(
-            f"conversion target equals the source artifact: {src} "
-            "(pass an explicit destination)"
-        )
-
-    if src_format == "binary":
-        try:
-            with binfmt.BinaryIndexReader(src, verify_payload=verify) as reader:
-                if verify:
-                    reader.verify()
-                postings = [
-                    Posting.from_arrays(reader.key_at(slot), *_reorder(reader, slot))
-                    for slot in reader.iteration_order()
-                ]
-                n_objects = reader.n_objects
-                max_clique_size = reader.max_clique_size
-        except BinaryFormatError as exc:
-            raise StorageError(f"corrupt binary index artifact {src}: {exc}") from exc
-    else:
-        meta, postings, _version = _read_index_jsonl(src)
-        n_objects = int(meta.get("n_objects", 0))
-        max_clique_size = int(meta.get("max_clique_size", 3))
-
+    if head != binfmt.MAGIC:
+        raise StorageError(f"{path} is not a v3 binary index (bad magic bytes)")
     try:
-        if to == "jsonl":
-            return _write_index_jsonl(
-                dst, postings, n_objects=n_objects, max_clique_size=max_clique_size
-            )
-        return binfmt.write_index_file(
-            dst, postings, n_objects=n_objects, max_clique_size=max_clique_size
-        )
+        reader = binfmt.BinaryIndexReader(path, verify_payload=verify_payload)
     except BinaryFormatError as exc:
-        raise StorageError(f"cannot write binary index {dst}: {exc}") from exc
-    except OSError as exc:
-        raise StorageError(f"cannot write index artifact {dst}: {exc}") from exc
-
-
-def _reorder(
-    reader: "binfmt.BinaryIndexReader", slot: int
-) -> tuple[float | None, list[str], list[float], list[float]]:
-    """Decode one slot into ``Posting.from_arrays`` argument order."""
-    ids, freq, smooth, cors = reader.read_posting(slot)
-    return cors, ids, freq, smooth
+        raise StorageError(f"corrupt binary index artifact {path}: {exc}") from exc
+    return MmapCliqueIndex(reader, correlations)
 
 
 def _taxonomy_nodes(taxonomy: Taxonomy) -> list[str]:

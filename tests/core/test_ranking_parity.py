@@ -113,10 +113,9 @@ def test_twin_tie_broken_by_ascending_id(engines, tie_corpus):
     assert scan_top[0].score == scan_top[1].score
 
 
-@pytest.mark.parametrize("format", ["jsonl", "binary"])
+@pytest.mark.parametrize("format", ["binary"])
 def test_parity_survives_persistence_round_trip(base_engine, tie_corpus, tmp_path, format):
-    path = tmp_path / ("index.jsonl" if format == "jsonl" else "index.bin")
-    save_index(base_engine.index, path, format=format)
+    path = save_index(base_engine.index, tmp_path / "index.bin")
     reloaded = RetrievalEngine(tie_corpus, params=MRFParameters(), build_index=False)
     reloaded.adopt_index(load_index(path, reloaded.correlations))
     for q in range(N_QUERIES):

@@ -49,7 +49,7 @@ def mmap_engine(memory_engine, twin_corpus, tmp_path_factory):
     """Engine over the same index persisted to a v3 binary segment —
     the zero-copy path with stored block maxima."""
     path = tmp_path_factory.mktemp("parity") / "index.bin"
-    save_index(memory_engine.index, path, format="binary")
+    save_index(memory_engine.index, path)
     engine = RetrievalEngine(twin_corpus, params=MRFParameters(), build_index=False)
     engine.adopt_index(load_index(path, engine.correlations))
     return engine

@@ -318,7 +318,7 @@ def test_unsorted_clique_features_are_canonicalized(contracts_on):
 # seam: posting-list dedup (index/postings.py)
 # ----------------------------------------------------------------------
 def test_posting_nontail_duplicate_fires(contracts_on):
-    posting = Posting("T:a")
+    posting = Posting("T:a", cors=1.0)
     posting.add("x")
     posting.add("y")
     with pytest.raises(ContractViolation):
@@ -326,14 +326,14 @@ def test_posting_nontail_duplicate_fires(contracts_on):
 
 
 def test_posting_adjacent_duplicate_is_legitimate_dedup(contracts_on):
-    posting = Posting("T:a")
+    posting = Posting("T:a", cors=1.0)
     posting.add("x")
     posting.add("x")  # adjacent repeats are coalesced by design
     assert posting.object_ids == ("x",)
 
 
 def test_posting_duplicate_silent_when_disabled(contracts_off):
-    posting = Posting("T:a")
+    posting = Posting("T:a", cors=1.0)
     posting.add("x")
     posting.add("y")
     posting.add("x")

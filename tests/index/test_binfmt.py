@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import pytest
 
@@ -29,12 +30,12 @@ from repro.index.postings import Posting
 
 def _sample_postings() -> list[Posting]:
     """Three postings exercising the interesting cases: unicode key,
-    unset CorS, empty posting, out-of-order entry adds."""
+    empty posting, out-of-order entry adds."""
     a = Posting("tag:ünïcode|tag:zebra", cors=0.75)
     a.add("obj009", 0.5, 0.25)
     a.add("obj001", 0.125, 0.0625)  # out of id order: writer canonicalizes
     a.add("obj005", 1.0, 2.0)
-    b = Posting("tag:alpha", cors=None)  # lazily-filled CorS round-trips as None
+    b = Posting("tag:alpha", cors=1.0)
     b.add("obj001", 3.0, 4.0)
     empty = Posting("tag:empty", cors=0.0)
     return [a, b, empty]
@@ -90,14 +91,6 @@ def test_postings_round_trip_canonicalized(artifact):
         assert cors == 0.75
 
 
-def test_none_cors_round_trips_via_nan(artifact):
-    with BinaryIndexReader(artifact) as reader:
-        slot = reader.find_slot("tag:alpha")
-        assert reader.posting_cors(slot) is None
-        *_, cors = reader.read_posting(slot)
-        assert cors is None
-
-
 def test_empty_posting_round_trips(artifact):
     with BinaryIndexReader(artifact) as reader:
         slot = reader.find_slot("tag:empty")
@@ -132,7 +125,7 @@ def test_empty_index_round_trips(tmp_path):
 
 
 def test_writer_rejects_duplicate_keys(tmp_path):
-    postings = [Posting("tag:a"), Posting("tag:a")]
+    postings = [Posting("tag:a", cors=1.0), Posting("tag:a", cors=1.0)]
     with pytest.raises(BinaryFormatError, match="duplicate"):
         write_index_file(tmp_path / "dup.bin", postings, n_objects=1, max_clique_size=2)
 
@@ -155,8 +148,6 @@ def test_unsupported_version(artifact):
     data = bytearray(artifact.read_bytes())
     struct.pack_into("<I", data, 8, 99)
     # re-seal the header CRC so the version check (not the CRC) fires
-    import zlib
-
     struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
     artifact.write_bytes(bytes(data))
     with pytest.raises(BinaryFormatError, match="version 99"):
@@ -164,8 +155,6 @@ def test_unsupported_version(artifact):
 
 
 def test_nonzero_flags(artifact):
-    import zlib
-
     data = bytearray(artifact.read_bytes())
     struct.pack_into("<I", data, 12, 0x4)
     struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
@@ -266,12 +255,20 @@ def test_undecodable_posting_stream(tmp_path):
         assert exc_info.value.section == "postings"
 
 
-def test_nan_cors_is_not_corruption(artifact):
-    """NaN is the in-band None encoding, not a corrupt float."""
-    with BinaryIndexReader(artifact) as reader:
-        for slot in range(reader.n_cliques):
-            cors = reader.posting_cors(slot)
-            assert cors is None or not math.isnan(cors)
+def test_nan_cors_is_postmeta_corruption(artifact):
+    """Every writer stores a real CorS, so a NaN one (CRC re-sealed, so
+    only the value check can fire) is rejected at open."""
+    offset, length = read_section_table(artifact)["postmeta"]
+    data = bytearray(artifact.read_bytes())
+    struct.pack_into("<d", data, offset + 24, math.nan)  # slot 0's cors field
+    crc_at = 52 + 32 * SECTION_NAMES.index("postmeta") + 24
+    struct.pack_into("<I", data, crc_at, zlib.crc32(bytes(data[offset:offset + length])))
+    table_end = 52 + 32 * len(SECTION_NAMES)
+    struct.pack_into("<I", data, table_end, zlib.crc32(bytes(data[52:table_end])))
+    artifact.write_bytes(bytes(data))
+    with pytest.raises(BinaryFormatError, match="NaN CorS") as exc_info:
+        BinaryIndexReader(artifact)
+    assert exc_info.value.section == "postmeta"
 
 
 def test_close_is_idempotent(artifact):

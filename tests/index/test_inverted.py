@@ -38,11 +38,10 @@ def test_lookup_unknown_clique(built):
     assert Clique((T("never-seen"),)) not in built
 
 
-def test_lookup_fills_cors_lazily(built, tiny_corpus, correlations):
+def test_lookup_carries_build_time_cors(built, tiny_corpus, correlations):
     fig = FeatureInteractionGraph.from_object(tiny_corpus[0], correlations)
     clique = fig.cliques(max_size=1)[0]
     posting = built.lookup(clique)
-    assert posting.cors is not None
     assert posting.cors == pytest.approx(correlations.cors(clique.features))
 
 
@@ -140,35 +139,10 @@ def test_build_invalid_workers(tiny_corpus, correlations):
         CliqueInvertedIndex(correlations, max_clique_size=2).build(tiny_corpus, n_workers=0)
 
 
-def test_adopt_posting_rejects_duplicate_key(correlations):
-    from repro.index.postings import Posting
-
-    index = CliqueInvertedIndex(correlations, max_clique_size=2)
-    index.adopt_posting(Posting("T:a", cors=0.5))
-    with pytest.raises(ValueError):
-        index.adopt_posting(Posting("T:a", cors=0.5))
-
-
 def test_set_n_objects_rejects_negative(correlations):
     index = CliqueInvertedIndex(correlations, max_clique_size=2)
     with pytest.raises(ValueError):
         index.set_n_objects(-1)
-
-
-def test_rescore_restores_build_time_components(tiny_corpus, correlations):
-    reference = CliqueInvertedIndex(correlations, max_clique_size=2).build(tiny_corpus)
-    # strip the components (a legacy v1 artifact carries ids only)
-    from repro.index.postings import Posting
-
-    legacy = CliqueInvertedIndex(correlations, max_clique_size=2)
-    for posting in reference.iter_postings():
-        bare = Posting(posting.key)
-        for object_id in posting:
-            bare.add(object_id)
-        legacy.adopt_posting(bare)
-    legacy.set_n_objects(reference.n_objects)
-    legacy.rescore(tiny_corpus)
-    _assert_identical(reference, legacy)
 
 
 def test_precompute_impact_populates_views(built):

@@ -1,12 +1,10 @@
 """Posting list semantics."""
 
-import pytest
-
 from repro.index.postings import MAX_IMPACT_VIEWS, Posting
 
 
 def test_add_and_iterate_in_order():
-    p = Posting("T:a")
+    p = Posting("T:a", cors=1.0)
     p.add("o1")
     p.add("o2")
     assert list(p) == ["o1", "o2"]
@@ -14,24 +12,17 @@ def test_add_and_iterate_in_order():
 
 
 def test_tail_dedup():
-    p = Posting("T:a")
+    p = Posting("T:a", cors=1.0)
     p.add("o1")
     p.add("o1")  # repeated tail add must not duplicate
     assert len(p) == 1
 
 
 def test_contains():
-    p = Posting("T:a")
+    p = Posting("T:a", cors=1.0)
     p.add("o1")
     assert "o1" in p
     assert "o2" not in p
-
-
-def test_cors_lazy_then_set():
-    p = Posting("T:a")
-    assert p.cors is None
-    p.set_cors(0.75)
-    assert p.cors == 0.75
 
 
 def test_cors_eager():
@@ -39,7 +30,7 @@ def test_cors_eager():
 
 
 def test_key():
-    assert Posting("T:a|U:u").key == "T:a|U:u"
+    assert Posting("T:a|U:u", cors=1.0).key == "T:a|U:u"
 
 
 # ----------------------------------------------------------------------
@@ -101,31 +92,22 @@ def test_impact_view_cache_bounded():
     assert len(p._views) <= MAX_IMPACT_VIEWS
 
 
-def test_components_and_rescore():
+def test_components_by_entry_index():
     p = _scored_posting()
     assert p.components(0) == (0.2, 0.8)
-    p.rescore({"o1": (0.7, 0.3), "o4": (0.1, 0.1)})
-    assert p.components(0) == (0.7, 0.3)
-    # ids absent from the mapping reset to zero components
-    assert p.components(1) == (0.0, 0.0)
-    view = p.impact_view(0.5)
-    assert "o2" not in view.scores and "o1" in view.scores
+    assert p.components(3) == (0.8, 0.8)
+    assert p.component_arrays() == ([0.2, 0.9, 0.0, 0.8], [0.8, 0.1, 0.0, 0.8])
 
 
 def test_extend_scored_bulk_append_dedups_tail():
-    p = Posting("T:a")
+    p = Posting("T:a", cors=1.0)
     p.extend_scored([("o1", 0.1, 0.2), ("o1", 0.1, 0.2), ("o2", 0.3, 0.4)])
     assert p.object_ids == ("o1", "o2")
     assert p.components(1) == (0.3, 0.4)
 
 
 def test_legacy_add_defaults_to_zero_components():
-    p = Posting("T:a")
+    p = Posting("T:a", cors=1.0)
     p.add("o1")
     assert p.components(0) == (0.0, 0.0)
     assert p.impact_view(0.5).pairs == []
-
-
-def test_repr_handles_unset_cors():
-    assert "cors=None" in repr(Posting("T:a"))
-    assert pytest.approx(0.5) == Posting("T:a", cors=0.5).cors

@@ -182,6 +182,6 @@ def test_serializing_stack_matches_monolithic_bytes(fixture_state, tmp_path):
 
     _full, model, mono, main, extra = fixture_state
     stack = _stack(main, extra, [5, 11], model)
-    a = save_index(mono, tmp_path / "mono.bin", format="binary")
-    b = save_index(stack, tmp_path / "stack.bin", format="binary")
+    a = save_index(mono, tmp_path / "mono.bin")
+    b = save_index(stack, tmp_path / "stack.bin")
     assert a.read_bytes() == b.read_bytes()

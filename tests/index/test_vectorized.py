@@ -98,7 +98,7 @@ def test_shallow_walk_skips_blocks():
     freq = np.full(N_ENTRIES, 0.01)
     freq[:BLOCK_SIZE] = np.linspace(5.0, 4.0, BLOCK_SIZE)  # hot first block
     smooth = np.zeros(N_ENTRIES)
-    vectors = PostingVectors("tag:hot", None, ids, freq, smooth)
+    vectors = PostingVectors("tag:hot", 1.0, ids, freq, smooth)
     source = BlockMaxSource(vectors, 1.0, inner=1.0)
     for rank in range(8):
         source.entry(rank)
@@ -183,7 +183,7 @@ def test_corrupt_block_bound_detected_under_contracts(monkeypatch):
     vectors = _synthetic_vectors()
     bad_bounds = np.zeros_like(vectors.block_max_freq)  # bounds below members
     broken = PostingVectors(
-        "tag:bad", None, vectors.ids, vectors.freq, vectors.smooth,
+        "tag:bad", 1.0, vectors.ids, vectors.freq, vectors.smooth,
         bad_bounds, np.zeros_like(vectors.block_max_smooth),
     )
     source = BlockMaxSource(broken, 1.0, inner=1.0)

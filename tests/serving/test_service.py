@@ -206,7 +206,7 @@ def test_healthz_and_stats(service, loaded_manager):
 
 
 def test_stats_reports_index_provenance(service, loaded_manager):
-    from repro.storage.store import BINARY_INDEX_FORMAT_VERSION
+    from repro.index.binfmt import BINARY_FORMAT_VERSION
 
     index_stats = service.stats()["index"]
     prov = loaded_manager.current.index_provenance
@@ -214,20 +214,21 @@ def test_stats_reports_index_provenance(service, loaded_manager):
     assert index_stats["build_seconds"] == prov.build_seconds
     assert index_stats["cliques"] == prov.n_cliques
     assert index_stats["postings"] == prov.total_postings
-    # a built snapshot reports the current default save format (v3 binary)
-    assert index_stats["format_version"] == BINARY_INDEX_FORMAT_VERSION
+    # a built snapshot reports the one on-disk format (v3 binary)
+    assert index_stats["format_version"] == BINARY_FORMAT_VERSION
 
 
 def test_stats_index_provenance_loaded_artifact(tmp_path, tiny_corpus):
-    """A snapshot that picked up ``index.jsonl`` reports itself as
+    """A snapshot that picked up ``index.bin`` reports itself as
     loaded-from-artifact through the stats endpoint."""
     from repro.serving.snapshot import build_snapshot
+    from repro.index.binfmt import BINARY_FORMAT_VERSION
     from repro.storage.store import save_corpus, save_index
 
     path = tmp_path / "corpus"
     save_corpus(tiny_corpus, path)
     built = build_snapshot(path, generation=1)
-    save_index(built.engine.index, path / "index.jsonl")
+    save_index(built.engine.index, path / "index.bin")
 
     manager = SnapshotManager(path)
     manager.load()
@@ -235,6 +236,7 @@ def test_stats_index_provenance_loaded_artifact(tmp_path, tiny_corpus):
     index_stats = service.stats()["index"]
     assert index_stats["origin"] == "loaded"
     assert index_stats["postings"] > 0
+    assert index_stats["format_version"] == BINARY_FORMAT_VERSION
 
 
 def test_stats_no_index_reports_none(tmp_path, tiny_corpus):

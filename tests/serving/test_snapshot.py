@@ -103,38 +103,22 @@ def test_fresh_corpus_builds_index(tmp_path, tiny_corpus):
     assert prov.total_postings > 0
 
 
-def test_index_artifact_next_to_corpus_is_picked_up(tmp_path, tiny_corpus):
-    from repro.storage.store import INDEX_FORMAT_VERSION, save_index
-
-    path = _corpus_on_disk(tmp_path, tiny_corpus)
-    built = build_snapshot(path, generation=1)
-    save_index(built.engine.index, path / "index.jsonl")
-
-    loaded = build_snapshot(path, generation=2)
-    prov = loaded.index_provenance
-    assert prov.origin == "loaded"
-    assert prov.format_version == INDEX_FORMAT_VERSION
-    assert prov.n_cliques == len(built.engine.index)
-    # the adopted index answers bit-identically to the built one
-    query = loaded.corpus[0]
-    assert loaded.engine.search(query, k=5) == built.engine.search(query, k=5)
-
-
 def test_stale_index_artifact_falls_back_to_build(tmp_path, tiny_corpus):
-    import json
+    import struct
+    import zlib
 
     from repro.storage.store import save_index
 
     path = _corpus_on_disk(tmp_path, tiny_corpus)
     built = build_snapshot(path, generation=1)
-    artifact = path / "index.jsonl"
-    save_index(built.engine.index, artifact)
-    # tamper the object count: the snapshot loader must treat the
-    # artifact as stale and rebuild rather than serve a partial index
-    lines = artifact.read_text().splitlines()
-    meta = json.loads(lines[0])
-    meta["n_objects"] = 1
-    artifact.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    artifact = save_index(built.engine.index, path / "index.bin")
+    # tamper the object count (re-sealing the header CRC): the snapshot
+    # loader must treat the artifact as stale and rebuild rather than
+    # serve a partial index
+    data = bytearray(artifact.read_bytes())
+    struct.pack_into("<Q", data, 24, 1)
+    struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
+    artifact.write_bytes(bytes(data))
 
     snapshot = build_snapshot(path, generation=2)
     assert snapshot.index_provenance.origin == "built"
@@ -143,13 +127,14 @@ def test_stale_index_artifact_falls_back_to_build(tmp_path, tiny_corpus):
 
 def test_corrupt_index_artifact_falls_back_to_build(tmp_path, tiny_corpus):
     path = _corpus_on_disk(tmp_path, tiny_corpus)
-    (path / "index.jsonl").write_text("{broken\n")
+    (path / "index.bin").write_bytes(b"RPROIDX3 but then garbage")
     snapshot = build_snapshot(path, generation=1)
     assert snapshot.index_provenance.origin == "built"
 
 
 def test_binary_artifact_next_to_corpus_is_picked_up(tmp_path, tiny_corpus):
-    from repro.storage.store import BINARY_INDEX_FORMAT_VERSION, save_index
+    from repro.index.binfmt import BINARY_FORMAT_VERSION
+    from repro.storage.store import save_index
 
     path = _corpus_on_disk(tmp_path, tiny_corpus)
     built = build_snapshot(path, generation=1)
@@ -158,41 +143,45 @@ def test_binary_artifact_next_to_corpus_is_picked_up(tmp_path, tiny_corpus):
     loaded = build_snapshot(path, generation=2)
     prov = loaded.index_provenance
     assert prov.origin == "loaded"
-    assert prov.format_version == BINARY_INDEX_FORMAT_VERSION
+    assert prov.format_version == BINARY_FORMAT_VERSION
     assert prov.n_cliques == len(built.engine.index)
     query = loaded.corpus[0]
     assert loaded.engine.search(query, k=5) == built.engine.search(query, k=5)
 
 
 def test_binary_artifact_preferred_over_jsonl(tmp_path, tiny_corpus):
-    from repro.storage.store import BINARY_INDEX_FORMAT_VERSION, save_index
+    from repro.index.binfmt import BINARY_FORMAT_VERSION
+    from repro.storage.store import save_index
 
     path = _corpus_on_disk(tmp_path, tiny_corpus)
     built = build_snapshot(path, generation=1)
     save_index(built.engine.index, path / "index.bin")
-    save_index(built.engine.index, path / "index.jsonl")
+    (path / "index.jsonl").write_text('{"kind": "clique-index", "format_version": 2}\n')
 
     loaded = build_snapshot(path, generation=2)
     assert loaded.index_provenance.origin == "loaded"
-    assert loaded.index_provenance.format_version == BINARY_INDEX_FORMAT_VERSION
+    assert loaded.index_provenance.format_version == BINARY_FORMAT_VERSION
 
 
-def test_corrupt_binary_falls_back_to_jsonl(tmp_path, tiny_corpus):
-    from repro.storage.store import INDEX_FORMAT_VERSION, save_index
+def test_text_index_jsonl_is_ignored(tmp_path, tiny_corpus):
+    """A text ``index.jsonl`` (the retired format) beside the corpus is
+    not an index: the snapshot builds, and loading it directly is a
+    storage error."""
+    from repro.storage.store import load_index
 
     path = _corpus_on_disk(tmp_path, tiny_corpus)
-    built = build_snapshot(path, generation=1)
-    save_index(built.engine.index, path / "index.jsonl")
-    (path / "index.bin").write_bytes(b"RPROIDX3 but then garbage")
+    artifact = path / "index.jsonl"
+    artifact.write_text('{"kind": "clique-index", "format_version": 2}\n')
 
-    loaded = build_snapshot(path, generation=2)
-    assert loaded.index_provenance.origin == "loaded"
-    assert loaded.index_provenance.format_version == INDEX_FORMAT_VERSION
+    snapshot = build_snapshot(path, generation=1)
+    assert snapshot.index_provenance.origin == "built"
+    with pytest.raises(StorageError, match="not a v3 binary index"):
+        load_index(artifact, snapshot.engine.correlations)
 
 
 def test_stale_binary_falls_back_to_build(tmp_path, tiny_corpus):
     """A binary artifact for a different corpus size is stale: the
-    loader probes the next artifact, and failing that, builds."""
+    loader builds instead."""
     from repro.index.inverted import CliqueInvertedIndex
     from repro.storage.store import save_index
 

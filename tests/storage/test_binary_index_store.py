@@ -1,30 +1,28 @@
 """Binary (v3) index persistence through the storage layer.
 
-Covers the store-level contract on top of ``repro.index.binfmt``:
-format autodetection by content (magic sniff, never file name), the
-lazily-decoding :class:`MmapCliqueIndex` load path, cross-format
-conversion in both directions, and corruption surfacing through the
-``StorageError`` taxonomy with the failing section named.
+Covers the store-level contract on top of ``repro.index.binfmt``: the
+lazily-decoding :class:`MmapCliqueIndex` load path, save/load/save byte
+identity, files without the optional ``blockmax`` section, and
+corruption surfacing through the ``StorageError`` taxonomy with the
+failing section named.
 """
 
 from __future__ import annotations
 
-import json
+import struct
+import zlib
+from collections import Counter
 
 import pytest
 
-from repro.index.binfmt import read_section_table
+from repro.core.objects import Feature, MediaObject
+from repro.core.retrieval import correlation_model_for_corpus
+from repro.index.binfmt import BLOCK_SIZE, BinaryIndexReader, read_section_table
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segment import MmapCliqueIndex
-from repro.storage.store import (
-    BINARY_INDEX_FORMAT_VERSION,
-    INDEX_FORMAT_VERSION,
-    StorageError,
-    convert_index,
-    index_artifact_version,
-    load_index,
-    save_index,
-)
+from repro.social.corpus import Corpus
+from repro.social.users import SocialGraph
+from repro.storage.store import StorageError, load_index, save_index
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +35,52 @@ def binary_artifact(built, tmp_path):
     return save_index(built, tmp_path / "index.bin")
 
 
-@pytest.fixture()
-def jsonl_artifact(built, tmp_path):
-    return save_index(built, tmp_path / "index.jsonl")
+@pytest.fixture(scope="module")
+def multi_block():
+    """An index whose ``shared`` posting spans three
+    :data:`~repro.index.binfmt.BLOCK_SIZE` blocks, so its file stores
+    per-block bounds — ``tiny_corpus`` has no posting longer than one
+    block and leaves the ``blockmax`` section empty."""
+    objects = [
+        MediaObject(
+            object_id=f"o{i:05d}",
+            features=Counter(
+                {
+                    Feature.text("shared"): 1 + i % 3,
+                    Feature.text(f"rare{i % 32}"): 1,
+                    Feature.user(f"u{i % 16}"): 1,
+                }
+            ),
+            timestamp=i % 6,
+        )
+        for i in range(3 * BLOCK_SIZE)
+    ]
+    corpus = Corpus(
+        objects=objects,
+        social=SocialGraph({f"u{i}": [] for i in range(16)}),
+        n_months=6,
+    )
+    model = correlation_model_for_corpus(corpus)
+    return CliqueInvertedIndex(model, max_clique_size=2).build(corpus)
+
+
+def _keep_sections(path, keep, rename=None):
+    """Cut the section table to its first ``keep`` records (renaming
+    some), re-sealing the header and table CRCs so only the section-set
+    checks can fire.  Payload offsets are absolute, so the payloads
+    stay where they are."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 20, keep)
+    struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
+    table = 52
+    for i in range(keep):
+        record = table + 32 * i
+        name = bytes(data[record:record + 8]).rstrip(b"\0").decode()
+        if rename and name in rename:
+            data[record:record + 8] = rename[name].encode().ljust(8, b"\0")
+    end = table + 32 * keep
+    struct.pack_into("<I", data, end, zlib.crc32(bytes(data[table:end])))
+    path.write_bytes(bytes(data))
 
 
 def _assert_equivalent(a: CliqueInvertedIndex, b: CliqueInvertedIndex) -> None:
@@ -75,32 +116,48 @@ def test_binary_round_trip_bit_identical(built, binary_artifact, correlations):
     loaded.close()
 
 
-def test_auto_format_by_suffix(built, tmp_path):
-    bin_path = save_index(built, tmp_path / "index.bin")
-    jsonl_path = save_index(built, tmp_path / "index.jsonl")
-    assert index_artifact_version(bin_path) == BINARY_INDEX_FORMAT_VERSION == 3
-    assert index_artifact_version(jsonl_path) == INDEX_FORMAT_VERSION == 2
-
-
-def test_explicit_format_beats_suffix(built, tmp_path, correlations):
-    """Detection on load is by content, so a binary index under a
-    ``.jsonl`` name still loads as the mmap segment."""
-    odd = save_index(built, tmp_path / "index.jsonl", format="binary")
-    assert index_artifact_version(odd) == 3
+def test_suffix_does_not_pick_format(built, binary_artifact, tmp_path, correlations):
+    """Every save writes v3 and every load detects it by content, so
+    the file name carries no meaning."""
+    odd = save_index(built, tmp_path / "index.jsonl")
+    assert odd.read_bytes() == binary_artifact.read_bytes()
     loaded = load_index(odd, correlations)
     assert isinstance(loaded, MmapCliqueIndex)
     loaded.close()
 
 
-def test_unknown_format_rejected(built, tmp_path):
-    with pytest.raises(ValueError, match="unknown index format"):
-        save_index(built, tmp_path / "index.bin", format="parquet")
+def test_save_load_save_carries_blockmax(multi_block, tmp_path, correlations):
+    """Re-serializing a loaded multi-block index reproduces the file
+    byte for byte: iteration order (the ``order`` section), canonical
+    entry order and the stored ``blockmax`` bounds all survive."""
+    src = save_index(multi_block, tmp_path / "big.bin")
+    assert read_section_table(src)["blockmax"][1] > 0
+    loaded = load_index(src, correlations)
+    back = save_index(loaded, tmp_path / "back.bin")
+    loaded.close()
+    assert back.read_bytes() == src.read_bytes()
+    with BinaryIndexReader(back) as reader:
+        assert reader.has_blockmax
+        slot = reader.find_slot(Feature.text("shared").key)
+        assert slot is not None
+        stored = reader.posting_block_max(slot)
+        assert stored is not None and len(stored[0]) == 3
 
 
-def test_binary_smaller_than_half_of_jsonl(binary_artifact, jsonl_artifact):
-    """The headline acceptance criterion at test scale: packed varint
-    postings + f64 components undercut half the JSONL footprint."""
-    assert binary_artifact.stat().st_size <= jsonl_artifact.stat().st_size * 0.5
+def test_pre_blockmax_file_still_loads(multi_block, tmp_path, correlations):
+    """A v3 file written before the optional ``blockmax`` section
+    existed loads, and the vector view rebuilds the bounds in memory."""
+    path = save_index(multi_block, tmp_path / "old.bin")
+    with BinaryIndexReader(path) as reader:
+        key = Feature.text("shared").key
+        stored = reader.posting_block_max(reader.find_slot(key))
+        expected = [arr.tolist() for arr in stored]
+    _keep_sections(path, keep=7)  # blockmax is the last record
+    loaded = load_index(path, correlations)
+    assert not loaded.reader.has_blockmax
+    vectors = loaded.vector_view().vectors(key)
+    assert [vectors.block_max_freq.tolist(), vectors.block_max_smooth.tolist()] == expected
+    loaded.close()
 
 
 def test_loaded_segment_is_lazy(binary_artifact, correlations):
@@ -125,14 +182,6 @@ def test_segment_is_read_only(binary_artifact, correlations, tiny_corpus):
         loaded.add_object(tiny_corpus[0])
     with pytest.raises(TypeError, match="read-only"):
         loaded.build(tiny_corpus)
-    with pytest.raises(TypeError, match="read-only"):
-        loaded.rescore(tiny_corpus)
-    loaded.close()
-
-
-def test_max_clique_size_override(binary_artifact, correlations):
-    loaded = load_index(binary_artifact, correlations, max_clique_size=1)
-    assert loaded.max_clique_size == 1
     loaded.close()
 
 
@@ -162,160 +211,36 @@ def test_truncated_binary_is_storage_error(binary_artifact, correlations):
 
 
 def test_binary_garbage_under_jsonl_name_is_storage_error(tmp_path, correlations):
-    """Random binary bytes (wrong magic) must fail as a storage error,
-    not a UnicodeDecodeError from the JSONL fallback."""
+    """Random binary bytes (wrong magic) fail as a storage error naming
+    the file, whatever it is called."""
     path = tmp_path / "index.jsonl"
     path.write_bytes(b"\x00\xff\xfe garbage \x80" * 10)
-    with pytest.raises(StorageError):
+    with pytest.raises(StorageError, match="not a v3 binary index") as exc_info:
         load_index(path, correlations)
-    with pytest.raises(StorageError):
-        index_artifact_version(path)
+    assert str(path) in str(exc_info.value)
+
+
+def test_missing_required_section_is_storage_error(binary_artifact, correlations):
+    """Only ``blockmax`` is optional: a table without ``smooth`` fails."""
+    _keep_sections(binary_artifact, keep=7, rename={"smooth": "blockmax"})
+    with pytest.raises(StorageError, match="missing sections"):
+        load_index(binary_artifact, correlations)
 
 
 def test_missing_artifact_is_storage_error(tmp_path, correlations):
     with pytest.raises(StorageError, match="missing"):
         load_index(tmp_path / "absent.bin", correlations)
-    with pytest.raises(StorageError, match="missing"):
-        index_artifact_version(tmp_path / "absent.bin")
-
-
-# ----------------------------------------------------------------------
-# conversion
-# ----------------------------------------------------------------------
-def test_convert_jsonl_to_binary(jsonl_artifact, built, correlations):
-    dst = convert_index(jsonl_artifact)
-    assert dst.name == "index.bin"
-    assert index_artifact_version(dst) == 3
-    loaded = load_index(dst, correlations)
-    _assert_equivalent(built, loaded)
-    loaded.close()
-
-
-def test_convert_binary_to_jsonl(binary_artifact, built, correlations):
-    dst = convert_index(binary_artifact)
-    assert dst.name == "index.jsonl"
-    assert index_artifact_version(dst) == 2
-    _assert_equivalent(built, load_index(dst, correlations))
-
-
-def test_convert_round_trip_is_byte_identical(binary_artifact, tmp_path):
-    """binary -> jsonl -> binary reproduces the original file exactly:
-    iteration order (the ``order`` section) and canonical entry order
-    both survive the text round trip."""
-    jsonl = convert_index(binary_artifact, dst_path=tmp_path / "via.jsonl")
-    back = convert_index(jsonl, dst_path=tmp_path / "back.bin")
-    assert back.read_bytes() == binary_artifact.read_bytes()
-
-
-def test_convert_round_trip_carries_blockmax(tmp_path):
-    """binary -> jsonl -> binary with a *multi-block* posting keeps the
-    ``blockmax`` section byte for byte.
-
-    The module-level round-trip test runs on ``tiny_corpus``, where no
-    posting spans more than one :data:`~repro.index.binfmt.BLOCK_SIZE`
-    block — its blockmax section is empty, so that test cannot notice
-    the section being silently dropped or recomputed differently.  Here
-    one feature is shared by 3·BLOCK_SIZE objects, forcing stored
-    per-block bounds.
-    """
-    from collections import Counter
-
-    from repro.core.objects import Feature, MediaObject
-    from repro.core.retrieval import correlation_model_for_corpus
-    from repro.index.binfmt import BLOCK_SIZE, BinaryIndexReader
-    from repro.social.corpus import Corpus
-    from repro.social.users import SocialGraph
-
-    objects = [
-        MediaObject(
-            object_id=f"o{i:05d}",
-            features=Counter(
-                {
-                    Feature.text("shared"): 1 + i % 3,
-                    Feature.text(f"rare{i % 32}"): 1,
-                    Feature.user(f"u{i % 16}"): 1,
-                }
-            ),
-            timestamp=i % 6,
-        )
-        for i in range(3 * BLOCK_SIZE)
-    ]
-    corpus = Corpus(
-        objects=objects,
-        social=SocialGraph({f"u{i}": [] for i in range(16)}),
-        n_months=6,
-    )
-    model = correlation_model_for_corpus(corpus)
-    index = CliqueInvertedIndex(model, max_clique_size=2).build(corpus)
-    src = save_index(index, tmp_path / "big.bin")
-    assert read_section_table(src)["blockmax"][1] > 0
-    jsonl = convert_index(src, dst_path=tmp_path / "via.jsonl")
-    back = convert_index(jsonl, dst_path=tmp_path / "back.bin")
-    assert back.read_bytes() == src.read_bytes()
-    with BinaryIndexReader(back) as reader:
-        assert reader.has_blockmax
-        slot = reader.find_slot(Feature.text("shared").key)
-        assert slot is not None
-        stored = reader.posting_block_max(slot)
-        assert stored is not None and len(stored[0]) == 3
-
-
-def test_convert_preserves_iteration_order(jsonl_artifact, tmp_path, correlations):
-    dst = convert_index(jsonl_artifact, dst_path=tmp_path / "conv.bin")
-    src_keys = [
-        json.loads(line)["key"]
-        for line in jsonl_artifact.read_text().splitlines()[1:]
-    ]
-    loaded = load_index(dst, correlations)
-    assert [p.key for p in loaded.iter_postings()] == src_keys
-    loaded.close()
-
-
-def test_convert_v1_refuses(jsonl_artifact, tmp_path):
-    lines = jsonl_artifact.read_text().splitlines()
-    meta = json.loads(lines[0])
-    meta["format_version"] = 1
-    records = [json.loads(line) for line in lines[1:]]
-    v1 = tmp_path / "v1.jsonl"
-    v1.write_text(
-        "\n".join(
-            [json.dumps(meta)]
-            + [json.dumps({"key": r["key"], "ids": r["ids"]}) for r in records]
-        )
-        + "\n"
-    )
-    with pytest.raises(StorageError, match="rebuild with"):
-        convert_index(v1)
-
-
-def test_convert_refuses_in_place(binary_artifact):
-    with pytest.raises(StorageError, match="equals the source"):
-        convert_index(binary_artifact, dst_path=binary_artifact, to="binary")
-
-
-def test_convert_verify_sweeps_payloads(binary_artifact, tmp_path):
-    offset, _length = read_section_table(binary_artifact)["smooth"]
-    data = bytearray(binary_artifact.read_bytes())
-    data[offset] ^= 0xFF
-    binary_artifact.write_bytes(bytes(data))
-    with pytest.raises(StorageError, match="section='smooth'"):
-        convert_index(binary_artifact, dst_path=tmp_path / "out.jsonl", verify=True)
 
 
 # ----------------------------------------------------------------------
 # ranking equivalence through the serving-facing engine API
 # ----------------------------------------------------------------------
-def test_search_identical_binary_vs_jsonl_vs_built(tiny_corpus, tmp_path):
+def test_search_identical_binary_vs_built(tiny_corpus, tmp_path):
     from repro.core.retrieval import RetrievalEngine
 
     fresh = RetrievalEngine(tiny_corpus)  # builds at the default clique bound
     bin_path = save_index(fresh.index, tmp_path / "index.bin")
-    jsonl_path = save_index(fresh.index, tmp_path / "index.jsonl")
     from_bin = RetrievalEngine(tiny_corpus, build_index=False)
     from_bin.adopt_index(load_index(bin_path, from_bin.correlations))
-    from_jsonl = RetrievalEngine(tiny_corpus, build_index=False)
-    from_jsonl.adopt_index(load_index(jsonl_path, from_jsonl.correlations))
     for query in list(tiny_corpus)[:8]:
-        expected = fresh.search(query, k=10)
-        assert from_bin.search(query, k=10) == expected
-        assert from_jsonl.search(query, k=10) == expected
+        assert from_bin.search(query, k=10) == fresh.search(query, k=10)

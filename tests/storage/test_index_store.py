@@ -1,26 +1,29 @@
-"""Persistence of the clique inverted index (``index.jsonl``).
+"""Load/save errors of the clique index artifact (``index.bin``).
 
-Format version 2 stores each posting's build-time Eq. 7 components and
-must round-trip bit-identically; version 1 (ids only) is the legacy
-format that loads by rescoring against the corpus.  Every malformed
-artifact raises :class:`StorageError`, never ``KeyError`` /
-``JSONDecodeError``.
+Whatever is wrong with the file — missing, empty, not an index at all,
+a corrupt or inconsistent header — ``load_index`` raises
+:class:`StorageError` naming the file, never ``KeyError`` /
+``ValueError`` / ``UnicodeDecodeError``.  The byte-level corruption
+matrix of the format itself lives in ``tests/index/test_binfmt.py``.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 import pytest
 
-from repro.core.retrieval import correlation_model_for_corpus
-from repro.index.inverted import CliqueInvertedIndex
-from repro.storage.store import (
-    INDEX_FORMAT_VERSION,
-    StorageError,
-    load_index,
-    save_index,
+from repro.index.binfmt import (
+    BINARY_FORMAT_VERSION,
+    SECTION_NAMES,
+    BinaryIndexReader,
+    read_section_table,
 )
+from repro.index.inverted import CliqueInvertedIndex
+from repro.index.postings import Posting
+from repro.storage.store import StorageError, load_index, save_index
 
 
 @pytest.fixture(scope="module")
@@ -30,139 +33,85 @@ def built(tiny_corpus, correlations):
 
 @pytest.fixture()
 def artifact(built, tmp_path):
-    return save_index(built, tmp_path / "index.jsonl")
-
-
-def _assert_identical(a: CliqueInvertedIndex, b: CliqueInvertedIndex) -> None:
-    assert len(a) == len(b)
-    assert a.n_objects == b.n_objects
-    for posting in a.iter_postings():
-        other = b.lookup(posting.key)
-        assert other is not None
-        assert other.object_ids == posting.object_ids
-        assert other.cors == posting.cors
-        for i in range(len(posting)):
-            assert other.components(i) == posting.components(i)
-
-
-def _downgrade_to_v1(artifact, out):
-    """Rewrite a v2 artifact as the legacy ids-only format."""
-    lines = artifact.read_text().splitlines()
-    meta = json.loads(lines[0])
-    meta["format_version"] = 1
-    records = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        records.append({"key": record["key"], "ids": record["ids"]})
-    out.write_text(
-        "\n".join([json.dumps(meta)] + [json.dumps(r) for r in records]) + "\n"
-    )
-    return out
-
-
-def test_v2_round_trip_bit_identical(built, artifact, correlations):
-    loaded = load_index(artifact, correlations)
-    _assert_identical(built, loaded)
+    return save_index(built, tmp_path / "index.bin")
 
 
 def test_meta_records_format_and_counts(artifact, built):
-    meta = json.loads(artifact.read_text().splitlines()[0])
-    assert meta["format_version"] == INDEX_FORMAT_VERSION
-    assert meta["kind"] == "clique-index"
-    assert meta["n_cliques"] == len(built)
-    assert meta["n_objects"] == built.n_objects
-
-
-def test_v1_rescores_against_corpus(built, artifact, tmp_path, tiny_corpus, correlations):
-    legacy = _downgrade_to_v1(artifact, tmp_path / "v1.jsonl")
-    loaded = load_index(legacy, correlations, corpus=tiny_corpus)
-    _assert_identical(built, loaded)
-
-
-def test_v1_without_corpus_is_storage_error(artifact, tmp_path, correlations):
-    legacy = _downgrade_to_v1(artifact, tmp_path / "v1.jsonl")
-    with pytest.raises(StorageError, match="format version 1"):
-        load_index(legacy, correlations)
-
-
-def test_max_clique_size_override(artifact, correlations):
-    loaded = load_index(artifact, correlations, max_clique_size=3)
-    assert loaded.max_clique_size == 3
+    with BinaryIndexReader(artifact) as reader:
+        assert reader.version == BINARY_FORMAT_VERSION
+        assert reader.max_clique_size == built.max_clique_size
+        assert reader.n_cliques == len(built)
+        assert reader.n_objects == built.n_objects
 
 
 def test_missing_file_is_storage_error(tmp_path, correlations):
     with pytest.raises(StorageError, match="missing index artifact"):
-        load_index(tmp_path / "nope.jsonl", correlations)
+        load_index(tmp_path / "nope.bin", correlations)
 
 
 def test_empty_file_is_storage_error(tmp_path, correlations):
-    path = tmp_path / "index.jsonl"
-    path.write_text("")
-    with pytest.raises(StorageError, match="empty"):
+    path = tmp_path / "index.bin"
+    path.write_bytes(b"")
+    with pytest.raises(StorageError, match="not a v3 binary index"):
         load_index(path, correlations)
 
 
-def test_corrupt_meta_is_storage_error(tmp_path, correlations):
-    path = tmp_path / "index.jsonl"
-    path.write_text("{not json\n")
-    with pytest.raises(StorageError, match="corrupt index metadata"):
-        load_index(path, correlations)
-
-
-def test_wrong_kind_is_storage_error(tmp_path, correlations):
-    path = tmp_path / "index.jsonl"
-    path.write_text(json.dumps({"kind": "corpus", "format_version": 2}) + "\n")
-    with pytest.raises(StorageError, match="not a clique-index"):
-        load_index(path, correlations)
-
-
-def test_unsupported_version_is_storage_error(tmp_path, correlations):
-    path = tmp_path / "index.jsonl"
-    path.write_text(json.dumps({"kind": "clique-index", "format_version": 99}) + "\n")
-    with pytest.raises(StorageError, match="unsupported index format version"):
-        load_index(path, correlations)
-
-
-def test_truncated_posting_line_is_storage_error(artifact, correlations):
-    lines = artifact.read_text().splitlines()
-    artifact.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]) + "\n")
-    with pytest.raises(StorageError, match="corrupt or truncated"):
+def test_corrupt_meta_is_storage_error(artifact, correlations):
+    data = bytearray(artifact.read_bytes())
+    data[24] ^= 0xFF  # n_objects, under the header CRC
+    artifact.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="header CRC"):
         load_index(artifact, correlations)
 
 
-def test_missing_postings_vs_meta_is_storage_error(artifact, correlations):
-    lines = artifact.read_text().splitlines()
-    artifact.write_text("\n".join(lines[:-1]) + "\n")  # drop one whole posting
-    with pytest.raises(StorageError, match="truncated"):
+def test_wrong_kind_is_storage_error(tmp_path, correlations):
+    """A text artifact (here: corpus metadata) is not an index."""
+    path = tmp_path / "index.bin"
+    path.write_text(json.dumps({"kind": "corpus", "format_version": 1}) + "\n")
+    with pytest.raises(StorageError, match="not a v3 binary index"):
+        load_index(path, correlations)
+
+
+def test_unsupported_version_is_storage_error(artifact, correlations):
+    data = bytearray(artifact.read_bytes())
+    struct.pack_into("<I", data, 8, BINARY_FORMAT_VERSION + 1)
+    artifact.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="unsupported binary index version"):
+        load_index(artifact, correlations)
+
+
+def test_missing_postings_vs_meta_is_storage_error(artifact, built, correlations):
+    """The posting counts in ``postmeta`` must add up to the header's
+    ``total_entries`` (header CRC re-sealed, so only that check fires)."""
+    data = bytearray(artifact.read_bytes())
+    struct.pack_into("<Q", data, 40, int(built.stats()["total_postings"]) + 1)
+    struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
+    artifact.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="section='postmeta'"):
         load_index(artifact, correlations)
 
 
 def test_component_length_mismatch_is_storage_error(artifact, correlations):
-    lines = artifact.read_text().splitlines()
-    record = json.loads(lines[1])
-    record["freq"] = record["freq"][:-1] + []
-    record["ids"] = record["ids"] + ["extra"]
-    lines[1] = json.dumps(record)
-    artifact.write_text("\n".join(lines) + "\n")
-    with pytest.raises(StorageError, match="component"):
-        load_index(artifact, correlations)
+    """A ``freq`` array shorter than the entry count is caught
+    structurally even with payload CRCs off."""
+    _offset, length = read_section_table(artifact)["freq"]
+    data = bytearray(artifact.read_bytes())
+    record = 52 + 32 * SECTION_NAMES.index("freq")  # writers emit this order
+    table_end = 52 + 32 * len(SECTION_NAMES)
+    struct.pack_into("<Q", data, record + 16, length - 8)
+    struct.pack_into("<I", data, table_end, zlib.crc32(bytes(data[52:table_end])))
+    artifact.write_bytes(bytes(data))
+    with pytest.raises(StorageError, match="section='freq'"):
+        load_index(artifact, correlations, verify_payload=False)
 
 
-def test_duplicate_posting_key_is_storage_error(artifact, correlations):
-    lines = artifact.read_text().splitlines()
-    meta = json.loads(lines[0])
-    meta["n_cliques"] += 1
-    lines[0] = json.dumps(meta)
-    artifact.write_text("\n".join(lines + [lines[1]]) + "\n")
-    with pytest.raises(StorageError, match="duplicate posting"):
-        load_index(artifact, correlations)
+def test_duplicate_posting_key_is_storage_error(tmp_path):
+    class TwinIndex:
+        n_objects = 1
+        max_clique_size = 2
 
+        def iter_postings(self):
+            return iter([Posting("T:a", cors=0.5), Posting("T:a", cors=0.5)])
 
-def test_record_missing_field_is_storage_error(artifact, correlations):
-    lines = artifact.read_text().splitlines()
-    record = json.loads(lines[1])
-    del record["ids"]
-    lines[1] = json.dumps(record)
-    artifact.write_text("\n".join(lines) + "\n")
-    with pytest.raises(StorageError):
-        load_index(artifact, correlations)
+    with pytest.raises(StorageError, match="duplicate"):
+        save_index(TwinIndex(), tmp_path / "index.bin")

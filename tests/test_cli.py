@@ -55,9 +55,7 @@ def test_index_writes_artifact(tmp_path, tiny_corpus, capsys):
 
     corpus_dir = tmp_path / "corpus"
     _save(tiny_corpus, corpus_dir)
-    # legacy spelling (no "build" subcommand) still works and now
-    # produces the v3 binary artifact by default
-    assert main(["index", str(corpus_dir)]) == 0
+    assert main(["index", "build", str(corpus_dir)]) == 0
     out = capsys.readouterr().out
     assert "cliques" in out and "postings" in out
     artifact = Path(corpus_dir) / "index.bin"
@@ -76,82 +74,33 @@ def test_index_writes_artifact(tmp_path, tiny_corpus, capsys):
 
 
 def test_index_invalid_workers(corpus_dir, capsys):
-    assert main(["index", corpus_dir, "--workers", "0"]) == 2
+    assert main(["index", "build", corpus_dir, "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err
 
 
 def test_index_missing_corpus_dir(tmp_path, capsys):
-    code = main(["index", str(tmp_path / "nope")])
+    code = main(["index", "build", str(tmp_path / "nope")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_index_build_jsonl_format(tmp_path, tiny_corpus, capsys):
-    from pathlib import Path
-
-    from repro.storage.store import index_artifact_version
-    from repro.storage.store import save_corpus as _save
-
-    corpus_dir = tmp_path / "corpus"
-    _save(tiny_corpus, corpus_dir)
-    assert main(["index", "build", str(corpus_dir), "--format", "jsonl"]) == 0
-    artifact = Path(corpus_dir) / "index.jsonl"
-    assert artifact.exists()
-    assert index_artifact_version(artifact) == 2
-    assert "jsonl" in capsys.readouterr().out
-
-
-def test_index_build_warns_about_stale_other_format(tmp_path, tiny_corpus, capsys):
-    from repro.storage.store import save_corpus as _save
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_index_build_failed_verify_exits_2(tmp_path, tiny_corpus, capsys, monkeypatch, workers):
+    """A post-write verification failure is an operator error: exit 2
+    with one ``error:`` line, in the serial and the segmented branch."""
+    from repro.index import binfmt
 
     corpus_dir = tmp_path / "corpus"
-    _save(tiny_corpus, corpus_dir)
-    assert main(["index", "build", str(corpus_dir), "--format", "jsonl"]) == 0
-    capsys.readouterr()
-    assert main(["index", "build", str(corpus_dir)]) == 0
-    # index.bin was just written while index.jsonl is now stale
-    assert "stale index.jsonl" in capsys.readouterr().err
+    save_corpus(tiny_corpus, corpus_dir)
 
+    def torn_write(path, *, verify_payload=True):
+        raise binfmt.BinaryFormatError("section CRC mismatch", section="freq", offset=8)
 
-def test_index_convert_round_trip(tmp_path, tiny_corpus, capsys):
-    from pathlib import Path
-
-    from repro.storage.store import index_artifact_version
-    from repro.storage.store import save_corpus as _save
-
-    corpus_dir = tmp_path / "corpus"
-    _save(tiny_corpus, corpus_dir)
-    assert main(["index", "build", str(corpus_dir)]) == 0
-    bin_path = Path(corpus_dir) / "index.bin"
-    capsys.readouterr()
-
-    assert main(["index", "convert", str(bin_path)]) == 0
-    out = capsys.readouterr().out
-    assert "(v3" in out and "(v2" in out
-    jsonl_path = Path(corpus_dir) / "index.jsonl"
-    assert jsonl_path.exists()
-    assert index_artifact_version(jsonl_path) == 2
-
-    # and back, with --verify exercising the full CRC sweep
-    back = Path(corpus_dir) / "back.bin"
-    assert main(
-        ["index", "convert", str(jsonl_path), "--to", "binary", "--out", str(back)]
-    ) == 0
-    assert back.read_bytes() == bin_path.read_bytes()
-    assert main(["index", "convert", str(bin_path), "--out", str(tmp_path / "v.jsonl"),
-                 "--verify"]) == 0
-
-
-def test_index_convert_missing_artifact(tmp_path, capsys):
-    assert main(["index", "convert", str(tmp_path / "absent.bin")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
-def test_index_convert_corrupt_artifact(tmp_path, capsys):
-    bad = tmp_path / "index.bin"
-    bad.write_bytes(b"RPROIDX3 then garbage bytes")
-    assert main(["index", "convert", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    monkeypatch.setattr(binfmt, "BinaryIndexReader", torn_write)
+    assert main(["index", "build", str(corpus_dir), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "section='freq'" in err
+    assert err.count("\n") == 1
 
 
 def test_search(corpus_dir, tiny_corpus, capsys):

@@ -11,9 +11,8 @@ properties the impact-ordering change bought:
 * **parity** — index-mode rankings stay bit-identical to the pre-change
   per-query rescoring path on every smoke query;
 * **binary store** — the v3 mmap artifact must open fast (load p50
-  under ``--max-binary-load-ms``, default 50 ms), undercut the JSONL
-  artifact on disk, and serve rankings bit-identical to the engine it
-  was saved from on every smoke query;
+  under ``--max-binary-load-ms``, default 50 ms) and serve rankings
+  bit-identical to the engine it was saved from on every smoke query;
 * **vectorized scoring** — on a larger corpus (default 2,500 objects)
   the block-max vectorized mode must beat the scalar index mode by at
   least ``--min-vectorized-speedup`` at p50 (default 2.0, i.e. half the
@@ -37,7 +36,7 @@ properties the impact-ordering change bought:
   immediately from the delta segment.
 
 Writes a machine-readable JSON artifact (latency p50/p95, access
-counts, the jsonl-vs-binary load/size comparison) for the CI run to
+counts, the binary artifact's size and load times) for the CI run to
 upload, and exits non-zero on any violation.
 
 Usage::
@@ -76,24 +75,17 @@ LOAD_REPEATS = 5
 def _binary_store_report(
     engine: RetrievalEngine, queries: list, k: int, max_load_ms: float
 ) -> dict:
-    """Save the smoke engine's index in both formats, compare load
-    times and sizes, and check binary-loaded ranking parity."""
+    """Save the smoke engine's index, time its load and check
+    binary-loaded ranking parity."""
     with tempfile.TemporaryDirectory(prefix="perf_smoke_index_") as tmp:
         bin_path = save_index(engine.index, Path(tmp) / "index.bin")
-        jsonl_path = save_index(engine.index, Path(tmp) / "index.jsonl")
         bin_bytes = bin_path.stat().st_size
-        jsonl_bytes = jsonl_path.stat().st_size
 
         bin_loads: list[float] = []
         for _ in range(LOAD_REPEATS):
             start = time.perf_counter()
             load_index(bin_path, engine.correlations).close()
             bin_loads.append(time.perf_counter() - start)
-        jsonl_loads: list[float] = []
-        for _ in range(LOAD_REPEATS):
-            start = time.perf_counter()
-            load_index(jsonl_path, engine.correlations)
-            jsonl_loads.append(time.perf_counter() - start)
 
         loaded = RetrievalEngine(engine.corpus, build_index=False)
         loaded.adopt_index(load_index(bin_path, loaded.correlations))
@@ -104,23 +96,14 @@ def _binary_store_report(
         ]
 
     load_p50_ms = percentile(bin_loads, 50.0) * 1000
-    jsonl_p50_ms = percentile(jsonl_loads, 50.0) * 1000
     return {
-        "bytes": {
-            "binary": bin_bytes,
-            "jsonl": jsonl_bytes,
-            "binary_fraction_of_jsonl": bin_bytes / jsonl_bytes if jsonl_bytes else 0.0,
-        },
+        "bytes": {"binary": bin_bytes},
         "load_ms": {
             "binary_p50": load_p50_ms,
             "binary_p95": percentile(bin_loads, 95.0) * 1000,
-            "jsonl_p50": jsonl_p50_ms,
-            "jsonl_p95": percentile(jsonl_loads, 95.0) * 1000,
-            "speedup_p50": jsonl_p50_ms / load_p50_ms if load_p50_ms else 0.0,
         },
         "max_binary_load_ms": max_load_ms,
         "within_load_budget": load_p50_ms < max_load_ms,
-        "smaller_than_jsonl": bin_bytes < jsonl_bytes,
         "parity_failures": parity_failures,
     }
 
@@ -423,7 +406,6 @@ def run_smoke(
     within_budget = ratio < budget_ratio
     binary_ok = (
         binary_index["within_load_budget"]
-        and binary_index["smaller_than_jsonl"]
         and not binary_index["parity_failures"]
     )
     vectorized_ok = (
@@ -590,13 +572,6 @@ def main(argv: list[str] | None = None) -> int:
             f"perf-smoke FAIL: binary index load p50 "
             f"{binary['load_ms']['binary_p50']:.1f} ms >= budget "
             f"{binary['max_binary_load_ms']:.1f} ms",
-            file=sys.stderr,
-        )
-        return 1
-    if not binary["smaller_than_jsonl"]:
-        print(
-            f"perf-smoke FAIL: binary artifact ({binary['bytes']['binary']} bytes) "
-            f"not smaller than JSONL ({binary['bytes']['jsonl']} bytes)",
             file=sys.stderr,
         )
         return 1
