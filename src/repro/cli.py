@@ -34,7 +34,6 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.core.mrf import MRFParameters
-from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine
 from repro.eval.oracle import TopicOracle
 from repro.eval.protocol import evaluate_retrieval, sample_queries
@@ -42,7 +41,7 @@ from repro.serving.cache import ResultCache
 from repro.serving.http import create_server, install_signal_handlers
 from repro.serving.prefork import PreforkServer
 from repro.serving.service import QueryService
-from repro.serving.snapshot import SnapshotManager
+from repro.serving.snapshot import SnapshotManager, build_snapshot
 from repro.social.generator import GeneratorConfig, SyntheticFlickr
 from repro.social.ingest import IngestConfig, IngestError, ingest_object
 from repro.index.inverted import CliqueInvertedIndex
@@ -261,26 +260,39 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    if args.query not in corpus:
-        print(f"error: unknown object id {args.query!r}", file=sys.stderr)
-        return 2
-    engine = RetrievalEngine(corpus, build_index=args.mode != "scan")
-    query = corpus.get(args.query)
-    print("query:", query.describe())
-    for rank, hit in enumerate(engine.search(query, k=args.k, mode=args.mode), start=1):
+    # Explicit params: a params.json beside the corpus is for `serve`.
+    snapshot = build_snapshot(
+        args.corpus, generation=1, params=MRFParameters(), build_index=args.mode != "scan"
+    )
+    try:
+        corpus = snapshot.corpus
+        if args.query not in corpus:
+            print(f"error: unknown object id {args.query!r}", file=sys.stderr)
+            return 2
+        query = corpus.get(args.query)
+        print("query:", query.describe())
+        hits = snapshot.engine.search(query, k=args.k, mode=args.mode)
+    finally:
+        snapshot.close()
+    for rank, hit in enumerate(hits, start=1):
         print(f"{rank:3d}. {hit.object_id}  score={hit.score:.4f}")
     return 0
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    recommender = Recommender(corpus, params=MRFParameters(delta=args.delta))
+    snapshot = build_snapshot(
+        args.corpus, generation=1, params=MRFParameters(delta=args.delta)
+    )
     try:
-        hits = recommender.recommend(args.user, k=args.k)
+        if snapshot.recommender is None:
+            print("error: corpus has no favorite events", file=sys.stderr)
+            return 2
+        hits = snapshot.recommender.recommend(args.user, k=args.k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        snapshot.close()
     label = "FIG" if args.delta == 1.0 else f"FIG-T (delta={args.delta})"
     print(f"{label} recommendations for {args.user}:")
     for rank, hit in enumerate(hits, start=1):

@@ -10,13 +10,24 @@ potential (Eq. 10) then decays old cliques by ``δ^(t_now - t_clique)``.
 ``δ < 1`` gives ``FIG-T``.  Candidates are the "newly incoming set" —
 objects whose timestamp falls in the evaluation window — and the
 recommendation time ``t_now`` defaults to the start of that window.
+
+Recommendation and retrieval share one clique index: every posting's
+Eq. 7 components are a pure function of ``(clique, object, correlation
+model)``, so a recommender handed the engine's corpus-wide index ranks
+over it directly and restricts the result to candidates with a dense
+boolean mask built once at init.  Without an index it builds its own
+over the candidates only (mask all-true) and ranks through the same
+masked code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.cliques import Clique
+from repro.core.correlation import CorrelationModel
 from repro.core.fig import FeatureInteractionGraph
 from repro.core.mrf import CliqueScorer, MRFParameters
 from repro.core.objects import MediaObject
@@ -62,14 +73,30 @@ class Recommender:
         :meth:`repro.social.generator.SyntheticFlickr.generate_recommendation_corpus`).
     params:
         MRF parameters; ``params.delta`` selects FIG (1.0) vs FIG-T (<1).
+    thresholds / default_threshold:
+        FIG edge thresholds per correlation table (ignored when
+        ``correlations`` is given).
     split:
         Profile/evaluation windows; defaults to the paper's first-half /
         second-half split.
     build_index:
         Build a clique inverted index over the candidate objects for
-        Algorithm-1-style recommendation (disable for scan-only use).
-    index_workers:
-        Worker processes for the eager index build (``1`` = serial).
+        Algorithm-1-style recommendation when no ``index`` is given
+        (disable for scan-only use).
+    index:
+        A prebuilt clique index to rank over instead of building one —
+        typically the retrieval engine's corpus-wide index (a loaded
+        ``index.bin`` or an in-memory build), so a serving snapshot
+        holds one index.  It must hold every candidate that has
+        features and cover ``params``' max clique size, else
+        ``ValueError``.  It is not warmed here: the engine warmed its
+        impact views for the same α on adoption.  The candidate set is
+        fixed at init, so serving passes one segment (the main one),
+        never a delta stack.  Takes precedence over ``build_index``.
+    correlations:
+        A prebuilt correlation model to adopt instead of assembling one
+        from the corpus — the engine's, when ``index`` is the engine's
+        index, so profile FIGs and the stored CorS come from one model.
     """
 
     def __init__(
@@ -80,13 +107,18 @@ class Recommender:
         default_threshold: float = 0.3,
         split: TemporalSplit | None = None,
         build_index: bool = True,
-        index_workers: int = 1,
+        index: CliqueInvertedIndex | None = None,
+        correlations: CorrelationModel | None = None,
     ) -> None:
         self._corpus = corpus
         self._params = params if params is not None else MRFParameters()
         self._split = split if split is not None else TemporalSplit.paper_default(corpus.n_months)
-        self._correlations = correlation_model_for_corpus(
-            corpus, thresholds=thresholds, default_threshold=default_threshold
+        self._correlations = (
+            correlations
+            if correlations is not None
+            else correlation_model_for_corpus(
+                corpus, thresholds=thresholds, default_threshold=default_threshold
+            )
         )
         self._candidates: tuple[MediaObject, ...] = tuple(
             corpus.objects_in_window(self._split.evaluation)
@@ -94,12 +126,43 @@ class Recommender:
         self._by_id = {o.object_id: o for o in self._candidates}
         self._max_clique_size = self._params.max_clique_size
         self._index: CliqueInvertedIndex | None = None
-        if build_index:
+        if index is not None:
+            if index.max_clique_size < self._max_clique_size:
+                raise ValueError(
+                    f"prebuilt index covers cliques up to size {index.max_clique_size}, "
+                    f"but the parameters need {self._max_clique_size}"
+                )
+            self._index = index
+        elif build_index:
             self._index = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
-            ).build(self._candidates, n_workers=index_workers)
+            ).build(self._candidates)
             self._index.precompute_impact(self._params.alpha)
+        self._candidate_mask: np.ndarray | None = (
+            self._mask_candidates(self._index) if self._index is not None else None
+        )
         self._profile_cache: dict[str, UserProfile] = {}
+
+    def _mask_candidates(self, index: CliqueInvertedIndex) -> np.ndarray:
+        """Dense boolean mask over ``index``'s object table: ``True`` at
+        every candidate.  A candidate with features always has cliques,
+        so an index lacking its dense id was built over other objects —
+        ranking over it would silently drop that candidate."""
+        view = index.vector_view()
+        mask = np.zeros(view.n_objects, dtype=bool)
+        missing: list[str] = []
+        for obj in self._candidates:
+            dense = view.dense_id(obj.object_id)
+            if dense is not None:
+                mask[dense] = True
+            elif obj.features:
+                missing.append(obj.object_id)
+        if missing:
+            raise ValueError(
+                f"index holds no postings for {len(missing)} of {len(self._candidates)} "
+                f"candidates (first: {missing[0]!r}); it was built over other objects"
+            )
+        return mask
 
     # ------------------------------------------------------------------
     # accessors
@@ -121,10 +184,16 @@ class Recommender:
         """The newly-incoming objects eligible for recommendation."""
         return self._candidates
 
+    @property
+    def index(self) -> CliqueInvertedIndex | None:
+        """The clique index this recommender ranks over (shared or own)."""
+        return self._index
+
     def with_params(self, params: MRFParameters) -> "Recommender":
-        """Clone sharing corpus/correlations/index with new parameters —
-        used by the δ sweep (Fig. 10).  Profiles are re-derived because
-        clique enumeration depth may differ."""
+        """Clone sharing corpus, correlations, index and candidate mask
+        with new parameters — used by the δ sweep (Fig. 10) and the
+        served ``/recommend?delta=`` override.  Profiles are re-derived
+        because clique enumeration depth may differ."""
         clone = object.__new__(Recommender)
         clone._corpus = self._corpus
         clone._params = params
@@ -138,6 +207,7 @@ class Recommender:
                 "cannot raise max clique size above the indexed bound; rebuild instead"
             )
         clone._index = self._index
+        clone._candidate_mask = self._candidate_mask
         clone._profile_cache = {}
         return clone
 
@@ -181,8 +251,13 @@ class Recommender:
         ``current_month`` is Eq. 10's ``t_c``; it defaults to the start
         of the evaluation window (the "now" at which the newly incoming
         objects are being considered).  ``mode="auto"`` (the default)
-        runs ``index-vectorized`` when an index is present; rankings
-        are bit-identical across the index modes.
+        runs ``index-vectorized`` when an index is present.  Rankings
+        agree across the index modes in ids and float scores; the one
+        possible difference is an exact score tie at the ``k``-th place,
+        where the Threshold Algorithm (``index``, ``index-rescore``) may
+        stop before reading a tied object with a smaller id, while
+        ``index-vectorized`` reads every full score and keeps the
+        canonical ``(-score, id)`` order.
         """
         if mode not in ("auto", "index-vectorized", "index", "index-rescore", "scan"):
             raise ValueError(
@@ -210,10 +285,13 @@ class Recommender:
         constant per clique, so it scales the prebuilt view as the outer
         factor — ``outer·(inner·P)`` with ``inner = λ·CorS`` — exactly
         the association the per-query scorer used.  No candidate is
-        rescored; early termination never touches posting tails."""
+        rescored; early termination never touches posting tails, and
+        non-candidates in a shared index are skipped on sorted access
+        (one dict probe per entry read)."""
         assert self._index is not None
         delta = self._params.delta
         alpha = self._params.alpha
+        eligible = self._by_id.__contains__
         sources: list[ImpactSortedSource] = []
         for clique in profile.cliques:
             outer = profile.temporal_weight(clique, t_now, delta)
@@ -232,7 +310,9 @@ class Recommender:
             view = posting.impact_view(alpha)
             if view.pairs:
                 sources.append(
-                    ImpactSortedSource(view.pairs, view.scores, inner=inner, outer=outer)
+                    ImpactSortedSource(
+                        view.pairs, view.scores, inner=inner, outer=outer, eligible=eligible
+                    )
                 )
         merged = threshold_algorithm(sources, k=k)
         return [RankedResult(object_id=oid, score=s) for oid, s in merged]
@@ -242,11 +322,15 @@ class Recommender:
     ) -> list[RankedResult]:
         """Eq. 10 as batch numpy work: same per-clique gating as
         :meth:`_recommend_index` (temporal weight as the outer factor,
-        λ·CorS as the inner), block-max sources for sorted access and
-        one dense accumulator for random access — bit-identical
-        rankings, vectorized mechanics."""
-        assert self._index is not None
+        λ·CorS as the inner), postings without a candidate skipped, and
+        one dense accumulator holding every object's full score.  The
+        candidate-masked top-``k`` comes straight off the accumulator,
+        ordered by ``(-score, dense id)`` — dense order is string
+        order, so this is the canonical ranking; no Threshold Algorithm
+        walk is needed."""
+        assert self._index is not None and self._candidate_mask is not None
         view = self._index.vector_view()
+        mask = self._candidate_mask
         delta = self._params.delta
         alpha = self._params.alpha
         sources: list[BlockMaxSource] = []
@@ -264,17 +348,27 @@ class Recommender:
                 inner *= vectors.cors
                 if inner == 0.0:
                     continue
+            if not mask[vectors.ids].any():
+                # Would add to non-candidate slots only; a candidate
+                # index holds no such posting, so the source set stays
+                # the one a private index yields.
+                continue
             source = BlockMaxSource(vectors, alpha, inner=inner, outer=outer)
             if source.n_pairs:
                 sources.append(source)
         pool = view.accumulator_pool()
         acc = accumulate_scores(sources, view.n_objects, out=pool.acquire())
-        probe = acc.tolist()
+        hits = np.flatnonzero(mask & (acc > 0.0))
+        scores = acc[hits]  # fancy indexing copies, so the pool may reclaim acc
         pool.release(acc, sources)
-        merged = threshold_algorithm(sources, k=k, random_access=probe.__getitem__)
+        if len(hits) > k:
+            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+            keep = scores >= kth
+            hits, scores = hits[keep], scores[keep]
+        order = np.lexsort((hits, -scores))[:k]
         return [
             RankedResult(object_id=view.object_id(dense), score=score)
-            for dense, score in merged
+            for dense, score in zip(hits[order].tolist(), scores[order].tolist())
         ]
 
     def _recommend_index_rescore(
@@ -295,7 +389,9 @@ class Recommender:
                 continue
             entries: list[tuple[str, float]] = []
             for object_id in posting:
-                obj = self._by_id[object_id]
+                obj = self._by_id.get(object_id)
+                if obj is None:  # not a candidate (shared index)
+                    continue
                 score = weight * scorer.potential(clique, obj)
                 if score > 0.0:
                     entries.append((object_id, score))

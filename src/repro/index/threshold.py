@@ -133,10 +133,23 @@ class ImpactSortedSource:
     advances only as far as TA reads — a posting's tail beyond the
     termination depth is never touched.  ``exclude`` ids (the query's
     own id) are skipped during cursor advance and score 0 on random
-    access, matching the pre-change filter.
+    access, matching the pre-change filter.  ``eligible``, when given,
+    is an O(1) membership test applied the same way — the recommender's
+    candidate filter over a shared corpus-wide index; the source's
+    length then counts eligible entries in one pass over ``pairs``.
     """
 
-    __slots__ = ("_pairs", "_scores", "_inner", "_outer", "_exclude", "_scaled", "_cursor", "_len")
+    __slots__ = (
+        "_pairs",
+        "_scores",
+        "_inner",
+        "_outer",
+        "_exclude",
+        "_eligible",
+        "_scaled",
+        "_cursor",
+        "_len",
+    )
 
     def __init__(
         self,
@@ -145,34 +158,46 @@ class ImpactSortedSource:
         inner: float,
         outer: float = 1.0,
         exclude: Collection[str] = _EMPTY_EXCLUDE,
+        eligible: Callable[[str], bool] | None = None,
     ) -> None:
         self._pairs = pairs
         self._scores = scores
         self._inner = inner
         self._outer = outer
         self._exclude = exclude
+        self._eligible = eligible
         self._scaled: list[tuple[str, float]] = []
         self._cursor = 0
-        excluded_present = sum(1 for oid in exclude if oid in scores)
-        self._len = len(pairs) - excluded_present
+        if eligible is None:
+            self._len = len(pairs) - sum(1 for oid in exclude if oid in scores)
+        else:
+            self._len = sum(
+                1 for oid, _ in pairs if eligible(oid) and oid not in exclude
+            )
 
     def __len__(self) -> int:
         return self._len
 
     def entry(self, rank: int) -> tuple[str, float]:
-        """Sorted access: the ``rank``-th best non-excluded entry,
-        scaled lazily on first read."""
+        """Sorted access: the ``rank``-th best non-excluded eligible
+        entry, scaled lazily on first read."""
+        eligible = self._eligible
         while len(self._scaled) <= rank:
             object_id, p = self._pairs[self._cursor]
             self._cursor += 1
-            if object_id in self._exclude:
+            if object_id in self._exclude or (
+                eligible is not None and not eligible(object_id)
+            ):
                 continue
             self._scaled.append((object_id, self._outer * (self._inner * p)))
         return self._scaled[rank]
 
     def score(self, object_id: str) -> float:
-        """Random access; missing or excluded objects score 0."""
-        if object_id in self._exclude:
+        """Random access; missing, excluded or ineligible objects
+        score 0."""
+        if object_id in self._exclude or (
+            self._eligible is not None and not self._eligible(object_id)
+        ):
             return 0.0
         p = self._scores.get(object_id)
         if p is None:

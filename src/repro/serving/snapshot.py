@@ -94,8 +94,9 @@ class EngineSnapshot:
     engine:
         Warm retrieval engine (index built).
     recommender:
-        Warm recommender, or ``None`` when the corpus carries no
-        favorite events (retrieval-only corpora).
+        Warm recommender sharing ``engine``'s index and correlation
+        model, or ``None`` when the corpus carries no favorite events
+        (retrieval-only corpora).
     generation:
         Monotonic id assigned by the manager; starts at 1.
     source:
@@ -169,15 +170,22 @@ def build_snapshot(
             params = MRFParameters()
     corpus = load_corpus(directory)
     provenance: IndexProvenance | None = None
+    engine = RetrievalEngine(corpus, params=params, build_index=False)
     if build_index:
-        engine = RetrievalEngine(corpus, params=params, build_index=False)
         engine, provenance = _attach_index(
             engine, corpus, directory, verify_payload=verify_payload
         )
-    else:
-        engine = RetrievalEngine(corpus, params=params, build_index=False)
+    # One index and one correlation model per snapshot: the recommender
+    # ranks over the engine's (loaded or built) index, masked to its
+    # candidates, instead of building a second index over them.
     recommender = (
-        Recommender(corpus, params=params, build_index=build_index)
+        Recommender(
+            corpus,
+            params=params,
+            build_index=False,
+            index=engine.index,
+            correlations=engine.correlations,
+        )
         if corpus.favorites
         else None
     )
@@ -438,6 +446,10 @@ class SnapshotManager:
         extended corpus *under the same model* — the parity the
         segmented property test gates.
 
+        The recommender carries over unchanged: it ranks over the main
+        segment it was built with (kept mapped by the new stack's pin),
+        so its candidate set stays fixed until the next reload.
+
         ``persist`` appends the batch to the corpus directory so a plain
         reload sees it; the prefork supervisor persists exactly once and
         workers apply the same batch in-memory (``persist=False``).
@@ -505,7 +517,11 @@ class SnapshotManager:
         that follows recomputes the query-side correlation model from
         the extended corpus, but the artifact's baked components keep
         their build-time statistics — run ``repro index build`` to
-        refresh those too.
+        refresh those too.  The recommender behaves like search here:
+        the reload gives it a fresh instance over the new ``index.bin``,
+        which ranks candidates with the artifact's build-time
+        components (CorS and Eq. 7 parts) rather than re-scoring them
+        under the refreshed model, until the next ``repro index build``.
         """
         with self._reload_lock:
             current = self.current

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.mrf import MRFParameters
 from repro.core.recommendation import Recommender
+from repro.core.retrieval import RetrievalEngine
+from repro.index.inverted import CliqueInvertedIndex
 from repro.social.temporal import MonthWindow, TemporalSplit
+from repro.storage.store import load_index, save_index
 
 
 def test_candidates_are_eval_window_objects(recommender, rec_corpus):
@@ -152,3 +155,98 @@ def test_recommend_vectorized_parity_under_decay(rec_corpus):
     assert rec.recommend(user, k=10, mode="index-vectorized") == rec.recommend(
         user, k=10, mode="index"
     )
+
+
+# ----------------------------------------------------------------------
+# ranking over a shared (engine) index
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shared_indexes(rec_corpus, tmp_path_factory):
+    """The retrieval engine's corpus-wide index, in memory and saved +
+    reloaded as a v3 mmap artifact, with the engine's correlation model."""
+    engine = RetrievalEngine(rec_corpus)
+    path = tmp_path_factory.mktemp("rec-shared") / "index.bin"
+    save_index(engine.index, path)
+    mmapped = load_index(path, engine.correlations)
+    mmapped.precompute_impact(engine.params.alpha)
+    yield engine, {"memory": engine.index, "mmap": mmapped}
+    mmapped.close()
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+def test_shared_index_rankings_equal_private_index(rec_corpus, shared_indexes, delta):
+    """Ranking over the engine's index, masked to candidates, returns
+    the private candidate index's rankings in ids and float scores."""
+    engine, indexes = shared_indexes
+    params = MRFParameters(delta=delta)
+    private = Recommender(rec_corpus, params=params)
+    candidate_ids = {o.object_id for o in private.candidates}
+    shared = {
+        name: Recommender(
+            rec_corpus, params=params, index=index, correlations=engine.correlations
+        )
+        for name, index in indexes.items()
+    }
+    for user in rec_corpus.favorite_users():
+        for mode in ("auto", "index", "index-rescore"):
+            expected = private.recommend(user, k=10, mode=mode)
+            assert expected
+            for name, rec in shared.items():
+                got = rec.recommend(user, k=10, mode=mode)
+                assert got == expected, (name, user, mode)
+                assert all(h.object_id in candidate_ids for h in got)
+
+
+def test_shared_index_init_scores_no_cliques(rec_corpus, shared_indexes, monkeypatch):
+    """Given an index, init enumerates and scores nothing: the Eq. 7
+    components and CorS all come from the shared postings."""
+    import repro.core.mrf as mrf
+    import repro.index.inverted as inverted
+    from repro.core.correlation import CorrelationModel
+
+    engine, indexes = shared_indexes
+    calls = {"joint": 0, "cors": 0}
+    joint = mrf.joint_components
+    cors = CorrelationModel.cors
+
+    def counting_joint(*args, **kwargs):
+        calls["joint"] += 1
+        return joint(*args, **kwargs)
+
+    def counting_cors(self, *args, **kwargs):
+        calls["cors"] += 1
+        return cors(self, *args, **kwargs)
+
+    monkeypatch.setattr(mrf, "joint_components", counting_joint)
+    monkeypatch.setattr(inverted, "joint_components", counting_joint)
+    monkeypatch.setattr(CorrelationModel, "cors", counting_cors)
+    for index in indexes.values():
+        Recommender(rec_corpus, index=index, correlations=engine.correlations)
+    assert calls == {"joint": 0, "cors": 0}
+    # The counters do see a private build's scoring.
+    Recommender(rec_corpus, correlations=engine.correlations)
+    assert calls["joint"] > 0 and calls["cors"] > 0
+
+
+def test_foreign_index_missing_candidates_rejected(rec_corpus):
+    """An index built over other objects would silently drop candidates."""
+    profile_only = [o for o in rec_corpus if o.timestamp < rec_corpus.n_months // 2]
+    engine = RetrievalEngine(rec_corpus, build_index=False)
+    foreign = CliqueInvertedIndex(engine.correlations).build(profile_only)
+    with pytest.raises(ValueError, match="candidates"):
+        Recommender(rec_corpus, index=foreign, correlations=engine.correlations)
+
+
+def test_foreign_index_smaller_clique_bound_rejected(rec_corpus):
+    engine = RetrievalEngine(rec_corpus, build_index=False)
+    shallow = CliqueInvertedIndex(engine.correlations, max_clique_size=2).build(rec_corpus)
+    with pytest.raises(ValueError, match="size 2"):
+        Recommender(rec_corpus, index=shallow, correlations=engine.correlations)
+
+
+def test_with_params_shares_index_and_mask(rec_corpus, shared_indexes):
+    engine, indexes = shared_indexes
+    rec = Recommender(rec_corpus, index=indexes["mmap"], correlations=engine.correlations)
+    clone = rec.with_params(MRFParameters(delta=0.5))
+    assert clone.index is rec.index is indexes["mmap"]
+    assert clone._candidate_mask is rec._candidate_mask

@@ -105,6 +105,16 @@ def test_impact_source_excludes_query_id():
     assert src.score("q") == 0.0
 
 
+def test_impact_source_eligible_filters_both_accesses():
+    """The candidate filter: ineligible ids are skipped on sorted access,
+    score 0 on random access and do not count towards the length."""
+    pairs = [("x", 0.9), ("a", 0.5), ("y", 0.4), ("b", 0.25)]
+    src = ImpactSortedSource(pairs, dict(pairs), inner=1.0, eligible={"a", "b"}.__contains__)
+    assert len(src) == 2
+    assert [src.entry(0), src.entry(1)] == [("a", 0.5), ("b", 0.25)]
+    assert src.score("x") == 0.0 and src.score("a") == 0.5
+
+
 def test_impact_source_exclude_absent_id_keeps_length():
     src = _impact_source([("a", 0.5)], exclude={"nope"})
     assert len(src) == 1

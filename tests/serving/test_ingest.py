@@ -13,11 +13,12 @@ import json
 import pytest
 
 from repro.core.objects import Feature
+from repro.index.segment import MmapCliqueIndex
 from repro.index.segmented import SegmentedCliqueIndex
 from repro.serving.cache import ResultCache
 from repro.serving.service import QueryService, ServiceError, parse_ingest_records
-from repro.serving.snapshot import SnapshotManager
-from repro.storage.store import load_corpus, save_corpus
+from repro.serving.snapshot import SnapshotManager, build_snapshot
+from repro.storage.store import load_corpus, save_corpus, save_index
 
 
 def _record(object_id: str, month: int = 0) -> dict:
@@ -174,3 +175,50 @@ def test_objects_jsonl_append_is_replayable(own_service, own_dir):
     assert parsed[-1]["id"] == "r2"
     meta = json.loads((own_dir / "meta.json").read_text())
     assert meta["n_objects"] == len(lines)
+
+
+# ----------------------------------------------------------------------
+# the recommender shares the snapshot's index across generations
+# ----------------------------------------------------------------------
+def test_recommender_index_survives_ingest_and_compaction(tmp_path, rec_corpus):
+    """Generation 2 (an ingest) keeps answering /recommend from
+    generation 1's recommender over the pinned main segment; compaction
+    gives a fresh recommender over the new ``index.bin``; closing the
+    last snapshot leaves no pin on either mapping."""
+    path = tmp_path / "rec"
+    save_corpus(rec_corpus, path)
+    save_index(build_snapshot(path, generation=1).engine.index, path / "index.bin")
+    manager = SnapshotManager(str(path), clock=lambda: 1000.0)
+    service = QueryService(manager, cache=ResultCache(64))
+    first = manager.load()
+    main = first.engine.index
+    assert isinstance(main, MmapCliqueIndex)
+    assert first.recommender.index is main
+    user = rec_corpus.favorite_users()[0]
+    before = service.recommend(user=user, k=5)
+    assert before["generation"] == 1
+
+    second = manager.ingest(parse_ingest_records([_record("rec-a"), _record("rec-b")]))
+    # Generation 1 was retired with no open lease, so it is closed; the
+    # stack's pin keeps the shared main segment mapped.
+    assert manager.leases(first.generation) == 0
+    assert second.recommender is first.recommender
+    assert not main.closed
+    after_ingest = service.recommend(user=user, k=5)
+    assert after_ingest["generation"] == 2
+    assert after_ingest["results"] == before["results"]
+
+    third, folded = manager.compact()
+    assert folded == 2
+    assert main.closed  # generation 2's stack released the last pin
+    fresh = third.recommender
+    assert fresh is not first.recommender
+    assert fresh.index is third.engine.index
+    after_compact = service.recommend(user=user, k=5)
+    assert after_compact["generation"] == 3
+    expected = fresh.recommend(user, k=5)
+    assert after_compact["results"] == [
+        {"object_id": r.object_id, "score": r.score} for r in expected
+    ]
+    third.close()
+    assert third.engine.index.closed

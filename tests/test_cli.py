@@ -218,3 +218,21 @@ def test_search_vectorized_mode(corpus_dir, tiny_corpus, capsys):
     # auto (the default) prints the same ranking
     assert main(["search", corpus_dir, "--query", query_id, "--k", "3"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == vec_out.splitlines()[1:]
+
+
+def test_recommend_same_output_with_index_artifact(tmp_path, rec_corpus, capsys):
+    """`repro recommend` opens the corpus like `serve` does: with an
+    `index.bin` beside it, it ranks over the artifact and prints the
+    same lines as over a freshly built index."""
+    path = tmp_path / "rec"
+    save_corpus(rec_corpus, path)
+    user = rec_corpus.favorite_users()[0]
+    argv = ["recommend", str(path), "--user", user, "--k", "5", "--delta", "0.5"]
+    assert main(argv) == 0
+    built = capsys.readouterr().out
+    assert main(["index", "build", str(path)]) == 0
+    capsys.readouterr()
+    assert (path / "index.bin").is_file()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == built
+    assert built.count("score=") == 5
