@@ -89,8 +89,9 @@ class Recommender:
         ``index.bin`` or an in-memory build), so a serving snapshot
         holds one index.  It must hold every candidate that has
         features and cover ``params``' max clique size, else
-        ``ValueError``.  It is not warmed here: the engine warmed its
-        impact views for the same α on adoption.  The candidate set is
+        ``ValueError``.  Opening it reads no posting: the vectorized
+        path reads the stored arrays in place, and the scalar modes
+        build a posting's impact view on first touch.  The candidate set is
         fixed at init, so serving passes one segment (the main one),
         never a delta stack.  Takes precedence over ``build_index``.
     correlations:
@@ -137,7 +138,6 @@ class Recommender:
             self._index = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(self._candidates)
-            self._index.precompute_impact(self._params.alpha)
         self._candidate_mask: np.ndarray | None = (
             self._mask_candidates(self._index) if self._index is not None else None
         )

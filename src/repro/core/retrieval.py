@@ -19,7 +19,8 @@ to ``index-vectorized`` whenever an index is present):
   α-mixed upper bound the Threshold Algorithm never reaches (WAND-style
   pruning).  Rankings are bit-identical to ``mode="index"``.
 * ``mode="index"`` — the scalar reference: look up each clique's
-  *prebuilt* impact-ordered posting view, scale it by the constant
+  impact-ordered posting view (built and cached per posting on the
+  first query that touches the clique), scale it by the constant
   per-clique weight ``λ_{|c|}·CorS(c)``, and merge with the Threshold
   Algorithm through lazy per-entry cursors.
 * ``mode="index-rescore"`` — the pre-change Algorithm 1: walk the same
@@ -208,9 +209,6 @@ class RetrievalEngine:
             self._index = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(corpus, n_workers=index_workers)
-        if self._index is not None:
-            # First query pays no per-posting sorting cost.
-            self._index.precompute_impact(self._params.alpha)
         self._clique_cache: dict[frozenset, tuple[Clique, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -235,14 +233,17 @@ class RetrievalEngine:
     def adopt_index(self, index: CliqueInvertedIndex) -> None:
         """Install a prebuilt (typically loaded) index on an engine
         constructed with ``build_index=False`` — the serving layer's
-        load path.  The index must cover the parameters' clique bound."""
+        load path.  The index must cover the parameters' clique bound.
+
+        O(1): no posting is read here.  The vectorized path reads the
+        stored arrays in place; the scalar modes build a posting's
+        impact view when a query first touches its clique."""
         if index.max_clique_size < self._max_clique_size:
             raise ValueError(
                 f"prebuilt index covers cliques up to size {index.max_clique_size}, "
                 f"but the parameters need {self._max_clique_size}"
             )
         self._index = index
-        self._index.precompute_impact(self._params.alpha)
 
     def with_params(self, params: MRFParameters) -> "RetrievalEngine":
         """Clone sharing corpus, correlation model and index, with new
@@ -276,11 +277,10 @@ class RetrievalEngine:
         ingest scores new objects against the statistics the serving
         snapshot was built with, so rankings over (main + delta) are
         bit-identical to a from-scratch build *with the same model* —
-        a full ``repro index build`` refreshes the statistics.  Impact
-        precompute goes through the index, which for a segmented index
-        only warms the delta postings (the shared main segment keeps
-        its caches across generations), keeping the publish cost
-        proportional to the delta.
+        a full ``repro index build`` refreshes the statistics.  No
+        posting is touched here, so the publish cost is the delta build
+        alone; the shared main segment keeps whatever a query already
+        decoded or cached across generations.
         """
         if index.max_clique_size < self._max_clique_size:
             raise ValueError(
@@ -294,7 +294,6 @@ class RetrievalEngine:
         clone._max_clique_size = self._max_clique_size
         clone._index = index
         clone._clique_cache = {}
-        index.precompute_impact(self._params.alpha)
         return clone
 
     # ------------------------------------------------------------------

@@ -785,6 +785,11 @@ class BinaryIndexReader:
     def posting_cors(self, slot: int) -> float:
         return float(self._postmeta[slot]["cors"])
 
+    @property
+    def decoded_slots(self) -> int:
+        """How many slots' id streams sit decoded in the per-slot cache."""
+        return len(self._dense_ids_cache)
+
     def posting_dense_ids(self, slot: int, *, cache: bool = True) -> np.ndarray:
         """The ascending dense object ids of slot ``slot`` as an int64
         array, decoded once and cached per slot — repeated queries

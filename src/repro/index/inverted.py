@@ -8,9 +8,11 @@ query-independent — ``ϕ'(c, O_i) = λ_{|c|}·CorS(c)·P(n_1..n_k|O_i)``
 depends only on the clique, the candidate and the MRF parameters — so
 the index computes them **once at build time**.  At query time the
 retrieval engine multiplies each posting by its constant per-clique
-weight and hands the prebuilt impact-ordered lists straight to the
-Threshold Algorithm: no per-candidate scoring, no corpus access, and
-genuine early termination.
+weight and hands the impact-ordered lists straight to the Threshold
+Algorithm: no per-candidate scoring, no corpus access, and genuine
+early termination.  The scalar path sorts a posting into its
+α-specific order the first time a query touches it and caches that
+view on the posting; nothing is sorted ahead of the first query.
 
 Building is shard-parallel: the corpus splits into contiguous shards
 (via the same dispatch helper as the parallel scan), each worker scores
@@ -169,12 +171,6 @@ class CliqueInvertedIndex:
         if n < 0:
             raise ValueError("object count must be >= 0")
         self._n_objects = n
-
-    def precompute_impact(self, alpha: float) -> None:
-        """Materialize every posting's impact-ordered view for ``alpha``
-        so the first query pays no sorting cost."""
-        for posting in self._postings.values():
-            posting.impact_view(alpha)
 
     def vector_view(self) -> InMemoryVectorView | MmapVectorView | SegmentedVectorView:
         """Cached vector access surface for the vectorized query engine

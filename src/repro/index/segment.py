@@ -118,10 +118,6 @@ class MmapCliqueIndex(CliqueInvertedIndex):
                 result.update(posting.object_ids)
         return result
 
-    def precompute_impact(self, alpha: float) -> None:
-        for posting in self.iter_postings():
-            posting.impact_view(alpha)
-
     def vector_view(self) -> MmapVectorView:
         """Zero-copy vector access straight off the mapping — no
         posting is ever materialized; decoded dense-id arrays are
@@ -133,7 +129,10 @@ class MmapCliqueIndex(CliqueInvertedIndex):
 
     def stats(self) -> dict[str, float]:
         """Size/selectivity summary straight off the postmeta section —
-        no posting is decoded."""
+        no posting is decoded.  ``materialized_postings`` (scalar
+        :class:`Posting` objects built by lookups) and ``decoded_slots``
+        (varint streams decoded into the reader's id cache) show how much
+        of the segment queries have touched; both are 0 after open."""
         lengths = self._reader.posting_lengths()
         n_cliques = self._reader.n_cliques
         total = int(lengths.sum()) if n_cliques else 0
@@ -143,6 +142,8 @@ class MmapCliqueIndex(CliqueInvertedIndex):
             "total_postings": float(total),
             "avg_posting_length": total / n_cliques if n_cliques else 0.0,
             "max_posting_length": float(lengths.max()) if n_cliques else 0.0,
+            "materialized_postings": float(len(self._postings)),
+            "decoded_slots": float(self._reader.decoded_slots),
         }
 
     # ------------------------------------------------------------------

@@ -13,8 +13,9 @@ so every consumer — the scalar TA path, the vectorized block-max path,
 model) holds by construction:
 
 * A clique key held by exactly **one** segment resolves to that
-  segment's posting object *as-is* — no copy, so the main segment's
-  impact-view caches stay warm across ingest generations.
+  segment's posting object *as-is* — no copy, so an impact view a
+  query cached on a main-segment posting keeps serving across ingest
+  generations.
 * A key held by **several** segments resolves to one merged posting
   whose entries concatenate main-first, then deltas in arrival order —
   exactly the corpus order a from-scratch build appends in (segments
@@ -32,9 +33,9 @@ model) holds by construction:
   from-scratch build.
 
 Derivation is O(delta): :meth:`with_delta` shares the main segment
-(pin-counted via ``acquire``/``close``) and all prior deltas, and
-:meth:`precompute_impact` only warms delta postings — the publish cost
-of an ingest batch is proportional to the batch, never the corpus.
+(pin-counted via ``acquire``/``close``) and all prior deltas and reads
+no posting — the publish cost of an ingest batch is the batch's own
+build, never proportional to the corpus.
 
 The stack is immutable like any served index: mutation raises
 ``TypeError``; growth happens by deriving a new stack, compaction by
@@ -147,8 +148,8 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
         if not parts:
             return None
         if len(parts) == 1:
-            # Reuse the holder's posting object: its impact-view cache
-            # (warmed by the snapshot that built it) keeps serving.
+            # Reuse the holder's posting object: any impact view an
+            # earlier query cached on it keeps serving.
             posting = parts[0]
         else:
             ids: list[str] = []
@@ -204,14 +205,6 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
                 result.update(posting.object_ids)
         return result
 
-    def precompute_impact(self, alpha: float) -> None:
-        """Warm only the delta postings — O(delta), the property that
-        keeps ingest publish cheap.  The shared main segment was warmed
-        by the snapshot that first adopted it; keys spanning segments
-        warm their merged posting on first query touch."""
-        for delta in self._deltas:
-            delta.precompute_impact(alpha)
-
     def vector_view(self) -> SegmentedVectorView:
         if self._vector_view is None:
             self._vector_view = SegmentedVectorView(self._segments)
@@ -220,6 +213,9 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
         return view
 
     def stats(self) -> dict[str, float]:
+        """The main segment's summary widened to the stack.  The lazy
+        counters (``materialized_postings``, ``decoded_slots``) are the
+        main segment's when it is mapped; deltas are built in memory."""
         merged = dict(self._main.stats())
         for delta in self._deltas:
             delta_stats = delta.stats()

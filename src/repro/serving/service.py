@@ -374,6 +374,13 @@ class QueryService:
                 "payload_verified": provenance.payload_verified,
                 "segments": segment_shape(snapshot),
             }
+            index = snapshot.engine.index
+            if provenance.origin == "loaded" and index is not None:
+                # How much of the mapped index.bin queries have touched
+                # so far (a built index holds every posting in memory).
+                counters = index.stats()
+                for name in ("materialized_postings", "decoded_slots"):
+                    index_stats[name] = int(counters[name])
         return {
             "snapshot": {
                 "generation": snapshot.generation,

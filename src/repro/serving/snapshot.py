@@ -1,9 +1,11 @@
 """Engine lifecycle: immutable snapshots with atomic hot-reload.
 
-The online system keeps exactly one *warm* engine per corpus: the
-correlation model and clique inverted index are built once at load time
-(the paper's Figure 3 preprocessing) and every query runs against the
-prebuilt structure — the point of Section 3.5's index.
+The online system keeps exactly one engine per corpus: the correlation
+model is built at load time, and the clique inverted index (the paper's
+Figure 3 preprocessing) is either mapped from ``index.bin`` — an
+O(metadata) open that reads no posting — or built once.  Every query
+runs against that prebuilt structure — the point of Section 3.5's
+index — and decodes or caches only the postings of its own cliques.
 
 A :class:`SnapshotManager` owns a reference to the current
 :class:`EngineSnapshot`.  Reload builds a complete replacement off the
@@ -92,9 +94,9 @@ class EngineSnapshot:
     Attributes
     ----------
     engine:
-        Warm retrieval engine (index built).
+        Retrieval engine with its index attached (mapped or built).
     recommender:
-        Warm recommender sharing ``engine``'s index and correlation
+        Recommender sharing ``engine``'s index and correlation
         model, or ``None`` when the corpus carries no favorite events
         (retrieval-only corpora).
     generation:
@@ -441,7 +443,8 @@ class SnapshotManager:
         next full build/reload), indexed as a small in-memory delta
         segment, and stacked behind the serving index
         (:class:`~repro.index.segmented.SegmentedCliqueIndex` shares the
-        main segment across generations, so warm caches survive).
+        main segment across generations, so whatever earlier queries
+        decoded or cached on it stays cached).
         Rankings are bit-identical to a from-scratch build over the
         extended corpus *under the same model* — the parity the
         segmented property test gates.

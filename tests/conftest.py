@@ -13,6 +13,7 @@ import pytest
 from repro.core.mrf import MRFParameters
 from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine, correlation_model_for_corpus
+from repro.diagnostics.contracts import ENV_VAR, reset_contracts_cache
 from repro.social.generator import GeneratorConfig, SyntheticFlickr
 
 
@@ -42,6 +43,28 @@ REC_CONFIG = GeneratorConfig(
     n_noise_visual_words=16,
     n_tracked_users=6,
 )
+
+
+@pytest.fixture
+def contracts_on(monkeypatch):
+    """Arm the runtime contracts for one test.  The flag is cached per
+    process, so it is reset on the way in and, after the environment
+    is restored, on the way out."""
+    monkeypatch.setenv(ENV_VAR, "1")
+    reset_contracts_cache()
+    yield
+    monkeypatch.undo()
+    reset_contracts_cache()
+
+
+@pytest.fixture
+def contracts_off(monkeypatch):
+    """Disarm the runtime contracts for one test (see ``contracts_on``)."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    reset_contracts_cache()
+    yield
+    monkeypatch.undo()
+    reset_contracts_cache()
 
 
 @pytest.fixture(scope="session")

@@ -168,7 +168,6 @@ def shared_indexes(rec_corpus, tmp_path_factory):
     path = tmp_path_factory.mktemp("rec-shared") / "index.bin"
     save_index(engine.index, path)
     mmapped = load_index(path, engine.correlations)
-    mmapped.precompute_impact(engine.params.alpha)
     yield engine, {"memory": engine.index, "mmap": mmapped}
     mmapped.close()
 

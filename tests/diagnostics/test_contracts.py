@@ -31,6 +31,7 @@ from repro.diagnostics.contracts import (
     contracts_enabled,
     non_negative_result,
     postcondition,
+    reset_contracts_cache,
     simplex_lambdas,
     symmetric_correlation,
 )
@@ -38,25 +39,20 @@ from repro.index.postings import Posting
 from repro.index.threshold import SortedListSource
 
 
-@pytest.fixture
-def contracts_on(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTRACTS", "1")
-
-
-@pytest.fixture
-def contracts_off(monkeypatch):
-    monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+# The contracts_on / contracts_off fixtures live in tests/conftest.py.
 
 
 # ----------------------------------------------------------------------
 # the flag itself
 # ----------------------------------------------------------------------
-def test_enabled_reads_env_at_call_time(monkeypatch):
-    monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+def test_enabled_is_cached_until_reset(contracts_off, monkeypatch):
     assert not contracts_enabled()
     monkeypatch.setenv("REPRO_CONTRACTS", "1")
+    assert not contracts_enabled()  # cached: no per-call environ read
+    reset_contracts_cache()
     assert contracts_enabled()
     monkeypatch.setenv("REPRO_CONTRACTS", "0")
+    reset_contracts_cache()
     assert not contracts_enabled()
 
 

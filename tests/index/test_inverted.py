@@ -5,6 +5,7 @@ import pytest
 from repro.core.cliques import Clique
 from repro.core.fig import FeatureInteractionGraph
 from repro.core.objects import Feature
+from repro.core.retrieval import RetrievalEngine
 from repro.index.inverted import CliqueInvertedIndex
 
 T = Feature.text
@@ -145,7 +146,17 @@ def test_set_n_objects_rejects_negative(correlations):
         index.set_n_objects(-1)
 
 
-def test_precompute_impact_populates_views(built):
-    built.precompute_impact(0.37)
-    for posting in built.iter_postings():
-        assert 0.37 in posting._views
+def test_scalar_search_fills_views_only_for_looked_up_postings(tiny_corpus, correlations):
+    """Nothing is sorted ahead of the first query; a scalar search caches
+    an impact view on exactly the postings of the cliques it used."""
+    index = CliqueInvertedIndex(correlations, max_clique_size=3).build(tiny_corpus)
+    engine = RetrievalEngine(tiny_corpus, correlations=correlations, index=index)
+    assert not any(posting._views for posting in index.iter_postings())
+    query = tiny_corpus.objects[0]
+    assert engine.search(query, k=10, mode="index")
+    looked_up = {clique.key for clique in engine.query_cliques(query)}
+    warmed = {posting.key for posting in index.iter_postings() if posting._views}
+    assert warmed and warmed <= looked_up
+    assert len(warmed) < len(index)
+    alpha = engine.params.alpha
+    assert all(set(index.lookup(key)._views) == {alpha} for key in warmed)

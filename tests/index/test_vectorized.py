@@ -178,8 +178,7 @@ def test_block_runs_shared_across_sources():
 # ----------------------------------------------------------------------
 # contracts
 # ----------------------------------------------------------------------
-def test_corrupt_block_bound_detected_under_contracts(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTRACTS", "1")
+def test_corrupt_block_bound_detected_under_contracts(contracts_on):
     vectors = _synthetic_vectors()
     bad_bounds = np.zeros_like(vectors.block_max_freq)  # bounds below members
     broken = PostingVectors(

@@ -13,6 +13,9 @@ properties the impact-ordering change bought:
 * **binary store** — the v3 mmap artifact must open fast (load p50
   under ``--max-binary-load-ms``, default 50 ms) and serve rankings
   bit-identical to the engine it was saved from on every smoke query;
+  a snapshot opened over it (``build_snapshot``, the serving load path)
+  must build no scalar posting (``materialized_postings == 0``) — the
+  open time and both lazy-cache counters are recorded;
 * **vectorized scoring** — on a larger corpus (default 2,500 objects)
   the block-max vectorized mode must beat the scalar index mode by at
   least ``--min-vectorized-speedup`` at p50 (default 2.0, i.e. half the
@@ -64,7 +67,7 @@ from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import build_segmented
 from repro.serving.cache import ResultCache
 from repro.serving.service import QueryService
-from repro.serving.snapshot import SnapshotManager
+from repro.serving.snapshot import SnapshotManager, build_snapshot
 from repro.social.generator import GeneratorConfig, SyntheticFlickr
 from repro.storage.store import load_index, save_corpus, save_index
 
@@ -75,11 +78,22 @@ LOAD_REPEATS = 5
 def _binary_store_report(
     engine: RetrievalEngine, queries: list, k: int, max_load_ms: float
 ) -> dict:
-    """Save the smoke engine's index, time its load and check
-    binary-loaded ranking parity."""
+    """Save the smoke engine's index, time its load, check
+    binary-loaded ranking parity, and open it the way serving does
+    (``build_snapshot``) to check that the open reads no posting."""
     with tempfile.TemporaryDirectory(prefix="perf_smoke_index_") as tmp:
-        bin_path = save_index(engine.index, Path(tmp) / "index.bin")
+        directory = Path(tmp)
+        save_corpus(engine.corpus, directory)
+        bin_path = save_index(engine.index, directory / "index.bin")
         bin_bytes = bin_path.stat().st_size
+
+        start = time.perf_counter()
+        snapshot = build_snapshot(directory, generation=1)
+        open_seconds = time.perf_counter() - start
+        assert snapshot.engine.index is not None
+        opened = snapshot.engine.index.stats()
+        origin = snapshot.index_provenance.origin if snapshot.index_provenance else None
+        snapshot.close()
 
         bin_loads: list[float] = []
         for _ in range(LOAD_REPEATS):
@@ -105,6 +119,12 @@ def _binary_store_report(
         "max_binary_load_ms": max_load_ms,
         "within_load_budget": load_p50_ms < max_load_ms,
         "parity_failures": parity_failures,
+        "snapshot_open": {
+            "seconds": open_seconds,
+            "origin": origin,
+            "materialized_postings": int(opened["materialized_postings"]),
+            "decoded_slots": int(opened["decoded_slots"]),
+        },
     }
 
 
@@ -407,6 +427,8 @@ def run_smoke(
     binary_ok = (
         binary_index["within_load_budget"]
         and not binary_index["parity_failures"]
+        and binary_index["snapshot_open"]["origin"] == "loaded"
+        and binary_index["snapshot_open"]["materialized_postings"] == 0
     )
     vectorized_ok = (
         vectorized["fast_enough"]
@@ -580,6 +602,15 @@ def main(argv: list[str] | None = None) -> int:
             f"perf-smoke FAIL: {len(binary['parity_failures'])} queries from the "
             f"binary-loaded index diverged from the built engine: "
             f"{binary['parity_failures'][:5]}",
+            file=sys.stderr,
+        )
+        return 1
+    opened = binary["snapshot_open"]
+    if opened["origin"] != "loaded" or opened["materialized_postings"]:
+        print(
+            f"perf-smoke FAIL: snapshot open over index.bin (origin "
+            f"{opened['origin']!r}) materialized {opened['materialized_postings']} "
+            f"postings; the open must read none",
             file=sys.stderr,
         )
         return 1
