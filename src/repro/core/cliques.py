@@ -16,8 +16,10 @@ default 3), which bounds both scoring cost and inverted-index size.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from typing import TypeVar
 
 from repro.core.objects import Feature
 from repro.diagnostics.contracts import (
@@ -25,6 +27,10 @@ from repro.diagnostics.contracts import (
     check_canonical_features,
     contracts_enabled,
 )
+
+#: A clique-enumeration node: a :class:`Feature`, or an index into a
+#: canonically ordered feature tuple.
+N = TypeVar("N", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,10 @@ class Clique:
 
 
 def enumerate_cliques(
-    nodes: Sequence[Feature],
-    adjacency: Mapping[Feature, frozenset[Feature]],
+    nodes: Sequence[N],
+    adjacency: Mapping[N, AbstractSet[N]],
     max_size: int = 3,
-) -> list[tuple[Feature, ...]]:
+) -> list[tuple[N, ...]]:
     """All cliques of size 1..``max_size`` in the feature subgraph.
 
     Uses ordered extension: a clique is grown only by neighbours that
@@ -94,7 +100,9 @@ def enumerate_cliques(
     Parameters
     ----------
     nodes:
-        The feature nodes; order defines the canonical ranking.
+        The feature nodes (or their indices — the build's scoring
+        kernel enumerates over ``range(n)``); order defines the
+        canonical ranking.
     adjacency:
         Undirected adjacency over ``nodes`` (absent nodes = isolated).
     max_size:
@@ -103,9 +111,9 @@ def enumerate_cliques(
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     order = {node: i for i, node in enumerate(nodes)}
-    results: list[tuple[Feature, ...]] = []
+    results: list[tuple[N, ...]] = []
 
-    def extend(current: list[Feature], candidates: list[Feature]) -> None:
+    def extend(current: list[N], candidates: list[N]) -> None:
         for i, node in enumerate(candidates):
             clique = current + [node]
             results.append(tuple(clique))

@@ -66,6 +66,7 @@ class OccurrenceStats:
         self._n_objects = n
         self._moment_cache: dict[Feature, tuple[float, float]] = {}
         self._norm_cache: dict[Feature, float] = {}
+        self._column_cache: dict[Feature, tuple[dict[int, float], float] | None] = {}
 
     @property
     def n_objects(self) -> int:
@@ -155,24 +156,44 @@ class OccurrenceStats:
         n = self._n_objects
         if n == 0:
             return 0.0
-        stats = [self.moments(f) for f in features]
-        if any(std == 0.0 for _, std in stats):
-            return 0.0
-        postings = [self._postings.get(f, {}) for f in features]
+        columns = []
+        for feature in features:
+            column = self._standardized_column(feature)
+            if column is None:
+                return 0.0
+            columns.append(column)
         baseline = 1.0
-        for mean, std in stats:
-            baseline *= (0.0 - mean) / std
+        for _, outside in columns:
+            baseline *= outside
         support: set[int] = set()
-        for posting in postings:
-            support.update(posting)
+        for values, _ in columns:
+            support.update(values)
         total = n * baseline
         for i in support:
             prod = 1.0
-            for posting, (mean, std) in zip(postings, stats):
-                prod *= (posting.get(i, 0) - mean) / std
+            for values, outside in columns:
+                prod *= values.get(i, outside)
             total += prod - baseline
         value = total / n
         return value if value > 0.0 else 0.0
+
+    def _standardized_column(self, feature: Feature) -> tuple[dict[int, float], float] | None:
+        """``({i: (n_i - mean)/std}, (0.0 - mean)/std)`` over the
+        feature's support, or ``None`` for a zero-variance (or unseen)
+        feature; cached per feature.  The dict keeps the posting's key
+        order, so the support set CorS builds from it — and hence the
+        order of its float sum — is the one the postings themselves
+        give, and each cached factor is the float the per-pair
+        expression produced, so CorS stays bit-identical."""
+        if feature in self._column_cache:
+            return self._column_cache[feature]
+        mean, std = self.moments(feature)
+        column: tuple[dict[int, float], float] | None = None
+        if std != 0.0:
+            posting = self._postings.get(feature, {})
+            column = ({i: (v - mean) / std for i, v in posting.items()}, (0.0 - mean) / std)
+        self._column_cache[feature] = column
+        return column
 
 
 #: Default per-table edge thresholds (the "trained threshold" of
@@ -290,6 +311,32 @@ class CorrelationModel:
         if self._social is None:
             return self._stats.cooccurrence_cosine(a, b)
         return self._social.similarity(a.name, b.name)
+
+    def pair_rows(self, nodes: Sequence[Feature]) -> list[list[float]]:
+        """``Cor`` of every pair of ``nodes`` as a symmetric matrix with
+        1.0 on the diagonal (the value :meth:`cor` gives a feature and
+        itself).
+
+        ``nodes`` must be distinct and in canonical (sorted) order, as
+        an object's feature bag is: each pair ``(nodes[i], nodes[j])``
+        with ``i < j`` is then already the memo's key, so a warm pair
+        costs one dict read.  Cold pairs go through :meth:`cor`, so
+        subclass measures, the contract wrappers and
+        :meth:`cache_size` see the same computations as pair-by-pair
+        calls would make.
+        """
+        cache = self._cache
+        rows = [[1.0] * len(nodes) for _ in nodes]
+        for i, a in enumerate(nodes):
+            row = rows[i]
+            for j in range(i + 1, len(nodes)):
+                b = nodes[j]
+                value = cache.get((a, b))
+                if value is None:
+                    value = self.cor(a, b)
+                row[j] = value
+                rows[j][i] = value
+        return rows
 
     def correlated(self, a: Feature, b: Feature) -> bool:
         """Edge decision: ``Cor(a, b)`` above the pair's table threshold."""

@@ -21,6 +21,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.cliques import Clique, enumerate_cliques
 from repro.core.correlation import CorrelationModel
+from repro.core.mrf import object_rows
 from repro.core.objects import Feature, MediaObject
 
 
@@ -75,16 +76,11 @@ class FeatureInteractionGraph:
 
         Every pair of the object's distinct features is tested against
         the correlation tables; pairs above their table's threshold get
-        an edge.
+        an edge.  The pair values come from :func:`object_rows`, the
+        same rows the index build scores from.
         """
-        nodes = obj.distinct_features()
-        edges = [
-            (nodes[i], nodes[j])
-            for i in range(len(nodes))
-            for j in range(i + 1, len(nodes))
-            if correlations.correlated(nodes[i], nodes[j])
-        ]
-        return cls(nodes=nodes, edges=edges, source_id=obj.object_id)
+        rows = object_rows(obj, correlations)
+        return cls(nodes=rows.nodes, edges=rows.edges(), source_id=obj.object_id)
 
     @classmethod
     def from_profile(
@@ -105,14 +101,10 @@ class FeatureInteractionGraph:
         edges: set[tuple[Feature, Feature]] = set()
         subgraphs: list[tuple[frozenset[Feature], int]] = []
         for obj in history:
-            feats = obj.distinct_features()
-            nodes.update(feats)
-            subgraphs.append((frozenset(feats), obj.timestamp))
-            for i in range(len(feats)):
-                for j in range(i + 1, len(feats)):
-                    a, b = feats[i], feats[j]
-                    if (a, b) not in edges and correlations.correlated(a, b):
-                        edges.add((a, b))
+            rows = object_rows(obj, correlations)
+            nodes.update(rows.nodes)
+            subgraphs.append((frozenset(rows.nodes), obj.timestamp))
+            edges.update(rows.edges())
         return cls(
             nodes=sorted(nodes),
             edges=edges,

@@ -33,27 +33,33 @@ Cor(n, m)`` so each clique costs O(k²) lookups instead of O(k·|O_i|).
 
 Query-independence.  ``P(n_1..n_k | O_i)`` depends only on the clique,
 the candidate and α — not on which query produced the clique — so the
-inverted index precomputes its two α-free components at build time via
-:func:`joint_components` (the same function the scan scorer uses, so
-both paths produce bit-identical floats).  All float summations here
-iterate canonical orders (the clique's sorted feature tuple, the
-object's feature-bag insertion order): float addition is not
-associative, and set-order iteration would make scores differ across
-processes under hash randomization — breaking the bit-identical
-ranking contract between the serial scan, the parallel scan and the
-build-time-scored index.
+inverted index precomputes its two α-free components at build time.
+The build scores a whole object at once with :func:`score_object`,
+which reads each feature pair's ``Cor`` once; the scan scorer goes
+clique by clique through :func:`joint_components`.  Both sum the same
+operands in the same order, so they produce bit-identical floats.
+All float summations here iterate canonical orders (the clique's
+sorted feature tuple, the object's feature-bag insertion order): float
+addition is not associative, and set-order iteration would make scores
+differ across processes under hash randomization — breaking the
+bit-identical ranking contract between the serial scan, the parallel
+scan and the build-time-scored index.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
-from repro.core.cliques import Clique
+from repro.core.cliques import Clique, enumerate_cliques
 from repro.core.correlation import CorrelationModel
-from repro.core.objects import Feature, MediaObject
-from repro.diagnostics.contracts import non_negative_result
+from repro.core.objects import Feature, FeatureType, MediaObject
+from repro.diagnostics.contracts import (
+    check_canonical_features,
+    contracts_enabled,
+    non_negative_result,
+)
 from repro.social.temporal import decay_weight
 
 #: Default per-size clique weights, in the spirit of Metzler & Croft's
@@ -156,6 +162,102 @@ def joint_components(
             total += row - inside
         smooth_part = total / (len(clique_set) * rest_count)
     return freq_part, smooth_part
+
+
+class ObjectRows(NamedTuple):
+    """One object's FIG in index form, from one pass over its pairs.
+
+    ``nodes`` is the object's feature bag in its canonical (sorted)
+    order, ``rows[i][j]`` is ``Cor(nodes[i], nodes[j])`` (1.0 on the
+    diagonal) and ``forward[i]`` holds the ``j > i`` whose correlation
+    is above their table's threshold — the FIG edges of Section 3.2,
+    each stored once at its lower end.
+    """
+
+    nodes: tuple[Feature, ...]
+    rows: list[list[float]]
+    forward: list[set[int]]
+
+    def edges(self) -> list[tuple[Feature, Feature]]:
+        """Every FIG edge once, as a (lower, higher) feature pair."""
+        nodes = self.nodes
+        return [(nodes[i], nodes[j]) for i, later in enumerate(self.forward) for j in later]
+
+
+def object_rows(obj: MediaObject, correlations: CorrelationModel) -> ObjectRows:
+    """Fill ``obj``'s pairwise ``Cor`` rows once and threshold them into
+    FIG edges (see :class:`ObjectRows`).
+
+    The bag's insertion order is canonical (``MediaObject`` sorts it),
+    so every pair is already in the correlation memo's key order; the
+    per-type-pair thresholds are resolved once per call instead of once
+    per pair.
+    """
+    nodes = tuple(obj.features)
+    if contracts_enabled():
+        check_canonical_features(nodes, what=f"object {obj.object_id!r}")
+    rows = correlations.pair_rows(nodes)
+    types = tuple(FeatureType)
+    code = {ftype: i for i, ftype in enumerate(types)}
+    table = [[correlations.threshold(a, b) for b in types] for a in types]
+    codes = [code[node.ftype] for node in nodes]
+    forward = []
+    for i, row in enumerate(rows):
+        limits = table[codes[i]]
+        forward.append({j for j in range(i + 1, len(nodes)) if row[j] > limits[codes[j]]})
+    return ObjectRows(nodes, rows, forward)
+
+
+#: One scored (clique, object) pair: ``(key, CorS, freq_part, smooth_part)``.
+ScoredClique = tuple[str, float, float, float]
+
+
+def score_object(
+    obj: MediaObject,
+    correlations: CorrelationModel,
+    max_size: int,
+    cors_lookup: Callable[[str], float | None] | None = None,
+) -> list[ScoredClique]:
+    """Every clique of ``obj``'s FIG with its CorS (Eq. 8) and Eq. 7
+    components — the per-object scoring kernel of the index build.
+
+    Equal, bit for bit and in order, to ``FeatureInteractionGraph.
+    from_object`` → ``cliques(max_size)`` → ``Clique.key`` /
+    ``correlations.cors`` / :func:`joint_components`, but each pair's
+    ``Cor`` is read once (:func:`object_rows`) instead of once per
+    edge test, row sum and clique: ``S(n, O)`` sums the row in bag
+    order and each "inside" sum runs over the clique in clique order,
+    as :func:`joint_components` does; cliques are enumerated over node
+    indices in the order the FIG's own enumeration gives.
+    ``cors_lookup`` returns an already-known CorS for a key (``None``
+    when unknown), so a builder computes Eq. 8 once per distinct
+    clique.
+    """
+    nodes, rows, forward = object_rows(obj, correlations)
+    keys = [node.key for node in nodes]
+    counts = list(obj.features.values())
+    size = sum(counts)
+    row_sums = [sum(row) for row in rows]
+    scored: list[ScoredClique] = []
+    # Forward edges suffice: ordered extension only tests later nodes.
+    adjacency = dict(enumerate(forward))
+    for clique in enumerate_cliques(range(len(nodes)), adjacency, max_size=max_size):
+        k = len(clique)
+        key = "|".join([keys[i] for i in clique])
+        freq_part = min([counts[i] for i in clique]) / size
+        rest = len(nodes) - k
+        smooth_part = 0.0
+        if rest > 0:
+            total = 0.0
+            for n in clique:
+                row = rows[n]
+                total += row_sums[n] - sum([row[m] for m in clique])
+            smooth_part = total / (k * rest)
+        cors = cors_lookup(key) if cors_lookup is not None else None
+        if cors is None:
+            cors = correlations.cors(tuple([nodes[i] for i in clique]))
+        scored.append((key, cors, freq_part, smooth_part))
+    return scored
 
 
 def mix_components(freq: Any, smooth: Any, alpha: float) -> Any:

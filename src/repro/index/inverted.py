@@ -29,9 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.core.cliques import Clique
 from repro.core.correlation import CorrelationModel
-from repro.core.fig import FeatureInteractionGraph
-from repro.core.mrf import joint_components
-from repro.core.objects import Feature, MediaObject
+from repro.core.mrf import score_object
+from repro.core.objects import MediaObject
 from repro.core.sharding import split_shards
 from repro.index.postings import Posting
 from repro.index.vectorized import (
@@ -40,30 +39,17 @@ from repro.index.vectorized import (
     SegmentedVectorView,
 )
 
-#: One shard's partial postings: key -> (cors, [(oid, freq, smooth)]).
-ShardPostings = dict[str, tuple[float, list[tuple[str, float, float]]]]
-
-
 def _build_shard(
     payload: tuple[Sequence[MediaObject], CorrelationModel, int],
-) -> ShardPostings:
-    """Worker body: enumerate and score one shard's cliques (module-level
-    so it pickles under every start method)."""
+) -> list[Posting]:
+    """Worker body: index one shard with the serial ``add_object`` and
+    return its postings in first-encounter order (module-level so it
+    pickles under every start method)."""
     objects, correlations, max_clique_size = payload
-    partial: ShardPostings = {}
+    shard = CliqueInvertedIndex(correlations, max_clique_size=max_clique_size)
     for obj in objects:
-        fig = FeatureInteractionGraph.from_object(obj, correlations)
-        row_sums: dict[Feature, float] = {}
-        for clique in fig.cliques(max_size=max_clique_size):
-            freq_part, smooth_part = joint_components(clique, obj, correlations, row_sums)
-            record = partial.get(clique.key)
-            if record is None:
-                record = (correlations.cors(clique.features), [])
-                partial[clique.key] = record
-            entries = record[1]
-            if not entries or entries[-1][0] != obj.object_id:
-                entries.append((obj.object_id, freq_part, smooth_part))
-    return partial
+        shard.add_object(obj)
+    return list(shard.iter_postings())
 
 
 class CliqueInvertedIndex:
@@ -103,30 +89,31 @@ class CliqueInvertedIndex:
     def add_object(self, obj: MediaObject) -> int:
         """Index one object; returns the number of cliques it produced.
 
-        Scores every (clique, object) pair as it goes: CorS per new
-        clique and the Eq. 7 components per entry are query-independent,
-        so build time is the only place they need to be computed.
+        Scores every (clique, object) pair as it goes, through the
+        per-object kernel :func:`repro.core.mrf.score_object`: CorS per
+        new clique and the Eq. 7 components per entry are
+        query-independent, so build time is the only place they need to
+        be computed.
         """
-        fig = FeatureInteractionGraph.from_object(obj, self._cor)
-        cliques = fig.cliques(max_size=self._max_clique_size)
-        row_sums: dict[Feature, float] = {}
-        for clique in cliques:
-            posting = self._postings.get(clique.key)
+        postings = self._postings
+        lookup = self._cors_lookup
+
+        def known_cors(key: str) -> float | None:
+            posting = postings.get(key)
+            if posting is not None:
+                return posting.cors
+            return lookup(key) if lookup is not None else None
+
+        scored = score_object(obj, self._cor, self._max_clique_size, known_cors)
+        for key, cors, freq_part, smooth_part in scored:
+            posting = postings.get(key)
             if posting is None:
-                cors = (
-                    self._cors_lookup(clique.key)
-                    if self._cors_lookup is not None
-                    else None
-                )
-                if cors is None:
-                    cors = self._cor.cors(clique.features)
-                posting = Posting(clique.key, cors=cors)
-                self._postings[clique.key] = posting
-            freq_part, smooth_part = joint_components(clique, obj, self._cor, row_sums)
+                posting = Posting(key, cors=cors)
+                postings[key] = posting
             posting.add(obj.object_id, freq_part, smooth_part)
         self._n_objects += 1
         self._vector_view = None
-        return len(cliques)
+        return len(scored)
 
     def build(
         self, objects: Iterable[MediaObject], n_workers: int = 1
@@ -155,14 +142,16 @@ class CliqueInvertedIndex:
         self._n_objects += len(materialized)
         return self
 
-    def _merge_shard(self, partial: ShardPostings) -> None:
-        """Append one shard's scored entries, preserving corpus order."""
-        for key, (cors, entries) in partial.items():
-            posting = self._postings.get(key)
+    def _merge_shard(self, partial: list[Posting]) -> None:
+        """Append one shard's scored postings, preserving corpus order."""
+        for shard_posting in partial:
+            posting = self._postings.get(shard_posting.key)
             if posting is None:
-                posting = Posting(key, cors=cors)
-                self._postings[key] = posting
-            posting.extend_scored(entries)
+                self._postings[shard_posting.key] = shard_posting
+            else:
+                object_ids = shard_posting.object_ids
+                freq, smooth = shard_posting.component_arrays()
+                posting.extend_scored(list(zip(object_ids, freq, smooth)))
         self._vector_view = None
 
     def set_n_objects(self, n: int) -> None:

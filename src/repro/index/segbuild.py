@@ -71,7 +71,6 @@ from repro.index.binfmt import (
 )
 from repro.index.compression import decode_posting_spans, encode_posting_spans
 from repro.index.inverted import _build_shard
-from repro.index.postings import Posting
 
 #: Name template for shard segment files inside a build directory.
 SEGMENT_NAME = "segment-{:05d}.bin"
@@ -111,17 +110,7 @@ def _write_segment(
     (module-level so it pickles under every start method).  Returns
     ``(path, n_objects, peak_rss_kb)``."""
     objects, correlations, max_clique_size, path_str = payload
-    partial = _build_shard((objects, correlations, max_clique_size))
-    postings = [
-        Posting.from_arrays(
-            key,
-            cors,
-            [entry[0] for entry in entries],
-            [entry[1] for entry in entries],
-            [entry[2] for entry in entries],
-        )
-        for key, (cors, entries) in partial.items()
-    ]
+    postings = _build_shard((objects, correlations, max_clique_size))
     write_index_file(
         Path(path_str),
         postings,

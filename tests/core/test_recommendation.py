@@ -204,27 +204,32 @@ def test_shared_index_init_scores_no_cliques(rec_corpus, shared_indexes, monkeyp
     from repro.core.correlation import CorrelationModel
 
     engine, indexes = shared_indexes
-    calls = {"joint": 0, "cors": 0}
+    calls = {"joint": 0, "kernel": 0, "cors": 0}
     joint = mrf.joint_components
+    kernel = mrf.score_object
     cors = CorrelationModel.cors
 
     def counting_joint(*args, **kwargs):
         calls["joint"] += 1
         return joint(*args, **kwargs)
 
+    def counting_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
     def counting_cors(self, *args, **kwargs):
         calls["cors"] += 1
         return cors(self, *args, **kwargs)
 
     monkeypatch.setattr(mrf, "joint_components", counting_joint)
-    monkeypatch.setattr(inverted, "joint_components", counting_joint)
+    monkeypatch.setattr(inverted, "score_object", counting_kernel)
     monkeypatch.setattr(CorrelationModel, "cors", counting_cors)
     for index in indexes.values():
         Recommender(rec_corpus, index=index, correlations=engine.correlations)
-    assert calls == {"joint": 0, "cors": 0}
+    assert calls == {"joint": 0, "kernel": 0, "cors": 0}
     # The counters do see a private build's scoring.
     Recommender(rec_corpus, correlations=engine.correlations)
-    assert calls["joint"] > 0 and calls["cors"] > 0
+    assert calls["kernel"] > 0 and calls["cors"] > 0
 
 
 def test_foreign_index_missing_candidates_rejected(rec_corpus):
