@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
+from typing import Any
 
 from repro.core.objects import Feature, FeatureType, MediaObject
 from repro.diagnostics.contracts import (
@@ -112,10 +113,9 @@ class OccurrenceStats:
         pb = self._postings.get(b)
         if not pa or not pb:
             return 0.0
-        if len(pb) < len(pa):
-            pa, pb = pb, pa
-            a, b = b, a
-        dot = sum(v * pb.get(i, 0) for i, v in pa.items())
+        # Integer products summed over the shared support: exact in any
+        # iteration order, so the set's order cannot move the float.
+        dot = sum([pa[i] * pb[i] for i in pa.keys() & pb.keys()])
         if dot == 0:
             return 0.0
         norm_a = self._norm(a, pa)
@@ -219,7 +219,10 @@ class CorrelationModel:
     correlation tables" (T×T, V×V, U×U, T×V, T×U, V×U): intra-type
     measures are modality-specific, inter-type pairs use Eq. 1, and an
     edge is drawn when the correlation exceeds the (trained) threshold
-    for its table.  Values are memoized per unordered pair.
+    for its table.  Values are memoized per unordered pair, in one dict
+    keyed by the pair's int :func:`pair_key` over the features'
+    interned ids (see :mod:`repro.core.objects`); a pickled model ships
+    its memo as feature pairs, which the receiving process re-keys.
 
     Parameters
     ----------
@@ -254,7 +257,7 @@ class CorrelationModel:
         self._social = social
         self._thresholds = dict(thresholds or {})
         self._default_threshold = default_threshold
-        self._cache: dict[tuple[Feature, Feature], float] = {}
+        self._cache: dict[int, float] = {}
 
     @property
     def stats(self) -> OccurrenceStats:
@@ -285,9 +288,9 @@ class CorrelationModel:
         is checked once when computed, and cache hits — the bulk of
         build-time calls — skip the wrapper entirely.
         """
-        if a == b:
+        if a is b:
             return 1.0
-        key = (a, b) if (a.ftype.value, a.name) <= (b.ftype.value, b.name) else (b, a)
+        key = pair_key(a, b) if a.key <= b.key else pair_key(b, a)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -319,21 +322,26 @@ class CorrelationModel:
 
         ``nodes`` must be distinct and in canonical (sorted) order, as
         an object's feature bag is: each pair ``(nodes[i], nodes[j])``
-        with ``i < j`` is then already the memo's key, so a warm pair
-        costs one dict read.  Cold pairs go through :meth:`cor`, so
-        subclass measures, the contract wrappers and
-        :meth:`cache_size` see the same computations as pair-by-pair
-        calls would make.
+        with ``i < j`` is then already in the memo's canonical order, so
+        a warm pair costs one int-keyed dict read.  A cold pair is one
+        :meth:`_compute_cor` call in that order, exactly the call
+        :meth:`cor` would make, so subclass measures, the contract
+        wrappers and :meth:`cache_size` see the same computations as
+        pair-by-pair calls would make.
         """
         cache = self._cache
+        compute = self._compute_cor
+        ids = [node.id for node in nodes]
         rows = [[1.0] * len(nodes) for _ in nodes]
         for i, a in enumerate(nodes):
             row = rows[i]
+            high = ids[i] << _ID_BITS
             for j in range(i + 1, len(nodes)):
-                b = nodes[j]
-                value = cache.get((a, b))
+                key = high | ids[j]
+                value = cache.get(key)
                 if value is None:
-                    value = self.cor(a, b)
+                    value = compute(a, nodes[j])
+                    cache[key] = value
                 row[j] = value
                 rows[j][i] = value
         return rows
@@ -350,6 +358,34 @@ class CorrelationModel:
     def cache_size(self) -> int:
         """Number of memoized pairs (diagnostics)."""
         return len(self._cache)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Pair keys hold process-local feature ids; ship the memo as
+        # (feature, feature, value) triples, which re-intern on arrival.
+        state = self.__dict__.copy()
+        state["_cache"] = [
+            (Feature.from_id(key >> _ID_BITS), Feature.from_id(key & _ID_MASK), value)
+            for key, value in self._cache.items()
+        ]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        pairs = state.pop("_cache")
+        self.__dict__.update(state)
+        self._cache = {pair_key(a, b): value for a, b, value in pairs}
+
+
+#: Width of the low half of a :func:`pair_key`.  Feature ids are a
+#: per-process counter, far below 2**32 for any corpus that fits in
+#: memory.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
+def pair_key(a: Feature, b: Feature) -> int:
+    """Memo key of the ordered pair ``(a, b)``: both interned ids in one
+    int.  Callers pass the pair in canonical order (``a.key <= b.key``)."""
+    return (a.id << _ID_BITS) | b.id
 
 
 def _visual_id(name: str) -> int:

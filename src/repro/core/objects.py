@@ -12,11 +12,28 @@ feature and object classes every other component operates on:
 * :class:`MediaObject` — an object id plus a frequency bag of features
   and a month-granularity timestamp (Section 4 fixes the time basis to
   months).
+
+Interning.  A process holds one :class:`Feature` per ``(type, name)``:
+every construction path (``Feature(...)``, :meth:`Feature.from_key`,
+the ``text``/``visual``/``user`` helpers, hence ``load_corpus``, the
+generator, :meth:`MediaObject.build`, ``Clique.from_key`` and
+``/ingest`` parsing) returns the interned instance.  Equal features are
+therefore the same object, so the dicts that every build and query
+loop keys by feature compare and hash by identity, in C, instead of
+calling a Python-level ``__eq__``/``__hash__`` per lookup.  Each
+instance also carries ``id``, a dense int assigned at first
+construction; the correlation memo keys feature pairs by these ids.
+Ids are process-local: they are never reused and never pickled.  A
+pickled feature carries only ``(type, name)`` and re-interns in the
+receiving process, so a pool worker gets its own instance and id.
+The intern table only grows; it holds each distinct feature a process
+has seen.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -39,30 +56,57 @@ class FeatureType(enum.Enum):
 ALL_TYPES: tuple[FeatureType, ...] = (FeatureType.TEXT, FeatureType.VISUAL, FeatureType.USER)
 
 
-@dataclass(frozen=True, order=True)
+#: Every :class:`Feature` of this process, by canonical key and by id.
+#: Ids come from one counter, so an id is never reused.
+_BY_KEY: dict[str, "Feature"] = {}
+_BY_ID: dict[int, "Feature"] = {}
+_NEXT_ID = itertools.count()
+
+
 class Feature:
     """One feature node: a modality plus a name within that modality.
 
     Names are namespaced per type, so the tag ``"sunset"`` and a
     hypothetical user called ``"sunset"`` are distinct features.
+
+    Instances are interned: constructing ``(ftype, name)`` again
+    returns the same object, so equality and hashing are identity's.
+    ``id`` is a dense process-local int (see the module docstring).
+    Ordering is by ``(ftype.value, name)``, which is the order of
+    :attr:`key`, because every type code is one character.
     """
+
+    __slots__ = ("ftype", "name", "key", "id")
 
     ftype: FeatureType
     name: str
+    #: Canonical string form, e.g. ``"T:sunset"`` — used by the storage
+    #: layer and the inverted index.
+    key: str
+    id: int
 
-    @property
-    def key(self) -> str:
-        """Canonical string form, e.g. ``"T:sunset"`` — used by the
-        storage layer and the inverted index."""
-        return f"{self.ftype.value}:{self.name}"
+    def __new__(cls, ftype: FeatureType, name: str) -> "Feature":
+        if not name:
+            # "T:" would not parse back (see from_key).
+            raise ValueError("a feature name must be non-empty")
+        key = f"{ftype.value}:{name}"
+        feature = _BY_KEY.get(key)
+        if feature is None:
+            feature = _intern(key, ftype, name)
+        return feature
 
     @classmethod
     def from_key(cls, key: str) -> "Feature":
         """Inverse of :attr:`key`."""
-        type_code, sep, name = key.partition(":")
-        if not sep or not name:
-            raise ValueError(f"malformed feature key {key!r}")
-        return cls(FeatureType(type_code), name)
+        feature = _BY_KEY.get(key)
+        if feature is None:
+            feature = cls(*parse_feature_key(key))
+        return feature
+
+    @classmethod
+    def from_id(cls, feature_id: int) -> "Feature":
+        """The interned feature holding ``feature_id`` in this process."""
+        return _BY_ID[feature_id]
 
     @classmethod
     def text(cls, name: str) -> "Feature":
@@ -76,25 +120,69 @@ class Feature:
     def user(cls, name: str) -> "Feature":
         return cls(FeatureType.USER, name)
 
-    def __hash__(self) -> int:
-        # Features key every hot dict in the build path (postings, row
-        # sums, correlation caches); the dataclass-generated hash
-        # rebuilds a (ftype, name) tuple per call, so memoize it on the
-        # frozen instance instead.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.ftype, self.name))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Feature is immutable: cannot set {name!r}")
 
-    def __getstate__(self) -> dict:
-        # str hashes are salted per process: a memoized hash must never
-        # cross a pickle boundary (shard-build workers would mix stale
-        # parent hashes with locally computed ones in the same dict).
-        return {"ftype": self.ftype, "name": self.name}
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Feature is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type["Feature"], tuple[FeatureType, str]]:
+        # Only (type, name) crosses a pickle boundary: the receiving
+        # process re-interns, so its own instance and id apply there.
+        return (Feature, (self.ftype, self.name))
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Feature):
+            return NotImplemented
+        return self.key < other.key
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, Feature):
+            return NotImplemented
+        return self.key <= other.key
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, Feature):
+            return NotImplemented
+        return self.key > other.key
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, Feature):
+            return NotImplemented
+        return self.key >= other.key
+
+    def __repr__(self) -> str:
+        return f"Feature(ftype={self.ftype!r}, name={self.name!r})"
 
     def __str__(self) -> str:
         return self.key
+
+
+def parse_feature_key(key: str) -> tuple[FeatureType, str]:
+    """Split a canonical feature key into ``(type, name)`` without
+    interning anything; raises ``ValueError`` for a malformed key or an
+    unknown type code."""
+    type_code, sep, name = key.partition(":")
+    if not sep or not name:
+        raise ValueError(f"malformed feature key {key!r}")
+    return FeatureType(type_code), name
+
+
+def _intern(key: str, ftype: FeatureType, name: str) -> Feature:
+    """Create the one instance for ``key``.  Serving threads intern
+    concurrently, and the prefork supervisor forks while they may run,
+    so this takes no lock (a child could inherit it held): ``setdefault``
+    is atomic, keeps the first of two racing candidates, and the
+    loser's id is dropped unused."""
+    candidate = object.__new__(Feature)
+    fid = next(_NEXT_ID)
+    for slot, value in (("ftype", ftype), ("name", name), ("key", key), ("id", fid)):
+        object.__setattr__(candidate, slot, value)
+    _BY_ID[fid] = candidate
+    feature = _BY_KEY.setdefault(key, candidate)
+    if feature is not candidate:
+        del _BY_ID[fid]
+    return feature
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Any
 
-from repro.core.objects import Feature, MediaObject
+from repro.core.objects import Feature, FeatureType, MediaObject, parse_feature_key
 from repro.core.recommendation import Recommender
 from repro.core.retrieval import RankedResult
 from repro.serving.cache import ResultCache, result_cache_key
@@ -123,11 +123,13 @@ def parse_ingest_records(records: Any) -> list[MediaObject]:
     Flickr-like metadata is converted *client-side* (``repro ingest
     --raw``) so the server never grows a second preprocessing path.
     Module-level because the prefork supervisor validates batches with
-    it too, before any worker sees them.
+    it too, before any worker sees them.  The whole batch is validated
+    before any feature is interned, so a rejected batch leaves the
+    process's intern table (:mod:`repro.core.objects`) as it was.
     """
     if not isinstance(records, list) or not records:
         raise ServiceError(400, "records must be a non-empty list of objects")
-    objects: list[MediaObject] = []
+    parsed: list[tuple[str, dict[tuple[FeatureType, str], int], int]] = []
     seen: set[str] = set()
     for position, record in enumerate(records):
         where = f"records[{position}]"
@@ -144,26 +146,31 @@ def parse_ingest_records(records: Any) -> list[MediaObject]:
             raise ServiceError(
                 400, f"{where}: 'features' must be a non-empty 'type:name' -> count map"
             )
-        features: dict[Feature, int] = {}
+        features: dict[tuple[FeatureType, str], int] = {}
         for key, count in raw_features.items():
             try:
-                feature = Feature.from_key(key)
+                type_and_name = parse_feature_key(key)
                 count = int(count)
             except (TypeError, ValueError) as exc:
                 raise ServiceError(400, f"{where}: bad feature {key!r}: {exc}") from None
             if count < 1:
                 raise ServiceError(400, f"{where}: feature {key!r} count must be >= 1")
-            features[feature] = count
+            features[type_and_name] = count
         try:
             timestamp = int(record.get("t", 0))
         except (TypeError, ValueError):
             raise ServiceError(
                 400, f"{where}: 't' must be an integer month, got {record.get('t')!r}"
             ) from None
-        objects.append(
-            MediaObject(object_id=object_id, features=features, timestamp=timestamp)
+        parsed.append((object_id, features, timestamp))
+    return [
+        MediaObject(
+            object_id=object_id,
+            features={Feature(ftype, name): count for (ftype, name), count in bag.items()},
+            timestamp=timestamp,
         )
-    return objects
+        for object_id, bag, timestamp in parsed
+    ]
 
 
 class QueryService:

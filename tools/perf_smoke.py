@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import gc
 import json
 import os
 import sys
@@ -188,6 +189,31 @@ def _timed(fn, *args, **kwargs):
     return time.perf_counter() - start, result
 
 
+class _GcPauses:
+    """Collector pauses while registered in ``gc.callbacks``: total
+    seconds and collections per generation."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = [0, 0, 0]
+        self._started: float | None = None
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.seconds += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+            self._started = None
+
+    def __enter__(self) -> "_GcPauses":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        gc.callbacks.remove(self)
+
+
 def _vectorized_report(
     n_objects: int, n_queries: int, k: int, seed: int, min_speedup: float, workers: int
 ) -> dict:
@@ -308,12 +334,16 @@ def _build_ingest_report(
         # very corpus the build stage produced.  Best-of-3 with a fresh
         # manager per trial (cold model cache each time): the gate
         # prices the delta path, not GC pauses left over from the
-        # parallel-build stage sharing this process.
+        # parallel-build stage sharing this process.  A full collection
+        # runs untimed before each trial (a generation-2 pass that
+        # falls inside one costs several times the ingest itself), and
+        # each trial's remaining collector pauses are recorded.
         serve_dir = directory / "serving"
         save_corpus(corpus, serve_dir)
         save_index(index, serve_dir / "index.bin")
         objects = list(corpus)
         trials: list[float] = []
+        trial_gc: list[dict] = []
         for trial in range(3):
             manager = SnapshotManager(serve_dir)
             manager.load()
@@ -325,8 +355,13 @@ def _build_ingest_report(
                 )
                 for i in range(ingest_batch)
             ]
-            seconds, snapshot = _timed(manager.ingest, extras, persist=False)
+            gc.collect()
+            with _GcPauses() as pauses:
+                seconds, snapshot = _timed(manager.ingest, extras, persist=False)
             trials.append(seconds)
+            trial_gc.append(
+                {"pause_seconds": pauses.seconds, "collections": pauses.collections}
+            )
         segments = snapshot.engine.index.segment_stats()
         searchable = bool(snapshot.engine.search(extras[0], k=5))
         snapshot.close()
@@ -355,6 +390,7 @@ def _build_ingest_report(
             "batch": ingest_batch,
             "seconds": ingest_seconds,
             "trial_seconds": trials,
+            "trial_gc": trial_gc,
             "fraction_of_rebuild": fraction,
             "max_fraction": max_ingest_fraction,
             "within_budget": fraction < max_ingest_fraction,
