@@ -10,9 +10,10 @@ slowest — the paper's trade-off of effectiveness against query cost.
 
 Since the impact-ordering change, "FIG" is Algorithm 1 over postings
 scored at build time: lookup + multiply-by-λ·CorS + genuine Threshold
-Algorithm early termination; "FIG-vec" is the block-max vectorized
-engine (batch numpy scoring + WAND-style block skipping) that serving
-now defaults to.  This bench doubles as the perf gate for both:
+Algorithm early termination; "FIG-vec" is the vectorized engine (the
+query's postings summed per object with batch numpy, top-k selected
+from the sums) that serving defaults to.  This bench doubles as the
+perf gate for both:
 
 * index-mode p50 must be ≥ 3× better than FIG-pre on the largest
   corpus;
@@ -21,13 +22,12 @@ now defaults to.  This bench doubles as the perf gate for both:
 * rankings must be bit-identical to the pre-change path on every
   benchmarked query — FIG-vec included — and, at α=1, where the scan's
   smoothing-only contributions vanish exactly, bit-identical to
-  ``mode="scan"``;
-* the block-max walk must actually skip blocks at the largest size.
+  ``mode="scan"``.
 
 An FIG-family-only *extended sweep* (``REPRO_BENCH_FIG9_SWEEP``,
 default ``25000``; set empty to disable) times the scalar and
 vectorized index modes at paper scale — the sizes the dense baselines
-cannot reach — with parity and block-skip accounting per size.
+cannot reach — with parity and access accounting per size.
 
 Alongside the ``.txt`` table it writes ``results/fig9_query_latency.json``
 with p50/p95 per corpus size — the machine-readable BENCH_* artifact.
@@ -82,8 +82,6 @@ def _access_accounting(engine: RetrievalEngine, queries, k=10, mode="index"):
                 sorted_accesses=stats.sorted_accesses,
                 random_accesses=stats.random_accesses,
                 rounds=stats.rounds,
-                blocks_skipped=stats.blocks_skipped,
-                blocks_total=stats.blocks_total,
             )
         )
         posting_entries += stats.total_posting_entries
@@ -91,8 +89,6 @@ def _access_accounting(engine: RetrievalEngine, queries, k=10, mode="index"):
         "sorted_accesses": totals.sorted_accesses,
         "random_accesses": totals.random_accesses,
         "total_posting_entries": posting_entries,
-        "blocks_skipped": totals.blocks_skipped,
-        "blocks_total": totals.blocks_total,
         "n_queries": len(queries),
     }
 
@@ -133,8 +129,8 @@ def run_experiment():
         f"{acc['sorted_accesses']}/{acc['total_posting_entries']} posting entries"
     )
     rows.append(
-        f"block-max pruning at {largest}: skipped "
-        f"{vec['blocks_skipped']}/{vec['blocks_total']} blocks"
+        f"vectorized kernel at {largest}: summed {vec['total_posting_entries']} "
+        f"posting entries over {vec['random_accesses']} candidates"
     )
     return rows, series, detail, access, vec_access, speedup
 
@@ -143,8 +139,8 @@ def run_extended_sweep():
     """FIG-family-only sweep at paper scale.
 
     The dense baselines are omitted: their vector spaces don't fit the
-    extended sizes, which is exactly why the block-max vectorized path
-    exists.  Corpora are generated locally (not via the harness cache)
+    extended sizes, while the index paths read only the query's
+    postings.  Corpora are generated locally (not via the harness cache)
     so the shared sweep corpus isn't evicted for the other benches.
     """
     out = {}
@@ -216,9 +212,8 @@ def test_fig9_query_latency(benchmark, capsys):
     for size, entry in sorted(extended.items()):
         rows.append(
             f"extended {size}: FIG p50 {entry['FIG']['p50_ms']:.2f} ms, "
-            f"FIG-vec p50 {entry['FIG-vec']['p50_ms']:.2f} ms, skipped "
-            f"{entry['ta_access']['blocks_skipped']}"
-            f"/{entry['ta_access']['blocks_total']} blocks"
+            f"FIG-vec p50 {entry['FIG-vec']['p50_ms']:.2f} ms, summed "
+            f"{entry['ta_access']['total_posting_entries']} posting entries"
         )
     H.report("fig9_query_latency", "Figure 9: mean query latency vs size", rows, capsys)
     H.report_json(
@@ -249,9 +244,6 @@ def test_fig9_query_latency(benchmark, capsys):
     assert speedup >= MIN_SPEEDUP_P50
     for size, acc in access.items():
         assert acc["sorted_accesses"] < acc["total_posting_entries"], size
-    # Block-max pruning fires at the largest base size, and the
-    # extended paper-scale sweep stays rank-exact while skipping blocks.
-    assert vec_access[max(H.SWEEP_SIZES)]["blocks_skipped"] > 0
+    # The extended paper-scale sweep stays rank-exact.
     for size, entry in extended.items():
         assert not entry["parity_failures"], size
-        assert entry["ta_access"]["blocks_skipped"] > 0, size

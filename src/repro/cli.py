@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "index-vectorized", "index", "scan"),
         default="auto",
-        help="auto (vectorized block-max), scalar index, or exhaustive scan "
+        help="auto (vectorized), scalar index, or exhaustive scan "
         "— all rank bit-identically",
     )
 

@@ -38,11 +38,7 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from repro.core.objects import Feature, FeatureType, MediaObject
-from repro.diagnostics.contracts import (
-    bounded_correlation,
-    non_negative_result,
-    symmetric_correlation,
-)
+from repro.diagnostics.contracts import checked_correlation, non_negative_result
 from repro.social.users import SocialGraph
 from repro.text.wup import WuPalmerSimilarity
 from repro.vision.visual_words import VisualCodebook
@@ -298,8 +294,7 @@ class CorrelationModel:
         self._cache[key] = value
         return value
 
-    @bounded_correlation
-    @symmetric_correlation
+    @checked_correlation
     def _compute_cor(self, a: Feature, b: Feature) -> float:
         if a.ftype != b.ftype:
             return self._stats.cooccurrence_cosine(a, b)
@@ -326,7 +321,7 @@ class CorrelationModel:
         a warm pair costs one int-keyed dict read.  A cold pair is one
         :meth:`_compute_cor` call in that order, exactly the call
         :meth:`cor` would make, so subclass measures, the contract
-        wrappers and :meth:`cache_size` see the same computations as
+        wrapper and :meth:`cache_size` see the same computations as
         pair-by-pair calls would make.
         """
         cache = self._cache

@@ -34,7 +34,7 @@ from repro.core.objects import MediaObject
 from repro.core.retrieval import RankedResult, correlation_model_for_corpus, ranked_sort
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.threshold import ImpactSortedSource, SortedListSource, threshold_algorithm
-from repro.index.vectorized import BlockMaxSource, accumulate_scores
+from repro.index.vectorized import PostingVectors, accumulate_top_k
 from repro.social.corpus import Corpus
 from repro.social.temporal import TemporalSplit, decay_weight
 
@@ -252,12 +252,8 @@ class Recommender:
         of the evaluation window (the "now" at which the newly incoming
         objects are being considered).  ``mode="auto"`` (the default)
         runs ``index-vectorized`` when an index is present.  Rankings
-        agree across the index modes in ids and float scores; the one
-        possible difference is an exact score tie at the ``k``-th place,
-        where the Threshold Algorithm (``index``, ``index-rescore``) may
-        stop before reading a tied object with a smaller id, while
-        ``index-vectorized`` reads every full score and keeps the
-        canonical ``(-score, id)`` order.
+        agree across the index modes in ids and float scores, exact
+        score ties included (canonical ``(-score, id)`` order).
         """
         if mode not in ("auto", "index-vectorized", "index", "index-rescore", "scan"):
             raise ValueError(
@@ -322,18 +318,14 @@ class Recommender:
     ) -> list[RankedResult]:
         """Eq. 10 as batch numpy work: same per-clique gating as
         :meth:`_recommend_index` (temporal weight as the outer factor,
-        λ·CorS as the inner), postings without a candidate skipped, and
-        one dense accumulator holding every object's full score.  The
-        candidate-masked top-``k`` comes straight off the accumulator,
-        ordered by ``(-score, dense id)`` — dense order is string
-        order, so this is the canonical ranking; no Threshold Algorithm
-        walk is needed."""
+        λ·CorS as the inner), then one :func:`accumulate_top_k` over the
+        postings with the candidate mask.  The top-``k`` is ordered by
+        ``(-score, dense id)`` — dense order is string order, so this is
+        the canonical ranking."""
         assert self._index is not None and self._candidate_mask is not None
         view = self._index.vector_view()
-        mask = self._candidate_mask
         delta = self._params.delta
-        alpha = self._params.alpha
-        sources: list[BlockMaxSource] = []
+        terms: list[tuple[PostingVectors, float, float]] = []
         for clique in profile.cliques:
             outer = profile.temporal_weight(clique, t_now, delta)
             if outer <= 0.0:
@@ -348,27 +340,13 @@ class Recommender:
                 inner *= vectors.cors
                 if inner == 0.0:
                     continue
-            if not mask[vectors.ids].any():
-                # Would add to non-candidate slots only; a candidate
-                # index holds no such posting, so the source set stays
-                # the one a private index yields.
-                continue
-            source = BlockMaxSource(vectors, alpha, inner=inner, outer=outer)
-            if source.n_pairs:
-                sources.append(source)
-        pool = view.accumulator_pool()
-        acc = accumulate_scores(sources, view.n_objects, out=pool.acquire())
-        hits = np.flatnonzero(mask & (acc > 0.0))
-        scores = acc[hits]  # fancy indexing copies, so the pool may reclaim acc
-        pool.release(acc, sources)
-        if len(hits) > k:
-            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-            keep = scores >= kth
-            hits, scores = hits[keep], scores[keep]
-        order = np.lexsort((hits, -scores))[:k]
+            terms.append((vectors, inner, outer))
+        top = accumulate_top_k(
+            terms, self._params.alpha, k, candidates=self._candidate_mask
+        )
         return [
             RankedResult(object_id=view.object_id(dense), score=score)
-            for dense, score in zip(hits[order].tolist(), scores[order].tolist())
+            for dense, score in top.ranking
         ]
 
     def _recommend_index_rescore(

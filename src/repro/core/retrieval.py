@@ -11,13 +11,12 @@ The engine owns the paper's whole preprocessing pipeline for one corpus:
 Four query modes are provided (``mode="auto"``, the default, resolves
 to ``index-vectorized`` whenever an index is present):
 
-* ``mode="index-vectorized"`` — Algorithm 1 as batch numpy work: each
-  query clique's posting is consumed as whole arrays (zero-copy views
-  against an mmap'd v3 segment), random access probes one dense
-  accumulator filled per source with array expressions, and sorted
-  access runs through block-max sources that skip posting blocks whose
-  α-mixed upper bound the Threshold Algorithm never reaches (WAND-style
-  pruning).  Rankings are bit-identical to ``mode="index"``.
+* ``mode="index-vectorized"`` — Algorithm 1 as batch numpy work: the
+  query cliques' postings are consumed as whole arrays (zero-copy views
+  against an mmap'd v3 segment), summed per object in source order and
+  the top-k selected straight from the sums
+  (:func:`repro.index.vectorized.accumulate_top_k`).  Rankings are
+  bit-identical to ``mode="index"``.
 * ``mode="index"`` — the scalar reference: look up each clique's
   impact-ordered posting view (built and cached per posting on the
   first query that touches the clique), scale it by the constant
@@ -55,13 +54,7 @@ from repro.index.threshold import (
     SortedListSource,
     threshold_algorithm,
 )
-from repro.index.vectorized import (
-    BlockMaxSource,
-    InMemoryVectorView,
-    MmapVectorView,
-    SegmentedVectorView,
-    accumulate_scores,
-)
+from repro.index.vectorized import PostingVectors, TopK, accumulate_top_k
 from repro.social.corpus import Corpus
 from repro.text.wup import WuPalmerSimilarity
 
@@ -84,13 +77,24 @@ class RankedResult:
 class IndexQueryStats:
     """Access accounting for one index-mode query.
 
-    ``sorted_accesses`` is the number of posting entries the Threshold
-    Algorithm actually read; ``total_posting_entries`` is what a full
-    walk of the query's posting lists would have read.  Early
-    termination shows as the first being strictly below the second —
-    the invariant the CI perf gate asserts.  ``blocks_skipped`` /
-    ``blocks_total`` count block-max pruning on the vectorized path
-    (both 0 on the scalar path, which has no blocks).
+    Scalar ``index`` mode: ``n_sources`` is the number of TA input
+    lists, ``sorted_accesses`` the posting entries the Threshold
+    Algorithm actually read, ``random_accesses`` its per-source score
+    probes and ``rounds`` its termination depth;
+    ``total_posting_entries`` is what a full walk of the lists would
+    have read.  Early termination shows as ``sorted_accesses`` strictly
+    below ``total_posting_entries`` — the invariant the CI perf gate
+    asserts.
+
+    Vectorized (``auto`` / ``index-vectorized``) mode sums every entry,
+    so ``n_sources`` counts the postings with a positive impact,
+    ``sorted_accesses == total_posting_entries`` is the number of
+    positive entries summed, ``random_accesses`` the distinct
+    candidates scored, and ``rounds`` is 0.
+
+    ``blocks_skipped`` / ``blocks_total`` are always 0 — no query path
+    skips posting blocks — and stay only so existing readers of the
+    fields keep working.
     """
 
     sorted_accesses: int
@@ -365,8 +369,8 @@ class RetrievalEngine:
 
         ``mode`` selects the scalar (``"index"``, the default — its
         access budget is what the CI gate is calibrated on) or the
-        vectorized path (``"index-vectorized"`` / ``"auto"``, which
-        additionally fills the block-skip counters).
+        vectorized path (``"index-vectorized"`` / ``"auto"``); see
+        :class:`IndexQueryStats` for what each counts.
         """
         if mode not in ("auto", "index-vectorized", "index"):
             raise ValueError(
@@ -376,23 +380,25 @@ class RetrievalEngine:
             raise ValueError("engine was built with build_index=False; use mode='scan'")
         cliques = self.query_cliques(query)
         exclude = {query.object_id} if exclude_query else set()
-        stats = AccessStats()
-        if mode == "index":
-            sources: list = self._index_sources(cliques, exclude)
-            merged = threshold_algorithm(sources, k=k, stats=stats)
-            results = [RankedResult(object_id=oid, score=s) for oid, s in merged]
-        else:
-            results, sources = self._search_index_vectorized(
-                cliques, k, exclude, stats=stats
+        if mode != "index":
+            results, top = self._search_index_vectorized(cliques, k, exclude)
+            return results, IndexQueryStats(
+                sorted_accesses=top.n_entries,
+                random_accesses=top.n_candidates,
+                rounds=0,
+                n_sources=top.n_sources,
+                total_posting_entries=top.n_entries,
             )
+        stats = AccessStats()
+        sources = self._index_sources(cliques, exclude)
+        merged = threshold_algorithm(sources, k=k, stats=stats)
+        results = [RankedResult(object_id=oid, score=s) for oid, s in merged]
         return results, IndexQueryStats(
             sorted_accesses=stats.sorted_accesses,
             random_accesses=stats.random_accesses,
             rounds=stats.rounds,
             n_sources=len(sources),
             total_posting_entries=sum(len(s) for s in sources),
-            blocks_skipped=stats.blocks_skipped,
-            blocks_total=stats.blocks_total,
         )
 
     # ------------------------------------------------------------------
@@ -441,27 +447,19 @@ class RetrievalEngine:
         return [RankedResult(object_id=oid, score=s) for oid, s in merged]
 
     # ------------------------------------------------------------------
-    # Algorithm 1 — vectorized mode with block-max pruning
+    # Algorithm 1 — vectorized accumulate-and-select
     # ------------------------------------------------------------------
-    def _vector_sources(
-        self, cliques: list[Clique], exclude: set[str]
-    ) -> tuple[
-        list[BlockMaxSource],
-        InMemoryVectorView | MmapVectorView | SegmentedVectorView,
-    ]:
-        """One block-max TA source per query clique, mirroring
-        :meth:`_index_sources` decision for decision (same weight
-        gates, same CorS handling, same emptiness test) so the source
-        sets — and therefore the TA walk — match the scalar path."""
+    def _search_index_vectorized(
+        self, cliques: list[Clique], k: int, exclude: set[str]
+    ) -> tuple[list[RankedResult], TopK]:
+        """Batch-numpy Algorithm 1: one :func:`accumulate_top_k` over
+        the query cliques' postings, gated decision for decision like
+        :meth:`_index_sources` (same weight gates, same CorS handling),
+        so every object's score is the scalar TA full score bit for bit
+        and the ``(-score, id)`` top-k is the scalar ranking."""
         assert self._index is not None
         view = self._index.vector_view()
-        alpha = self._params.alpha
-        exclude_dense = frozenset(
-            dense
-            for dense in (view.dense_id(oid) for oid in exclude)
-            if dense is not None
-        )
-        sources: list[BlockMaxSource] = []
+        terms: list[tuple[PostingVectors, float, float]] = []
         for clique in cliques:
             weight = self._params.lambda_for(clique.size)
             if weight == 0.0:
@@ -473,48 +471,16 @@ class RetrievalEngine:
                 weight *= vectors.cors
                 if weight == 0.0:
                     continue
-            source = BlockMaxSource(vectors, alpha, inner=weight, exclude=exclude_dense)
-            if source.n_pairs:
-                sources.append(source)
-        return sources, view
-
-    def _search_index_vectorized(
-        self,
-        cliques: list[Clique],
-        k: int,
-        exclude: set[str],
-        stats: AccessStats | None = None,
-    ) -> tuple[list[RankedResult], list[BlockMaxSource]]:
-        """Batch-numpy Algorithm 1: whole-array scaling into a dense
-        accumulator for random access, block-max sources for sorted
-        access.  The TA walk sees sources bit-equivalent to the scalar
-        ones (same lengths, same emission order and values, same
-        full-score probes), so rankings are bit-identical; only the
-        access *mechanics* change — which is the point."""
-        sources, view = self._vector_sources(cliques, exclude)
-        pool = view.accumulator_pool()
-        acc = accumulate_scores(sources, view.n_objects, out=pool.acquire())
-        # tolist() yields the same doubles as Python floats; indexing a
-        # plain list is the cheapest O(1) random-access probe there is.
-        # The list also decouples the probe from the pooled array, so
-        # the accumulator can go back to the pool before the TA walk.
-        probe = acc.tolist()
-        pool.release(acc, sources)
-        merged = threshold_algorithm(
-            sources,
-            k=k,
-            stats=stats,
-            random_access=probe.__getitem__,
-        )
-        if stats is not None:
-            for source in sources:
-                stats.blocks_skipped += source.blocks_skipped
-                stats.blocks_total += source.blocks_total
+            terms.append((vectors, weight, 1.0))
+        exclude_dense = None  # ``exclude`` holds at most the query's own id
+        for object_id in exclude:
+            exclude_dense = view.dense_id(object_id)
+        top = accumulate_top_k(terms, self._params.alpha, k, exclude=exclude_dense)
         results = [
             RankedResult(object_id=view.object_id(dense), score=score)
-            for dense, score in merged
+            for dense, score in top.ranking
         ]
-        return results, sources
+        return results, top
 
     # ------------------------------------------------------------------
     # Algorithm 1 — pre-change reference (per-query rescoring)

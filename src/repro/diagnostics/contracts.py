@@ -30,9 +30,7 @@ Checked invariants (see the decorators below for the exact seams):
 * clique feature tuples are canonically sorted and duplicate-free;
 * posting lists never hold duplicate object ids;
 * TA sorted-access sources are genuinely sorted (score descending,
-  ties by ascending id);
-* block-max upper bounds dominate every member impact of their block —
-  the soundness condition for WAND-style block skipping.
+  ties by ascending id).
 
 The check functions are importable on their own so tests can exercise
 each invariant against crafted violations without building a full
@@ -143,23 +141,6 @@ def check_sorted_descending(
             )
 
 
-def check_block_bound(
-    bound: float, impacts: Iterable[float], *, what: str = "posting block"
-) -> None:
-    """A block's upper bound must dominate every member impact.
-
-    Block-max pruning skips a block whenever its bound falls below the
-    running top-k threshold; a bound below any member would make that
-    skip drop a qualifying candidate *silently* — the ranking would
-    just come out wrong.  Checked at block-open time, where the mixed
-    member impacts are in hand anyway.
-    """
-    check_finite(bound, what=f"{what} bound")
-    for impact in impacts:
-        if impact > bound:
-            _fail(f"{what} upper bound {bound!r} below member impact {float(impact)!r}")
-
-
 def check_canonical_features(features: Sequence[Any], *, what: str = "clique") -> None:
     """Clique feature tuples must be sorted and duplicate-free — key
     construction and posting dedup both depend on it."""
@@ -188,6 +169,24 @@ def postcondition(check: Callable[..., None]) -> Callable[[F], F]:
         return wrapper  # type: ignore[return-value]
 
     return decorate
+
+
+def checked_correlation(fn: F) -> F:
+    """For ``fn(self, a, b)``: :func:`symmetric_correlation` then
+    :func:`bounded_correlation` in one wrapper — the same checks in the
+    same order as stacking the two, for one frame and one
+    :func:`contracts_enabled` call per call of ``fn``."""
+    what = fn.__qualname__
+
+    @functools.wraps(fn)
+    def wrapper(self: Any, a: Any, b: Any) -> Any:
+        result = fn(self, a, b)
+        if contracts_enabled():
+            check_symmetry(result, fn(self, b, a), what=what)
+            check_unit_interval(result, what=f"{what} result")
+        return result
+
+    return wrapper  # type: ignore[return-value]
 
 
 def bounded_correlation(fn: F) -> F:

@@ -48,17 +48,14 @@ Sections (fixed set, any order on disk):
   :data:`BLOCK_SIZE` entries, the block's component maxima: all
   blocks' ``max(freq)`` f64s (slot order, blocks in storage order
   within each slot), then all blocks' ``max(smooth)`` f64s.  Only
-  postings **longer than one block** store bounds — a single-block
-  source must open its only block before emitting anything, so its
-  bound is never consulted, and the typical index is dominated by
-  short postings (readers return ``None`` for such slots; consumers
-  rebuild the one-block bound in memory for the accounting).  Because
-  ``α, 1-α ≥ 0`` and f64 multiply/add are monotone under rounding,
-  ``α·max_f + (1-α)·max_s`` bounds every member's α-mixed impact for
-  *any* α — the WAND-style upper bound the vectorized query path uses
-  to skip whole blocks (see :mod:`repro.index.vectorized`).  Files
-  without the section (pre-blockmax v3) still load; readers rebuild
-  the bounds in memory from the component arrays.
+  postings **longer than one block** store bounds (readers return
+  ``None`` for the others).  Because ``α, 1-α ≥ 0`` and f64
+  multiply/add are monotone under rounding, ``α·max_f + (1-α)·max_s``
+  bounds every member's α-mixed impact for *any* α — a WAND-style
+  upper bound.  No query path reads the section today (every query
+  sums whole postings, DESIGN.md §9); it is still written, so the
+  file stays byte-stable, and files without it (pre-blockmax v3) load
+  the same.
 
 String tables: ``u32 count | u32 offsets[count+1] | utf-8 blob``.
 
@@ -130,6 +127,16 @@ _EAGER_SECTIONS = frozenset({"objids", "keys", "postmeta", "order", "blockmax"})
 #: enough entries per block for the skip to pay for itself.
 BLOCK_SIZE = 128
 assert BLOCK_SIZE > 0  # block-count math divides by it
+
+
+def block_maxima(values: np.ndarray) -> np.ndarray:
+    """Per-block maxima of ``values`` over :data:`BLOCK_SIZE`-entry
+    blocks — one posting component's run of the ``blockmax`` section,
+    computed here for both writers."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not len(arr):
+        return np.empty(0, dtype=np.float64)
+    return np.maximum.reduceat(arr, np.arange(0, len(arr), BLOCK_SIZE))
 
 _ALIGN = 8
 
@@ -356,9 +363,8 @@ def write_index_file(
         freq_arr = np.asarray([e[1] for e in entries], dtype="<f8")
         smooth_arr = np.asarray([e[2] for e in entries], dtype="<f8")
         if len(entries) > BLOCK_SIZE:
-            edges = np.arange(0, len(entries), BLOCK_SIZE)
-            block_max_freq.append(np.maximum.reduceat(freq_arr, edges))
-            block_max_smooth.append(np.maximum.reduceat(smooth_arr, edges))
+            block_max_freq.append(block_maxima(freq_arr))
+            block_max_smooth.append(block_maxima(smooth_arr))
         freq_parts.extend(freq_arr.tobytes())
         smooth_parts.extend(smooth_arr.tobytes())
         total_entries += len(entries)
@@ -860,8 +866,7 @@ class BinaryIndexReader:
         """Zero-copy ``(max_freq, max_smooth)`` views over slot
         ``slot``'s :data:`BLOCK_SIZE`-entry blocks, or ``None`` when the
         file stores no bounds for it — a pre-blockmax artifact, or a
-        single-block posting (the writer omits those; callers rebuild
-        bounds in memory)."""
+        single-block posting (the writer omits those)."""
         if self._blockmax_freq is None or self._blockmax_smooth is None:
             return None
         lo = int(self._block_offsets[slot])

@@ -28,9 +28,9 @@ ascending global ranks, so the k-way merge and the monolithic sort
 agree; CorS is a pure function of the key, so the first segment
 holding a key stores the same value the serial first encounter did;
 block maxima are recomputed from the merged component arrays with the
-same ``reduceat``; and the iteration (``order``) section replays
-first-encounter order across segments in segment order — exactly the
-serial build's dict-insertion order.  Tests gate this with ``cmp``.
+same :func:`~repro.index.binfmt.block_maxima`; and the iteration
+(``order``) section replays first-encounter order across segments in
+segment order — exactly the serial build's dict-insertion order.  Tests gate this with ``cmp``.
 
 The same merge folds **delta segments** into the main segment during
 compaction: a delta holds only newer objects (ids disjoint from the
@@ -65,6 +65,7 @@ from repro.index.binfmt import (
     BinaryIndexReader,
     SpilledSection,
     assemble_index_file,
+    block_maxima,
     pack_postmeta_table,
     pack_string_table_bytes,
     write_index_file,
@@ -354,13 +355,8 @@ def _merge(readers: Sequence[BinaryIndexReader], out: Path) -> Path:
                 for s in np.nonzero(counts_chunk > BLOCK_SIZE)[0]:
                     entry_lo = int(starts_rel[s])
                     entry_hi = entry_lo + int(counts_chunk[s])
-                    edges = np.arange(0, counts_chunk[s], BLOCK_SIZE)
-                    block_max_freq.append(
-                        np.maximum.reduceat(freq_arr[entry_lo:entry_hi], edges)
-                    )
-                    block_max_smooth.append(
-                        np.maximum.reduceat(smooth_arr[entry_lo:entry_hi], edges)
-                    )
+                    block_max_freq.append(block_maxima(freq_arr[entry_lo:entry_hi]))
+                    block_max_smooth.append(block_maxima(smooth_arr[entry_lo:entry_hi]))
                 chunk_lo = chunk_hi
 
         if int(post_len_g.max(initial=0)) > 0xFFFFFFFF or int(

@@ -6,7 +6,7 @@ build is ~25 minutes — so new objects land in small **delta segments**
 frozen correlation model) and queries run over the *stack* of segments,
 LSM-style.  :class:`SegmentedCliqueIndex` is that stack behind the
 ordinary :class:`~repro.index.inverted.CliqueInvertedIndex` read API,
-so every consumer — the scalar TA path, the vectorized block-max path,
+so every consumer — the scalar TA path, the vectorized path,
 ``save_index``, serving snapshots — works unchanged.
 
 **Bit parity with a monolithic build** (over the same correlation

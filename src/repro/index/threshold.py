@@ -4,9 +4,9 @@ Algorithm 1 (line 13) merges the per-clique candidate lists with "the
 Threshold Algorithm [7]", the classic middleware top-k method of Fagin,
 Lotem & Naor: walk the input lists in parallel sorted order, fully
 score every newly seen object via random access, and stop as soon as
-the k-th best full score is at least the *threshold* — the aggregate of
-the current sorted-access frontier — because no unseen object can beat
-it.
+the k-th best full score is strictly above the *threshold* — the
+aggregate of the current sorted-access frontier — because no unseen
+object can then reach it, not even to tie.
 
 This implementation is generic over any **monotone** aggregate
 (default: sum) and adopts the missing-entry-scores-zero convention,
@@ -43,9 +43,8 @@ from repro.diagnostics.contracts import check_sorted_descending, contracts_enabl
 
 _EMPTY_EXCLUDE: frozenset[str] = frozenset()
 
-#: Object-id type of one TA run: strings on the scalar path, dense
-#: integer ranks on the vectorized path (rank order == string order, so
-#: tie-breaking is unchanged).  Ids only need hashing and a total order.
+#: Object-id type of one TA run (object-id strings in the engines).
+#: Ids only need hashing and a total order.
 IdT = TypeVar("IdT")
 
 
@@ -211,27 +210,19 @@ class AccessStats:
 
     ``sorted_accesses`` counts entries read through sorted access (the
     quantity the index bounds sublinearly), ``random_accesses`` counts
-    score probes (per source on the scalar path; one accumulator probe
-    per object on the vectorized path), and ``rounds`` is the
-    termination depth.  ``blocks_skipped``/``blocks_total`` are filled
-    by callers running block-max sources: blocks whose upper bound kept
-    them from ever being opened, out of all blocks behind the query's
-    sources.
+    score probes (one per source per newly seen object), and ``rounds``
+    is the termination depth.
     """
 
     sorted_accesses: int = 0
     random_accesses: int = 0
     rounds: int = 0
-    blocks_skipped: int = 0
-    blocks_total: int = 0
 
     def merge(self, other: "AccessStats") -> None:
         """Accumulate another query's counters (benchmark aggregation)."""
         self.sorted_accesses += other.sorted_accesses
         self.random_accesses += other.random_accesses
         self.rounds += other.rounds
-        self.blocks_skipped += other.blocks_skipped
-        self.blocks_total += other.blocks_total
 
 
 def threshold_algorithm(
@@ -239,29 +230,27 @@ def threshold_algorithm(
     k: int,
     aggregate: Callable[[Sequence[float]], float] = sum,
     stats: AccessStats | None = None,
-    random_access: Callable[[IdT], float] | None = None,
 ) -> list[tuple[IdT, float]]:
     """Top-``k`` objects by aggregated score across ``sources``.
 
     Returns at most ``k`` ``(object_id, score)`` pairs in descending
     score order (ties broken by id).  ``aggregate`` must be monotone in
     every argument for early termination to be sound; the default sum
-    over non-negative scores is.  Object ids only need a total order —
-    the vectorized engine runs the walk over dense integer ids whose
-    rank order equals the string order.
+    over non-negative scores is.  Object ids only need a total order.
 
     The walk does one sorted access per source per round (Fagin's
     round-robin), fully scores unseen objects by random access, and
-    stops when ``k`` objects have been found whose scores are all >= the
-    frontier threshold, or when every list is exhausted.  ``stats``,
-    when given, is filled with the access counts of this run — the
-    hook the perf benches and the CI early-termination gate read.
+    stops when ``k`` objects have been found whose scores are all
+    strictly above the frontier threshold, or when every list is
+    exhausted.  An unseen object scores at most the threshold (each of
+    its entries sits at or below the frontier, and the aggregate is
+    monotone — for a float sum in source order too, as rounding is
+    monotone), so under the strict stop it cannot even tie the ``k``-th
+    score: the result is exactly the first ``k`` of all objects in
+    ``(-score, id)`` order, ties at the ``k``-th place included.
 
-    ``random_access``, when given, replaces the per-source score probes
-    with one call returning the object's **full** aggregate score (the
-    vectorized engine's dense accumulator); it must equal
-    ``aggregate([s.score(oid) for s in sources])`` bit for bit, and it
-    counts as a single random access.
+    ``stats``, when given, is filled with the access counts of this run
+    — the hook the perf benches and the CI early-termination gate read.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -284,14 +273,9 @@ def threshold_algorithm(
                 frontier.append(score)
                 if object_id not in seen:
                     seen.add(object_id)
-                    if random_access is not None:
-                        full = random_access(object_id)
-                        if stats is not None:
-                            stats.random_accesses += 1
-                    else:
-                        full = aggregate([s.score(object_id) for s in sources])
-                        if stats is not None:
-                            stats.random_accesses += len(sources)
+                    full = aggregate([s.score(object_id) for s in sources])
+                    if stats is not None:
+                        stats.random_accesses += len(sources)
                     entry = (full, _ReverseStr(object_id))
                     if len(heap) < k:
                         heapq.heappush(heap, entry)
@@ -302,7 +286,7 @@ def threshold_algorithm(
         depth += 1
         if len(heap) >= k:
             threshold = aggregate(frontier)
-            if heap[0][0] >= threshold:
+            if heap[0][0] > threshold:
                 break
 
     if stats is not None:

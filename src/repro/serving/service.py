@@ -29,7 +29,7 @@ from repro.serving.snapshot import EngineSnapshot, SnapshotLease, SnapshotManage
 MAX_K = 1000
 
 #: Modes a request may select.  ``auto``/``index-vectorized`` run the
-#: block-max vectorized engine, ``index`` the scalar TA walk, ``scan``
+#: vectorized engine, ``index`` the scalar TA walk, ``scan``
 #: the exhaustive reference — all index modes rank bit-identically, so
 #: the mode only shows up in latency (and in the cache key).
 _VALID_MODES = ("auto", "index-vectorized", "index", "scan")
@@ -44,7 +44,7 @@ def resolve_mode(mode: str) -> str:
     """Map a requested mode to the engine mode that actually runs.
 
     ``auto`` resolves to ``index-vectorized`` (the engine default since
-    the block-max path landed); everything else names itself.  Cache
+    the vectorized path landed); everything else names itself.  Cache
     keys use the *resolved* mode, so ``auto`` and ``index-vectorized``
     requests — which rank bit-identically — share one cache entry
     instead of double-populating the LRU.

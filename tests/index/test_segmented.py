@@ -4,10 +4,10 @@ The delta-segment design (ingest appends small tail segments; queries
 run over the stack) is only sound if a query cannot tell the stack from
 a from-scratch build over the same objects and the same frozen
 correlation model.  The Hypothesis property here drives that across
-random α, λ weights, δ, segment splits and both TA engines (scalar and
-vectorized block-max), with *twin* objects (identical feature bags —
+random α, λ weights, δ, segment splits and both index engines (scalar
+TA and vectorized), with *twin* objects (identical feature bags —
 exact score ties) planted across the main/delta boundary so the
-``>=``-termination tie-break ordering is exercised, not just scores.
+tie-break ordering is exercised, not just scores.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Fagin's Threshold Algorithm: exactness vs brute force + early stop."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.index.threshold import (
@@ -197,3 +197,25 @@ def test_matches_brute_force(data):
     for i, (oid, score) in enumerate(got):
         if exp_scores.count(score) == 1:
             assert oid == expected[i][0]
+
+
+@settings(deadline=None, max_examples=300)
+# Unseen "c" ties the k-th score (2.0) with a smaller id than "h".
+@example(lists=[{"h": 0}, {"e": 1, "d": 2, "c": 2, "b": 2, "h": 2}], k=2)
+@given(
+    lists=st.lists(
+        st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 3), min_size=1),
+        min_size=1,
+        max_size=4,
+    ),
+    k=st.integers(1, 9),
+)
+def test_ties_at_kth_place_match_brute_force(lists, k):
+    """Small-integer scores make exact ties common: TA's output must be
+    the brute-force ``(-score, id)`` top-k exactly, including which of
+    several objects tied at the ``k``-th score it keeps."""
+    sources = [SortedListSource([(oid, float(s)) for oid, s in d.items()]) for d in lists]
+    universe = set().union(*lists)
+    totals = {oid: sum(float(d.get(oid, 0)) for d in lists) for oid in universe}
+    expected = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    assert threshold_algorithm(sources, k=k) == expected

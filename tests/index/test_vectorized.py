@@ -1,39 +1,56 @@
-"""Block-max vectorized scoring: emission order, pruning, parity.
+"""The accumulate-and-select kernel: scores, order, views, parity.
 
-Unit coverage for :mod:`repro.index.vectorized` against synthetic
-multi-block postings: the block-max source must emit exactly the scalar
-``(-impact, id)`` order (ties included) while opening only the blocks
-the walk reaches, the dense accumulator must match per-id random
-access bit for bit, and the stored/rebuilt block maxima must agree.
+Unit coverage for :mod:`repro.index.vectorized`.  The kernel's scores
+must equal the source-order sum of scalar
+:class:`~repro.index.threshold.ImpactSortedSource` random accesses bit
+for bit (compared as ``float.hex``), and its ranking must equal the
+scalar Threshold Algorithm's over the same sources — through every
+vector view flavour (in-memory, mmap'd v3 segment, and a segment stack
+holding one key in several segments) and through the recommender's
+candidate mask.  The stored ``blockmax`` section the writers still
+emit is checked against :func:`~repro.index.binfmt.block_maxima`.
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.diagnostics.contracts import ContractViolation
-from repro.index.binfmt import BLOCK_SIZE, BinaryIndexReader, write_index_file
-from repro.index.postings import Posting
-from repro.index.vectorized import (
-    MAX_MIXED_CACHE,
-    AccumulatorPool,
-    BlockMaxSource,
-    PostingVectors,
-    accumulate_scores,
+from repro.core.mrf import MRFParameters
+from repro.core.recommendation import Recommender
+from repro.core.retrieval import RetrievalEngine
+from repro.index.binfmt import (
+    BLOCK_SIZE,
+    BinaryIndexReader,
     block_maxima,
+    write_index_file,
 )
+from repro.index.postings import Posting
+from repro.index.threshold import ImpactSortedSource, threshold_algorithm
+from repro.index.vectorized import (
+    InMemoryVectorView,
+    MmapVectorView,
+    PostingVectors,
+    SegmentedVectorView,
+    accumulate_top_k,
+)
+from repro.storage.store import load_index, save_index
 
 N_ENTRIES = 3 * BLOCK_SIZE + 17  # four blocks, last one ragged
 
 
 def _synthetic_vectors(seed: int = 0) -> PostingVectors:
-    """A four-block posting with deliberate ties and zero impacts."""
+    """A long posting with deliberate ties and zero impacts."""
     rng = np.random.default_rng(seed)
     ids = np.arange(N_ENTRIES, dtype=np.int64)
     freq = rng.uniform(0.0, 1.0, N_ENTRIES)
     freq[rng.integers(0, N_ENTRIES, 40)] = 0.5  # cross-block ties
-    freq[rng.integers(0, N_ENTRIES, 25)] = 0.0  # dropped on emission
+    freq[rng.integers(0, N_ENTRIES, 25)] = 0.0  # dropped: zero impact
     smooth = rng.uniform(0.0, 0.5, N_ENTRIES)
     smooth[freq == 0.0] = 0.0
     return PostingVectors("tag:test", 0.8, ids, freq, smooth)
@@ -53,7 +70,7 @@ def _expected_entries(vectors, alpha, inner, outer, exclude=()):
 
 
 # ----------------------------------------------------------------------
-# block maxima
+# block maxima (the writers' blockmax payload)
 # ----------------------------------------------------------------------
 def test_block_maxima_matches_manual():
     values = np.arange(N_ENTRIES, dtype=np.float64) % 97
@@ -68,131 +85,6 @@ def test_block_maxima_empty():
     assert len(block_maxima(np.empty(0))) == 0
 
 
-# ----------------------------------------------------------------------
-# emission order and parity with the scalar source
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("alpha", [0.0, 0.37, 0.5, 1.0])
-def test_emission_matches_scalar_order_bitwise(alpha):
-    vectors = _synthetic_vectors()
-    source = BlockMaxSource(vectors, alpha, inner=0.3, outer=2.0)
-    expected = _expected_entries(vectors, alpha, 0.3, 2.0)
-    assert len(source) == len(expected)
-    got = [source.entry(rank) for rank in range(len(expected))]
-    assert got == expected  # ids AND float scores, ties by ascending id
-
-
-def test_entry_past_end_raises():
-    vectors = _synthetic_vectors()
-    source = BlockMaxSource(vectors, 0.5, inner=1.0)
-    with pytest.raises(IndexError):
-        source.entry(len(source))
-    # all blocks were forced open on the way to exhaustion
-    assert source.blocks_opened == source.blocks_total
-    assert source.blocks_skipped == 0
-
-
-def test_shallow_walk_skips_blocks():
-    """Concentrating mass in one block lets a short walk prune the
-    rest — the WAND-style win the stats report."""
-    ids = np.arange(N_ENTRIES, dtype=np.int64)
-    freq = np.full(N_ENTRIES, 0.01)
-    freq[:BLOCK_SIZE] = np.linspace(5.0, 4.0, BLOCK_SIZE)  # hot first block
-    smooth = np.zeros(N_ENTRIES)
-    vectors = PostingVectors("tag:hot", 1.0, ids, freq, smooth)
-    source = BlockMaxSource(vectors, 1.0, inner=1.0)
-    for rank in range(8):
-        source.entry(rank)
-    assert source.blocks_opened == 1
-    assert source.blocks_skipped == source.blocks_total - 1 > 0
-
-
-# ----------------------------------------------------------------------
-# exclusion
-# ----------------------------------------------------------------------
-def test_exclusion_drops_entries_everywhere():
-    vectors = _synthetic_vectors()
-    alpha, inner = 0.5, 0.7
-    impacts = alpha * vectors.freq + (1.0 - alpha) * vectors.smooth
-    positive = int(np.argmax(impacts > 0.0))
-    zero = int(np.argmin(impacts > 0.0))
-    missing = N_ENTRIES + 100
-    exclude = {positive, zero, missing}
-    source = BlockMaxSource(vectors, alpha, inner=inner, exclude=exclude)
-    expected = _expected_entries(vectors, alpha, inner, 1.0, exclude=exclude)
-    # only the positive excluded entry shrinks the source
-    assert len(source) == source.n_pairs - 1
-    assert [source.entry(r) for r in range(len(expected))] == expected
-    for dense in exclude:
-        assert source.score(dense) == 0.0
-
-
-def test_score_random_access():
-    vectors = _synthetic_vectors()
-    alpha, inner, outer = 0.37, 0.3, 2.0
-    source = BlockMaxSource(vectors, alpha, inner=inner, outer=outer)
-    impacts = alpha * vectors.freq + (1.0 - alpha) * vectors.smooth
-    for dense in (0, 1, N_ENTRIES - 1):
-        impact = float(impacts[dense])
-        expected = outer * (inner * impact) if impact > 0.0 else 0.0
-        assert source.score(dense) == expected
-    assert source.score(N_ENTRIES + 5) == 0.0  # absent id
-
-
-# ----------------------------------------------------------------------
-# accumulator
-# ----------------------------------------------------------------------
-def test_accumulate_matches_per_id_score_sum():
-    sources = [
-        BlockMaxSource(_synthetic_vectors(seed), 0.5, inner=0.2 * (seed + 1))
-        for seed in range(3)
-    ]
-    acc = accumulate_scores(sources, N_ENTRIES).tolist()
-    for dense in range(0, N_ENTRIES, 7):
-        total = 0.0
-        for source in sources:
-            total += source.score(dense)
-        assert acc[dense] == total  # bit-identical, source order preserved
-
-
-# ----------------------------------------------------------------------
-# caching
-# ----------------------------------------------------------------------
-def test_mixed_view_cached_per_alpha_with_fifo_eviction():
-    vectors = _synthetic_vectors()
-    first = vectors.mixed(0.5)
-    assert vectors.mixed(0.5) is first
-    for i in range(MAX_MIXED_CACHE):
-        vectors.mixed(i / (MAX_MIXED_CACHE + 1))
-    assert vectors.mixed(0.5) is not first  # evicted, rebuilt fresh
-
-
-def test_block_runs_shared_across_sources():
-    vectors = _synthetic_vectors()
-    a = BlockMaxSource(vectors, 0.5, inner=1.0)
-    b = BlockMaxSource(vectors, 0.5, inner=2.0)
-    a.entry(0)
-    b.entry(0)
-    assert a._mv is b._mv and len(a._mv.block_runs) >= 1
-
-
-# ----------------------------------------------------------------------
-# contracts
-# ----------------------------------------------------------------------
-def test_corrupt_block_bound_detected_under_contracts(contracts_on):
-    vectors = _synthetic_vectors()
-    bad_bounds = np.zeros_like(vectors.block_max_freq)  # bounds below members
-    broken = PostingVectors(
-        "tag:bad", 1.0, vectors.ids, vectors.freq, vectors.smooth,
-        bad_bounds, np.zeros_like(vectors.block_max_smooth),
-    )
-    source = BlockMaxSource(broken, 1.0, inner=1.0)
-    with pytest.raises(ContractViolation, match="block"):
-        source.entry(0)
-
-
-# ----------------------------------------------------------------------
-# stored blockmax round trip
-# ----------------------------------------------------------------------
 def test_stored_block_max_matches_rebuilt(tmp_path):
     small = Posting("tag:small", cors=0.5)
     for i in range(5):
@@ -204,7 +96,7 @@ def test_stored_block_max_matches_rebuilt(tmp_path):
         tmp_path / "index.bin", [small, big], n_objects=600, max_clique_size=2
     )
     with BinaryIndexReader(path) as reader:
-        # single-block postings store no bounds: consumers rebuild
+        # single-block postings store no bounds
         assert reader.posting_block_max(reader.find_slot("tag:small")) is None
         slot = reader.find_slot("tag:big")
         stored = reader.posting_block_max(slot)
@@ -215,43 +107,254 @@ def test_stored_block_max_matches_rebuilt(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# accumulator pool
+# the kernel on synthetic postings
 # ----------------------------------------------------------------------
-def test_pooled_accumulator_matches_fresh_allocation():
+@pytest.mark.parametrize("alpha", [0.0, 0.37, 0.5, 1.0])
+def test_emission_matches_scalar_order_bitwise(alpha):
+    """One source, every entry selected: the ranking is the scalar
+    source's ``(-impact, id)`` emission order, scores bit for bit."""
     vectors = _synthetic_vectors()
-    n = int(vectors.ids.max()) + 1
-    sources = [BlockMaxSource(vectors, 0.5, inner=0.7, outer=1.3)]
-    fresh = accumulate_scores(sources, n)
-    pool = AccumulatorPool(n)
-    pooled = accumulate_scores(sources, n, out=pool.acquire())
-    np.testing.assert_array_equal(pooled, fresh)
+    expected = _expected_entries(vectors, alpha, 0.3, 2.0)
+    top = accumulate_top_k([(vectors, 0.3, 2.0)], alpha, k=N_ENTRIES)
+    assert top.ranking == expected  # ids AND float scores, ties by ascending id
+    assert top.n_sources == 1
+    assert top.n_entries == top.n_candidates == len(expected)
 
 
-def test_pool_release_resets_dirty_slots_and_recycles():
+def test_exclusion_drops_entries_everywhere():
     vectors = _synthetic_vectors()
-    n = int(vectors.ids.max()) + 1
-    sources = [
-        BlockMaxSource(vectors, 0.5, inner=0.7),
-        BlockMaxSource(vectors, 0.25, inner=1.1),
+    alpha, inner = 0.5, 0.7
+    impacts = alpha * vectors.freq + (1.0 - alpha) * vectors.smooth
+    positive = int(np.argmax(impacts > 0.0))
+    expected = _expected_entries(vectors, alpha, inner, 1.0, exclude={positive})
+    top = accumulate_top_k([(vectors, inner, 1.0)], alpha, k=N_ENTRIES, exclude=positive)
+    assert top.ranking == expected
+    assert positive not in {dense for dense, _ in top.ranking}
+    # An excluded id absent from every posting changes nothing.
+    absent = accumulate_top_k(
+        [(vectors, inner, 1.0)], alpha, k=N_ENTRIES, exclude=N_ENTRIES + 100
+    )
+    assert absent.ranking == _expected_entries(vectors, alpha, inner, 1.0)
+
+
+def test_accumulate_matches_per_id_score_sum():
+    terms = [(_synthetic_vectors(seed), 0.2 * (seed + 1), 1.0) for seed in range(3)]
+    top = accumulate_top_k(terms, 0.5, k=N_ENTRIES)
+    scores = dict(top.ranking)
+    for dense in range(N_ENTRIES):
+        total = 0.0
+        for vectors, inner, outer in terms:
+            p = 0.5 * float(vectors.freq[dense]) + 0.5 * float(vectors.smooth[dense])
+            total += outer * (inner * p) if p > 0.0 else 0.0
+        if total > 0.0:
+            assert scores[dense].hex() == total.hex()  # source order preserved
+        else:
+            assert dense not in scores
+
+
+def test_no_terms_and_bad_k():
+    assert accumulate_top_k([], 0.5, k=3).ranking == []
+    with pytest.raises(ValueError):
+        accumulate_top_k([(_synthetic_vectors(), 1.0, 1.0)], 0.5, k=0)
+
+
+def test_candidate_mask_restricts_ranking():
+    vectors = _synthetic_vectors()
+    mask = np.zeros(N_ENTRIES, dtype=bool)
+    mask[::3] = True
+    top = accumulate_top_k([(vectors, 1.0, 1.0)], 0.5, k=N_ENTRIES, candidates=mask)
+    expected = [e for e in _expected_entries(vectors, 0.5, 1.0, 1.0) if mask[e[0]]]
+    assert top.ranking == expected
+
+
+# ----------------------------------------------------------------------
+# property: kernel == scalar TA through every view flavour
+# ----------------------------------------------------------------------
+N_IDS = 12
+#: Few distinct component values, so exact score ties are common.
+COMPONENTS = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.5, 1.0])
+WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 2.0]) | st.floats(0.01, 3.0)
+
+postings_strategy = st.lists(
+    st.dictionaries(
+        st.integers(0, N_IDS - 1), st.tuples(COMPONENTS, COMPONENTS), min_size=1
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _oid(i: int) -> str:
+    return f"o{i:03d}"
+
+
+class _PostingIndex:
+    """Just enough index surface for the vector views: ``lookup``,
+    ``iter_postings`` and a cached ``vector_view``."""
+
+    def __init__(self, postings: list[Posting]) -> None:
+        self._postings = {p.key: p for p in postings}
+        self._view: InMemoryVectorView | None = None
+
+    def lookup(self, key: str) -> Posting | None:
+        return self._postings.get(key)
+
+    def iter_postings(self):
+        return iter(self._postings.values())
+
+    def vector_view(self) -> InMemoryVectorView:
+        if self._view is None:
+            self._view = InMemoryVectorView(self)
+        return self._view
+
+
+class _MmapSegment:
+    """A segment stand-in over a written v3 file (``reader`` attribute
+    plus ``vector_view``), as :class:`SegmentedVectorView` reads it."""
+
+    def __init__(self, reader: BinaryIndexReader) -> None:
+        self.reader = reader
+        self._view = MmapVectorView(reader)
+
+    def vector_view(self) -> MmapVectorView:
+        return self._view
+
+
+def _posting(key: str, entries: dict[int, tuple[float, float]]) -> Posting:
+    posting = Posting(key, cors=1.0)
+    for i in sorted(entries):
+        posting.add(_oid(i), *entries[i])
+    return posting
+
+
+def _scalar_reference(postings, weights, alpha, k, exclude):
+    """Scalar sources in term order, per-id full scores (source-order
+    sum of ``ImpactSortedSource.score``) and the scalar TA ranking."""
+    sources = []
+    for posting, (inner, outer) in zip(postings, weights):
+        view = posting.impact_view(alpha)
+        if view.pairs:
+            sources.append(
+                ImpactSortedSource(
+                    view.pairs, view.scores, inner=inner, outer=outer, exclude=exclude
+                )
+            )
+    positive = {
+        oid for posting in postings for oid, _ in posting.impact_view(alpha).pairs
+    } - exclude
+    full = {oid: sum(s.score(oid) for s in sources) for oid in positive}
+    return sources, full, threshold_algorithm(sources, k=k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    raw=postings_strategy,
+    weights=st.lists(st.tuples(WEIGHTS, WEIGHTS), min_size=5, max_size=5),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+    k=st.integers(1, N_IDS + 1),
+    exclude=st.none() | st.integers(0, N_IDS + 2),
+    split=st.integers(0, 2**16),
+)
+def test_kernel_equals_scalar_ta_on_every_view(raw, weights, alpha, k, exclude, split):
+    postings = [_posting(f"c{i}", entries) for i, entries in enumerate(raw)]
+    weights = weights[: len(postings)]
+    excluded = {_oid(exclude)} if exclude is not None else set()
+    sources, full, expected = _scalar_reference(
+        postings, weights, alpha, k, frozenset(excluded)
+    )
+
+    # A second segment stack: each posting's entries dealt over three
+    # segments by object (an object lives in one segment, as ingest
+    # appends new objects), so most keys sit in several segments.
+    segment_of = {i: (split >> (2 * (i % 8))) % 3 for i in range(N_IDS)}
+    parts = [
+        [
+            _posting(f"c{i}", {o: e for o, e in entries.items() if segment_of[o] == seg})
+            for i, entries in enumerate(raw)
+        ]
+        for seg in range(3)
     ]
-    pool = AccumulatorPool(n)
-    acc = accumulate_scores(sources, n, out=pool.acquire())
-    assert acc.any()
-    pool.release(acc, sources)
-    recycled = pool.acquire()
-    assert recycled is acc  # the same array came back...
-    assert not recycled.any()  # ...restored to all zeros
-    # And a second round over the recycled array scores identically.
-    again = accumulate_scores(sources, n, out=recycled)
-    np.testing.assert_array_equal(again, accumulate_scores(sources, n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_index_file(
+            Path(tmp) / "index.bin", postings, n_objects=N_IDS, max_clique_size=3
+        )
+        main_parts = [p for p in parts[0] if len(p)]
+        main_path = None
+        if main_parts:
+            main_path = write_index_file(
+                Path(tmp) / "main.bin", main_parts, n_objects=N_IDS, max_clique_size=3
+            )
+        with BinaryIndexReader(path) as reader:
+            readers = [BinaryIndexReader(main_path)] if main_path else []
+            try:
+                segments: list = [_MmapSegment(r) for r in readers]
+                segments += [
+                    _PostingIndex([p for p in part if len(p)]) for part in parts[1:]
+                ]
+                views = {
+                    "memory": InMemoryVectorView(_PostingIndex(postings)),
+                    "mmap": MmapVectorView(reader),
+                    "segmented": SegmentedVectorView(segments),
+                }
+                for name, view in views.items():
+                    terms = [
+                        (view.vectors(p.key), inner, outer)
+                        for p, (inner, outer) in zip(postings, weights)
+                    ]
+                    dense_exclude = view.dense_id(_oid(exclude)) if exclude is not None else None
+                    top = accumulate_top_k(terms, alpha, k, exclude=dense_exclude)
+                    got = [(view.object_id(d), s) for d, s in top.ranking]
+                    assert got == expected, name
+                    for oid, score in got:
+                        assert score.hex() == full[oid].hex(), (name, oid)
+                    # Every object with a positive impact is a candidate.
+                    assert top.n_candidates == len(full)
+                    assert top.n_sources == len(sources)
+                    assert top.n_entries == sum(len(s) for s in sources)
+            finally:
+                for r in readers:
+                    r.close()
 
 
-def test_pool_drops_foreign_sizes_and_caps_free_list():
-    pool = AccumulatorPool(16, max_pooled=1)
-    wrong = np.zeros(99, dtype=np.float64)
-    pool.release(wrong, [])
-    a, b = pool.acquire(), pool.acquire()
-    pool.release(a, [])
-    pool.release(b, [])
-    assert pool.acquire() is a  # capped at one pooled array
-    assert pool.acquire() is not b
+# ----------------------------------------------------------------------
+# property: the recommender's masked kernel == its scalar TA
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shared_recommenders(rec_corpus, tmp_path_factory):
+    """Recommenders over the engine's corpus-wide index (so the
+    candidate mask is a strict subset), in memory and as a v3 file."""
+    engine = RetrievalEngine(rec_corpus)
+    path = tmp_path_factory.mktemp("kernel-rec") / "index.bin"
+    save_index(engine.index, path)
+    mmapped = load_index(path, engine.correlations)
+    recs = {
+        name: Recommender(rec_corpus, index=index, correlations=engine.correlations)
+        for name, index in (("memory", engine.index), ("mmap", mmapped))
+    }
+    yield recs
+    mmapped.close()
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    user_index=st.integers(0, 1000),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+    lambdas=st.fixed_dictionaries(
+        {1: st.floats(0.05, 1.0)}, optional={2: st.floats(0.0, 1.0)}
+    ),
+    delta=st.floats(0.05, 1.0),
+    k=st.integers(1, 15),
+)
+def test_recommender_kernel_matches_scalar_index(
+    shared_recommenders, rec_corpus, user_index, alpha, lambdas, delta, k
+):
+    users = rec_corpus.favorite_users()
+    user = users[user_index % len(users)]
+    params = MRFParameters(alpha=alpha, lambdas=lambdas, delta=delta)
+    for name, base in shared_recommenders.items():
+        rec = base.with_params(params)
+        fast = rec.recommend(user, k=k)
+        scalar = rec.recommend(user, k=k, mode="index")
+        assert [(h.object_id, h.score.hex()) for h in fast] == [
+            (h.object_id, h.score.hex()) for h in scalar
+        ], name

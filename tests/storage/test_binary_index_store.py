@@ -146,17 +146,20 @@ def test_save_load_save_carries_blockmax(multi_block, tmp_path, correlations):
 
 def test_pre_blockmax_file_still_loads(multi_block, tmp_path, correlations):
     """A v3 file written before the optional ``blockmax`` section
-    existed loads, and the vector view rebuilds the bounds in memory."""
+    existed loads, and the vector view serves the same posting arrays
+    (no query path reads the section)."""
     path = save_index(multi_block, tmp_path / "old.bin")
-    with BinaryIndexReader(path) as reader:
-        key = Feature.text("shared").key
-        stored = reader.posting_block_max(reader.find_slot(key))
-        expected = [arr.tolist() for arr in stored]
+    key = Feature.text("shared").key
+    with_section = load_index(path, correlations)
+    full = with_section.vector_view().vectors(key)
+    expected = [full.ids.tolist(), full.freq.tolist(), full.smooth.tolist(), full.cors]
+    with_section.close()
     _keep_sections(path, keep=7)  # blockmax is the last record
     loaded = load_index(path, correlations)
     assert not loaded.reader.has_blockmax
     vectors = loaded.vector_view().vectors(key)
-    assert [vectors.block_max_freq.tolist(), vectors.block_max_smooth.tolist()] == expected
+    got = [vectors.ids.tolist(), vectors.freq.tolist(), vectors.smooth.tolist(), vectors.cors]
+    assert got == expected
     loaded.close()
 
 
