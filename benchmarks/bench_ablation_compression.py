@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import _harness as H
-from repro.index.compression import CompressedPosting
+from repro.index.compression import decode_postings, encode_postings
 
 
 def run_experiment():
@@ -29,13 +29,11 @@ def run_experiment():
     mismatches = 0
     for posting in index.iter_postings():
         ids = sorted(id_of[oid] for oid in posting.object_ids)
-        cp = CompressedPosting(posting.key)
-        for doc in ids:
-            cp.add(doc)
-        if cp.doc_ids() != ids:
+        data = encode_postings(ids)
+        if decode_postings(data) != ids:
             mismatches += 1
         raw_bytes += len(ids) * 8
-        compressed_bytes += cp.nbytes()
+        compressed_bytes += len(data)
         n_postings += 1
 
     ratio = raw_bytes / compressed_bytes if compressed_bytes else 1.0

@@ -2,9 +2,11 @@
 sequential scan.
 
 Section 3.5 motivates the index purely as acceleration; the indexed
-Algorithm 1 is also an *approximation*, because only objects containing
-a query clique are scored (the scan additionally credits smoothing-only
-candidates).  This ablation measures both sides of the trade:
+Algorithm 1 is also an *approximation*, because the index stores only
+(clique, object) pairs where the object contains the whole clique: the
+exact scan gives every pair an Eq. 7 smoothing term, the index drops it
+for every query clique an object does not fully contain.  This
+ablation measures both sides of the trade:
 
 * latency — the index must be substantially faster than the scan;
 * effectiveness — the indexed top-10 precision must stay close to the

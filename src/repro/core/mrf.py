@@ -278,8 +278,9 @@ def scale_impacts(p: Any, inner: float, outer: float = 1.0) -> Any:
 
     ``inner = λ_{|c|}·CorS(c)`` and ``outer`` is the recommendation
     path's temporal weight (1.0 for retrieval).  The association order
-    matches :class:`repro.index.threshold.ImpactSortedSource` exactly,
-    so applying it to a whole array yields the same bits per element.
+    matches the rescoring path (``weight · potential`` with the
+    potential ``λ·CorS·P``), so applying it to a whole array yields the
+    same bits per element.
     """
     return outer * (inner * p)
 

@@ -33,7 +33,7 @@ from repro.core.mrf import CliqueScorer, MRFParameters
 from repro.core.objects import MediaObject
 from repro.core.retrieval import RankedResult, correlation_model_for_corpus, ranked_sort
 from repro.index.inverted import CliqueInvertedIndex
-from repro.index.threshold import ImpactSortedSource, SortedListSource, threshold_algorithm
+from repro.index.threshold import SortedListSource, impact_sources, threshold_algorithm
 from repro.index.vectorized import PostingVectors, accumulate_top_k
 from repro.social.corpus import Corpus
 from repro.social.temporal import TemporalSplit, decay_weight
@@ -89,9 +89,8 @@ class Recommender:
         ``index.bin`` or an in-memory build), so a serving snapshot
         holds one index.  It must hold every candidate that has
         features and cover ``params``' max clique size, else
-        ``ValueError``.  Opening it reads no posting: the vectorized
-        path reads the stored arrays in place, and the scalar modes
-        build a posting's impact view on first touch.  The candidate set is
+        ``ValueError``.  Opening it reads no posting: a query reads a
+        clique's stored arrays on first touch.  The candidate set is
         fixed at init, so serving passes one segment (the main one),
         never a delta stack.  Takes precedence over ``build_index``.
     correlations:
@@ -274,55 +273,17 @@ class Recommender:
             return self._recommend_index(profile, k, t_now)
         return self._recommend_index_vectorized(profile, k, t_now)
 
-    def _recommend_index(
-        self, profile: UserProfile, k: int, t_now: int
-    ) -> list[RankedResult]:
-        """Eq. 10 over impact-ordered postings: the temporal weight is
-        constant per clique, so it scales the prebuilt view as the outer
-        factor — ``outer·(inner·P)`` with ``inner = λ·CorS`` — exactly
-        the association the per-query scorer used.  No candidate is
-        rescored; early termination never touches posting tails, and
-        non-candidates in a shared index are skipped on sorted access
-        (one dict probe per entry read)."""
+    def _index_terms(
+        self, profile: UserProfile, t_now: int
+    ) -> list[tuple[PostingVectors, float, float]]:
+        """The gate both index modes share: one ``(posting, inner,
+        outer)`` term per profile clique with a posting, a positive
+        Eq. 10 temporal weight ``outer`` and a non-zero ``inner =
+        λ_{|c|}·CorS(c)``.  The temporal weight is constant per clique,
+        so it scales the stored impacts as the outer factor —
+        ``outer·(inner·P)``, the association the rescoring scorer
+        uses."""
         assert self._index is not None
-        delta = self._params.delta
-        alpha = self._params.alpha
-        eligible = self._by_id.__contains__
-        sources: list[ImpactSortedSource] = []
-        for clique in profile.cliques:
-            outer = profile.temporal_weight(clique, t_now, delta)
-            if outer <= 0.0:
-                continue
-            inner = self._params.lambda_for(clique.size)
-            if inner == 0.0:
-                continue
-            posting = self._index.lookup(clique)
-            if posting is None:
-                continue
-            if self._params.use_cors:
-                inner *= posting.cors
-                if inner == 0.0:
-                    continue
-            view = posting.impact_view(alpha)
-            if view.pairs:
-                sources.append(
-                    ImpactSortedSource(
-                        view.pairs, view.scores, inner=inner, outer=outer, eligible=eligible
-                    )
-                )
-        merged = threshold_algorithm(sources, k=k)
-        return [RankedResult(object_id=oid, score=s) for oid, s in merged]
-
-    def _recommend_index_vectorized(
-        self, profile: UserProfile, k: int, t_now: int
-    ) -> list[RankedResult]:
-        """Eq. 10 as batch numpy work: same per-clique gating as
-        :meth:`_recommend_index` (temporal weight as the outer factor,
-        λ·CorS as the inner), then one :func:`accumulate_top_k` over the
-        postings with the candidate mask.  The top-``k`` is ordered by
-        ``(-score, dense id)`` — dense order is string order, so this is
-        the canonical ranking."""
-        assert self._index is not None and self._candidate_mask is not None
         view = self._index.vector_view()
         delta = self._params.delta
         terms: list[tuple[PostingVectors, float, float]] = []
@@ -341,8 +302,43 @@ class Recommender:
                 if inner == 0.0:
                     continue
             terms.append((vectors, inner, outer))
+        return terms
+
+    def _recommend_index(
+        self, profile: UserProfile, k: int, t_now: int
+    ) -> list[RankedResult]:
+        """Scalar Algorithm 1 over the profile's terms: the Threshold
+        Algorithm over one
+        :class:`~repro.index.threshold.ImpactSortedSource` per term, with
+        non-candidates of a shared index dropped by the candidate
+        mask."""
+        assert self._index is not None
+        view = self._index.vector_view()
+        sources = impact_sources(
+            self._index_terms(profile, t_now),
+            self._params.alpha,
+            candidates=self._candidate_mask,
+        )
+        merged = threshold_algorithm(sources, k=k)
+        return [
+            RankedResult(object_id=view.object_id(dense), score=score)
+            for dense, score in merged
+        ]
+
+    def _recommend_index_vectorized(
+        self, profile: UserProfile, k: int, t_now: int
+    ) -> list[RankedResult]:
+        """Eq. 10 as batch numpy work: one :func:`accumulate_top_k` over
+        the terms the scalar walk ranks, with the candidate mask.  The
+        top-``k`` is ordered by ``(-score, dense id)`` — dense order is
+        string order, so this is the canonical ranking."""
+        assert self._index is not None
+        view = self._index.vector_view()
         top = accumulate_top_k(
-            terms, self._params.alpha, k, candidates=self._candidate_mask
+            self._index_terms(profile, t_now),
+            self._params.alpha,
+            k,
+            candidates=self._candidate_mask,
         )
         return [
             RankedResult(object_id=view.object_id(dense), score=score)

@@ -17,11 +17,10 @@ to ``index-vectorized`` whenever an index is present):
   the top-k selected straight from the sums
   (:func:`repro.index.vectorized.accumulate_top_k`).  Rankings are
   bit-identical to ``mode="index"``.
-* ``mode="index"`` — the scalar reference: look up each clique's
-  impact-ordered posting view (built and cached per posting on the
-  first query that touches the clique), scale it by the constant
-  per-clique weight ``λ_{|c|}·CorS(c)``, and merge with the Threshold
-  Algorithm through lazy per-entry cursors.
+* ``mode="index"`` — the scalar Algorithm 1: the same posting arrays,
+  one impact-ordered source per query clique (built per query, scaled
+  by the constant per-clique weight ``λ_{|c|}·CorS(c)``), merged with
+  the Threshold Algorithm.
 * ``mode="index-rescore"`` — the pre-change Algorithm 1: walk the same
   posting lists but recompute every (clique, candidate) potential per
   query.  Kept as the reference the fast paths are asserted
@@ -52,6 +51,7 @@ from repro.index.threshold import (
     AccessStats,
     ImpactSortedSource,
     SortedListSource,
+    impact_sources,
     threshold_algorithm,
 )
 from repro.index.vectorized import PostingVectors, TopK, accumulate_top_k
@@ -239,9 +239,8 @@ class RetrievalEngine:
         constructed with ``build_index=False`` — the serving layer's
         load path.  The index must cover the parameters' clique bound.
 
-        O(1): no posting is read here.  The vectorized path reads the
-        stored arrays in place; the scalar modes build a posting's
-        impact view when a query first touches its clique."""
+        O(1): no posting is read here; a query reads a clique's
+        posting when it first touches the clique."""
         if index.max_clique_size < self._max_clique_size:
             raise ValueError(
                 f"prebuilt index covers cliques up to size {index.max_clique_size}, "
@@ -353,7 +352,8 @@ class RetrievalEngine:
         if mode == "index-rescore":
             return self._search_index_rescore(cliques, k, exclude)
         if mode == "index":
-            return self._search_index(cliques, k, exclude)
+            results, _ = self._search_index(cliques, k, exclude)
+            return results
         results, _ = self._search_index_vectorized(cliques, k, exclude)
         return results
 
@@ -390,9 +390,7 @@ class RetrievalEngine:
                 total_posting_entries=top.n_entries,
             )
         stats = AccessStats()
-        sources = self._index_sources(cliques, exclude)
-        merged = threshold_algorithm(sources, k=k, stats=stats)
-        results = [RankedResult(object_id=oid, score=s) for oid, s in merged]
+        results, sources = self._search_index(cliques, k, exclude, stats)
         return results, IndexQueryStats(
             sorted_accesses=stats.sorted_accesses,
             random_accesses=stats.random_accesses,
@@ -402,61 +400,21 @@ class RetrievalEngine:
         )
 
     # ------------------------------------------------------------------
-    # Algorithm 1 — index mode over impact-ordered postings
+    # Algorithm 1 — index modes over the stored posting arrays
     # ------------------------------------------------------------------
-    def _index_sources(
+    def _index_terms(
         self, cliques: list[Clique], exclude: set[str]
-    ) -> list[ImpactSortedSource]:
-        """One lazy TA source per query clique with a non-empty posting
-        and a positive constant weight ``λ_{|c|}·CorS(c)``.
+    ) -> tuple[list[tuple[PostingVectors, float, float]], int | None]:
+        """The gate both index modes share: one ``(posting, weight,
+        1.0)`` term per query clique with a posting and a non-zero
+        constant weight ``λ_{|c|}·CorS(c)``, plus the dense id of the
+        excluded query object (``None`` when it is not indexed).
 
         The weight multiplies *outside* the stored α-mixed component,
-        associating exactly as the pre-change scorer did (λ, then CorS,
-        then the joint probability), so scaled scores are bit-identical
-        to ``mode="index-rescore"``.
+        associating exactly as the rescoring scorer does (λ, then CorS,
+        then the joint probability), so scores are bit-identical to
+        ``mode="index-rescore"``.
         """
-        assert self._index is not None
-        alpha = self._params.alpha
-        exclude_set = frozenset(exclude)
-        sources: list[ImpactSortedSource] = []
-        for clique in cliques:
-            weight = self._params.lambda_for(clique.size)
-            if weight == 0.0:
-                continue
-            posting = self._index.lookup(clique)
-            if posting is None:
-                continue
-            if self._params.use_cors:
-                weight *= posting.cors
-                if weight == 0.0:
-                    continue
-            view = posting.impact_view(alpha)
-            if view.pairs:
-                sources.append(
-                    ImpactSortedSource(
-                        view.pairs, view.scores, inner=weight, exclude=exclude_set
-                    )
-                )
-        return sources
-
-    def _search_index(
-        self, cliques: list[Clique], k: int, exclude: set[str]
-    ) -> list[RankedResult]:
-        sources = self._index_sources(cliques, exclude)
-        merged = threshold_algorithm(sources, k=k)
-        return [RankedResult(object_id=oid, score=s) for oid, s in merged]
-
-    # ------------------------------------------------------------------
-    # Algorithm 1 — vectorized accumulate-and-select
-    # ------------------------------------------------------------------
-    def _search_index_vectorized(
-        self, cliques: list[Clique], k: int, exclude: set[str]
-    ) -> tuple[list[RankedResult], TopK]:
-        """Batch-numpy Algorithm 1: one :func:`accumulate_top_k` over
-        the query cliques' postings, gated decision for decision like
-        :meth:`_index_sources` (same weight gates, same CorS handling),
-        so every object's score is the scalar TA full score bit for bit
-        and the ``(-score, id)`` top-k is the scalar ranking."""
         assert self._index is not None
         view = self._index.vector_view()
         terms: list[tuple[PostingVectors, float, float]] = []
@@ -475,6 +433,39 @@ class RetrievalEngine:
         exclude_dense = None  # ``exclude`` holds at most the query's own id
         for object_id in exclude:
             exclude_dense = view.dense_id(object_id)
+        return terms, exclude_dense
+
+    def _search_index(
+        self,
+        cliques: list[Clique],
+        k: int,
+        exclude: set[str],
+        stats: AccessStats | None = None,
+    ) -> tuple[list[RankedResult], list[ImpactSortedSource]]:
+        """Scalar Algorithm 1: the Threshold Algorithm over one
+        :class:`ImpactSortedSource` per term; returns the ranking and
+        the sources it walked."""
+        assert self._index is not None
+        view = self._index.vector_view()
+        terms, exclude_dense = self._index_terms(cliques, exclude)
+        sources = impact_sources(terms, self._params.alpha, exclude=exclude_dense)
+        merged = threshold_algorithm(sources, k=k, stats=stats)
+        results = [
+            RankedResult(object_id=view.object_id(dense), score=score)
+            for dense, score in merged
+        ]
+        return results, sources
+
+    def _search_index_vectorized(
+        self, cliques: list[Clique], k: int, exclude: set[str]
+    ) -> tuple[list[RankedResult], TopK]:
+        """Batch-numpy Algorithm 1: one :func:`accumulate_top_k` over
+        the same terms the scalar walk ranks, so every object's score is
+        the scalar TA full score bit for bit and the ``(-score, id)``
+        top-k is the scalar ranking."""
+        assert self._index is not None
+        view = self._index.vector_view()
+        terms, exclude_dense = self._index_terms(cliques, exclude)
         top = accumulate_top_k(terms, self._params.alpha, k, exclude=exclude_dense)
         results = [
             RankedResult(object_id=view.object_id(dense), score=score)

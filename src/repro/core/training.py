@@ -22,8 +22,8 @@ weights, α and δ — multiplies or re-mixes *outside* the components the
 inverted index stores (postings hold the α-independent parts of Eq. 7;
 λ, CorS and decay are applied at query time), so objectives built on
 ``engine.with_params(candidate)`` share one built index across the
-entire ascent: a λ or δ move costs nothing index-side, and an α move
-at most re-sorts cached impact views lazily.
+entire ascent: no move costs anything index-side — the query paths
+mix the stored components at the current α per query.
 
 A separate helper sweeps the FIG edge threshold, which the paper calls
 "the trained correlation threshold" (Section 3.2) — it changes the

@@ -11,7 +11,6 @@ from repro.index.binfmt import (
     write_index_file,
 )
 from repro.index.compression import (
-    CompressedPosting,
     compression_ratio,
     decode_postings,
     decode_varint,
@@ -19,13 +18,12 @@ from repro.index.compression import (
     encode_varint,
 )
 from repro.index.inverted import CliqueInvertedIndex
-from repro.index.postings import ImpactView, Posting
+from repro.index.postings import Posting
 from repro.index.segment import MmapCliqueIndex
 from repro.index.threshold import (
     AccessStats,
     ImpactSortedSource,
     SortedListSource,
-    sorted_access_count,
     threshold_algorithm,
 )
 
@@ -35,9 +33,7 @@ __all__ = [
     "BinaryFormatError",
     "BinaryIndexReader",
     "CliqueInvertedIndex",
-    "CompressedPosting",
     "ImpactSortedSource",
-    "ImpactView",
     "MmapCliqueIndex",
     "Posting",
     "compression_ratio",
@@ -46,7 +42,6 @@ __all__ = [
     "encode_postings",
     "encode_varint",
     "read_section_table",
-    "sorted_access_count",
     "threshold_algorithm",
     "write_index_file",
 ]

@@ -62,8 +62,8 @@ String tables: ``u32 count | u32 offsets[count+1] | utf-8 blob``.
 Entry order inside a posting is canonicalized to ascending object id
 (string order == dense-int order), which is what d-gap encoding needs.
 That is a pure permutation of the build's entry order and cannot change
-any ranking: every consumer sorts by ``(-score, id)``
-(:meth:`Posting.impact_view`, ``SortedListSource``) before use.
+any ranking: the query paths select by ``(-score, id)``
+(``accumulate_top_k``, ``ImpactSortedSource``, ``SortedListSource``).
 
 Corruption handling: every failure raises :class:`BinaryFormatError`
 carrying the section name and byte offset; the storage layer maps it

@@ -3,10 +3,9 @@
 At the paper's scale (236K objects, millions of cliques) raw posting
 lists dominate index memory.  This module provides the classic
 inverted-index remedy: store each posting as gap-encoded,
-variable-byte-encoded integer doc ids.  It is used by
-:class:`CompressedPosting`, a drop-in companion to
-:class:`repro.index.postings.Posting` for corpora where object ids map
-to dense integers (the corpus order provides that mapping).
+variable-byte-encoded integer doc ids — the form the v3 binary index's
+``postings`` section stores, over dense ids (ranks in the sorted
+object-id table).
 
 Varint layout: little-endian base-128, high bit = continuation — the
 same scheme classic IR systems and protocol buffers use.
@@ -14,7 +13,7 @@ same scheme classic IR systems and protocol buffers use.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -161,55 +160,6 @@ def encode_posting_spans(
             np.uint8
         ) | continuation
     return out.tobytes(), nbytes
-
-
-class CompressedPosting:
-    """A clique posting stored as compressed integer ids.
-
-    Appends must arrive in increasing id order (the index builder's
-    corpus order guarantees that); iteration decodes on the fly.
-    """
-
-    __slots__ = ("_key", "_data", "_last", "_count")
-
-    def __init__(self, key: str) -> None:
-        self._key = key
-        self._data = bytearray()
-        self._last = -1
-        self._count = 0
-
-    @property
-    def key(self) -> str:
-        return self._key
-
-    def add(self, doc_id: int) -> None:
-        """Append ``doc_id``; repeated tail adds are ignored."""
-        if doc_id == self._last:
-            return
-        if doc_id < self._last:
-            raise ValueError("doc ids must be appended in increasing order")
-        self._data.extend(encode_varint(doc_id - self._last - 1))
-        self._last = doc_id
-        self._count += 1
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[int]:
-        offset = 0
-        previous = -1
-        data = bytes(self._data)
-        while offset < len(data):
-            gap, offset = decode_varint(data, offset)
-            previous = previous + gap + 1
-            yield previous
-
-    def doc_ids(self) -> list[int]:
-        return list(self)
-
-    def nbytes(self) -> int:
-        """Compressed payload size."""
-        return len(self._data)
 
 
 def compression_ratio(doc_ids: Iterable[int], reference_bytes_per_id: int = 8) -> float:

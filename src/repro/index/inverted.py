@@ -206,16 +206,6 @@ class CliqueInvertedIndex:
         posting = self._postings.get(key)
         return posting.cors if posting is not None else None
 
-    def candidates(self, cliques: Iterable[Clique]) -> set[str]:
-        """Union of the posting lists of ``cliques`` — the full
-        candidate set a query will score."""
-        result: set[str] = set()
-        for clique in cliques:
-            posting = self._postings.get(clique.key)
-            if posting is not None:
-                result.update(posting.object_ids)
-        return result
-
     def iter_postings(self) -> Iterator[Posting]:
         return iter(self._postings.values())
 

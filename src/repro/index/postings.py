@@ -12,13 +12,17 @@ Impact order.  The full potential factors as ``ϕ'(c, O_i) =
 λ_{|c|}·CorS(c)·(α·freq + (1-α)·smooth)`` where λ and CorS are
 *constant across one posting* (they depend only on the clique), so the
 descending-potential order of a posting's entries is fully determined
-by ``P(α) = α·freq + (1-α)·smooth``.  :meth:`Posting.impact_view`
-materializes that order for a given α and caches it — the Threshold
-Algorithm then gets genuinely score-sorted lists with no per-query
-scoring or sorting.  λ, CorS and temporal decay multiply outside the
-stored components, and α only re-mixes them, so parameter sweeps
-(``with_params``, the coordinate-ascent trainer) reuse the same built
-posting arrays unchanged.
+by ``P(α) = α·freq + (1-α)·smooth``.  The query paths read the stored
+components as arrays (:mod:`repro.index.vectorized`) and mix, order
+and scale them per query (:class:`~repro.index.threshold.ImpactSortedSource`
+for the Threshold Algorithm).  λ, CorS and temporal decay multiply
+outside the stored components, and α only re-mixes them, so parameter
+sweeps (``with_params``, the coordinate-ascent trainer) reuse the same
+built posting arrays unchanged.
+
+A :class:`Posting` of object-id strings is the build-side record: the
+index builder appends to it, ``index-rescore`` walks it, and the
+binary writer serializes it.
 """
 
 from __future__ import annotations
@@ -26,29 +30,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.diagnostics.contracts import check_no_duplicates, contracts_enabled
-
-#: Per-posting bound on cached impact views.  Views are keyed by α;
-#: training grids sweep a handful of values, so a small FIFO suffices.
-MAX_IMPACT_VIEWS = 8
-
-
-class ImpactView:
-    """One α-specific impact-ordered view of a posting.
-
-    ``pairs`` holds ``(object_id, P)`` with ``P = α·freq + (1-α)·smooth``,
-    sorted by descending ``P`` then ascending id (the ``ranked_sort``
-    tie-break), with non-positive entries dropped — exactly the entries
-    the pre-change query path would have built per query.  ``scores``
-    maps the same ids to ``P`` for O(1) random access.
-    """
-
-    __slots__ = ("alpha", "pairs", "scores")
-
-    def __init__(self, alpha: float, pairs: list[tuple[str, float]]) -> None:
-        self.alpha = alpha
-        self.pairs = pairs
-        self.scores = {oid: p for oid, p in pairs}
-
 
 class Posting:
     """One inverted-index entry: clique key, stored CorS, scored entries.
@@ -60,7 +41,7 @@ class Posting:
     postings).
     """
 
-    __slots__ = ("_key", "_cors", "_object_ids", "_freq", "_smooth", "_views")
+    __slots__ = ("_key", "_cors", "_object_ids", "_freq", "_smooth")
 
     def __init__(self, key: str, cors: float) -> None:
         self._key = key
@@ -68,7 +49,6 @@ class Posting:
         self._object_ids: list[str] = []
         self._freq: list[float] = []
         self._smooth: list[float] = []
-        self._views: dict[float, ImpactView] = {}
 
     @classmethod
     def from_arrays(
@@ -114,7 +94,6 @@ class Posting:
             self._object_ids.append(object_id)
             self._freq.append(freq_part)
             self._smooth.append(smooth_part)
-            self._views.clear()
             if contracts_enabled():
                 # A non-tail repeat means the builder visited an object
                 # twice — the posting would double-count it at merge time.
@@ -135,34 +114,6 @@ class Posting:
         — the bulk-conversion path of the vectorized scorer.  Callers
         must not mutate them."""
         return self._freq, self._smooth
-
-    # ------------------------------------------------------------------
-    # impact-ordered access
-    # ------------------------------------------------------------------
-    def impact_view(self, alpha: float) -> ImpactView:
-        """The α-specific impact-ordered view (cached, FIFO-bounded).
-
-        Non-positive ``P`` entries are dropped: the pre-change query
-        path filtered ``score > 0`` per query, and with λ·CorS ≥ 0 a
-        zero ``P`` can never contribute to a ranking.
-        """
-        view = self._views.get(alpha)
-        if view is None:
-            mixed = [
-                (oid, alpha * f + (1.0 - alpha) * s)
-                for oid, f, s in zip(self._object_ids, self._freq, self._smooth)
-            ]
-            pairs = sorted(
-                ((oid, p) for oid, p in mixed if p > 0.0),
-                key=lambda e: (-e[1], e[0]),
-            )
-            view = ImpactView(alpha, pairs)
-            if len(self._views) >= MAX_IMPACT_VIEWS:
-                # pop-with-default: concurrent readers may race the
-                # eviction; losing a cached view is harmless.
-                self._views.pop(next(iter(self._views)), None)
-            self._views[alpha] = view
-        return view
 
     # ------------------------------------------------------------------
     # container protocol

@@ -2,16 +2,18 @@
 
 :class:`MmapCliqueIndex` is a read-only :class:`CliqueInvertedIndex`
 whose postings live in a :class:`~repro.index.binfmt.BinaryIndexReader`
-mapping and decode **lazily, one clique per first touch**.  A decoded
-posting is a plain :class:`~repro.index.postings.Posting`, so every
-downstream consumer — ``impact_view`` caching, ``ImpactSortedSource``,
-the Threshold Algorithm, the rescore parity path — works unchanged and
-produces bit-identical rankings; queries only ever pay for the cliques
-they actually touch.
+mapping and decode **lazily, one clique per first touch**.  Both
+Algorithm 1 query modes (the default and scalar ``index``) read a
+clique through :meth:`MmapCliqueIndex.vector_view`: dense ids decoded
+once per clique, component arrays zero-copy off the mapping, no
+:class:`~repro.index.postings.Posting` built.  ``lookup`` materializes
+a plain ``Posting`` for the consumers that want one — the rescore
+parity path, re-serialization, read-back checks.  Queries only ever
+pay for the cliques they actually touch.
 
-Concurrency: serving threads may race to materialize the same posting;
-both build equal objects from the same bytes and the last dict write
-wins — harmless, the same discipline as the posting impact-view cache.
+Concurrency: serving threads may race to materialize the same posting
+or decode the same slot; both build equal objects from the same bytes
+and the last dict write wins — harmless.
 Forked worker processes share the underlying read-only mapping through
 the page cache, which is the multi-process-serving story the ROADMAP
 asks for.
@@ -110,14 +112,6 @@ class MmapCliqueIndex(CliqueInvertedIndex):
         for slot in self._reader.iteration_order():
             yield self._materialize(self._reader.key_at(slot), slot)
 
-    def candidates(self, cliques: Iterable[Clique]) -> set[str]:
-        result: set[str] = set()
-        for clique in cliques:
-            posting = self.lookup(clique)
-            if posting is not None:
-                result.update(posting.object_ids)
-        return result
-
     def vector_view(self) -> MmapVectorView:
         """Zero-copy vector access straight off the mapping — no
         posting is ever materialized; decoded dense-id arrays are
@@ -129,8 +123,9 @@ class MmapCliqueIndex(CliqueInvertedIndex):
 
     def stats(self) -> dict[str, float]:
         """Size/selectivity summary straight off the postmeta section —
-        no posting is decoded.  ``materialized_postings`` (scalar
-        :class:`Posting` objects built by lookups) and ``decoded_slots``
+        no posting is decoded.  ``materialized_postings``
+        (:class:`Posting` objects built by lookups — the rescore path,
+        re-serialization) and ``decoded_slots``
         (varint streams decoded into the reader's id cache) show how much
         of the segment queries have touched; both are 0 after open."""
         lengths = self._reader.posting_lengths()

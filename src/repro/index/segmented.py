@@ -13,9 +13,7 @@ so every consumer — the scalar TA path, the vectorized path,
 model) holds by construction:
 
 * A clique key held by exactly **one** segment resolves to that
-  segment's posting object *as-is* — no copy, so an impact view a
-  query cached on a main-segment posting keeps serving across ingest
-  generations.
+  segment's posting object *as-is* — no copy.
 * A key held by **several** segments resolves to one merged posting
   whose entries concatenate main-first, then deltas in arrival order —
   exactly the corpus order a from-scratch build appends in (segments
@@ -148,8 +146,7 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
         if not parts:
             return None
         if len(parts) == 1:
-            # Reuse the holder's posting object: any impact view an
-            # earlier query cached on it keeps serving.
+            # Reuse the holder's posting object as-is.
             posting = parts[0]
         else:
             ids: list[str] = []
@@ -196,14 +193,6 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
                 merged = self.lookup(key)
                 assert merged is not None
                 yield merged
-
-    def candidates(self, cliques: Iterable[Clique]) -> set[str]:
-        result: set[str] = set()
-        for clique in cliques:
-            posting = self.lookup(clique)
-            if posting is not None:
-                result.update(posting.object_ids)
-        return result
 
     def vector_view(self) -> SegmentedVectorView:
         if self._vector_view is None:

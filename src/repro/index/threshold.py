@@ -17,15 +17,16 @@ early-termination guarantee holds.
 
 Two source flavours feed the walk:
 
-* :class:`SortedListSource` — eager: sorts arbitrary ``(id, score)``
-  pairs at construction.  The reference path, and the right tool when
-  scores are computed per query.
-* :class:`ImpactSortedSource` — lazy: wraps a *prebuilt* impact-ordered
-  posting view (see :mod:`repro.index.postings`) and scales stored
-  scores by the query's constant weight on demand, via a cursor that
-  only ever advances as far as TA actually reads.  Early termination
-  therefore skips not just scoring but even *touching* a posting's
-  tail — the sublinear behaviour Algorithm 1 promises.
+* :class:`SortedListSource` — sorts arbitrary ``(id, score)`` pairs at
+  construction: the right tool when scores are computed per query (the
+  ``index-rescore`` reference path).
+* :class:`ImpactSortedSource` — one posting's entries, built per query
+  by :func:`impact_sources` from the stored arrays the vectorized
+  kernel sums (:class:`~repro.index.vectorized.PostingVectors`):
+  α-mixed, filtered, ordered by impact and scaled by the query's
+  constant per-clique weight, keyed by dense object id.  Scalar
+  ``mode="index"`` runs Algorithm 1 over these, so both index modes
+  read one posting form and nothing is cached across queries.
 
 :class:`AccessStats` counts sorted/random accesses so benchmarks and
 the CI perf gate can assert the early-termination win instead of
@@ -35,15 +36,17 @@ trusting it.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any, Protocol, TypeVar
 
+import numpy as np
+
 from repro.diagnostics.contracts import check_sorted_descending, contracts_enabled
+from repro.index.vectorized import PostingVectors, scaled_entries
 
-_EMPTY_EXCLUDE: frozenset[str] = frozenset()
-
-#: Object-id type of one TA run (object-id strings in the engines).
+#: Object-id type of one TA run (dense integer ids in the engines,
+#: strings on the rescore path).
 #: Ids only need hashing and a total order.
 IdT = TypeVar("IdT")
 
@@ -118,90 +121,60 @@ class SortedListSource:
 
 
 class ImpactSortedSource:
-    """Lazy TA input over a prebuilt impact-ordered posting view.
+    """One query clique's TA input: its posting's scored entries,
+    already in descending impact order (see :func:`impact_sources`),
+    keyed by dense object id."""
 
-    The stored ``pairs`` hold the α-mixed joint probability ``P``; the
-    query-time potential is ``outer·(inner·P)`` with ``inner =
-    λ_{|c|}·CorS(c)`` and ``outer`` an additional per-clique constant
-    (1.0 for retrieval; the profile's temporal weight for
-    recommendation).  The two-step association mirrors the pre-change
-    scoring exactly, so scaled scores are bit-identical to what the
-    per-query scorer produced.
+    __slots__ = ("_sorted", "_scores")
 
-    Sorted access materializes scaled entries through a cursor that
-    advances only as far as TA reads — a posting's tail beyond the
-    termination depth is never touched.  ``exclude`` ids (the query's
-    own id) are skipped during cursor advance and score 0 on random
-    access, matching the pre-change filter.  ``eligible``, when given,
-    is an O(1) membership test applied the same way — the recommender's
-    candidate filter over a shared corpus-wide index; the source's
-    length then counts eligible entries in one pass over ``pairs``.
-    """
-
-    __slots__ = (
-        "_pairs",
-        "_scores",
-        "_inner",
-        "_outer",
-        "_exclude",
-        "_eligible",
-        "_scaled",
-        "_cursor",
-        "_len",
-    )
-
-    def __init__(
-        self,
-        pairs: Sequence[tuple[str, float]],
-        scores: Mapping[str, float],
-        inner: float,
-        outer: float = 1.0,
-        exclude: Collection[str] = _EMPTY_EXCLUDE,
-        eligible: Callable[[str], bool] | None = None,
-    ) -> None:
-        self._pairs = pairs
-        self._scores = scores
-        self._inner = inner
-        self._outer = outer
-        self._exclude = exclude
-        self._eligible = eligible
-        self._scaled: list[tuple[str, float]] = []
-        self._cursor = 0
-        if eligible is None:
-            self._len = len(pairs) - sum(1 for oid in exclude if oid in scores)
-        else:
-            self._len = sum(
-                1 for oid, _ in pairs if eligible(oid) and oid not in exclude
-            )
+    def __init__(self, entries: list[tuple[int, float]]) -> None:
+        self._sorted = entries
+        self._scores = dict(entries)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._sorted)
 
-    def entry(self, rank: int) -> tuple[str, float]:
-        """Sorted access: the ``rank``-th best non-excluded eligible
-        entry, scaled lazily on first read."""
-        eligible = self._eligible
-        while len(self._scaled) <= rank:
-            object_id, p = self._pairs[self._cursor]
-            self._cursor += 1
-            if object_id in self._exclude or (
-                eligible is not None and not eligible(object_id)
-            ):
-                continue
-            self._scaled.append((object_id, self._outer * (self._inner * p)))
-        return self._scaled[rank]
+    def entry(self, rank: int) -> tuple[int, float]:
+        """Sorted access: the ``rank``-th best entry."""
+        return self._sorted[rank]
 
-    def score(self, object_id: str) -> float:
-        """Random access; missing, excluded or ineligible objects
+    def score(self, object_id: int) -> float:
+        """Random access; missing, excluded or non-candidate ids
         score 0."""
-        if object_id in self._exclude or (
-            self._eligible is not None and not self._eligible(object_id)
-        ):
-            return 0.0
-        p = self._scores.get(object_id)
-        if p is None:
-            return 0.0
-        return self._outer * (self._inner * p)
+        return self._scores.get(object_id, 0.0)
+
+
+def impact_sources(
+    terms: Sequence[tuple[PostingVectors, float, float]],
+    alpha: float,
+    exclude: int | None = None,
+    candidates: np.ndarray | None = None,
+) -> list[ImpactSortedSource]:
+    """The TA sources of one query, built from the ``(posting, inner,
+    outer)`` terms :func:`~repro.index.vectorized.accumulate_top_k`
+    sums, in term order.
+
+    A term is a source when its posting has a positive α-mixed impact
+    ``P`` before exclusion.  Each source holds the term's
+    :func:`~repro.index.vectorized.scaled_entries` — positive ``P``,
+    the ``exclude`` dense id and the ids the ``candidates`` mask rejects
+    dropped, scaled to ``outer·(inner·P)`` — ordered by ``(-P, dense
+    id)``; scaling by a positive constant keeps that order descending.
+    Dense order is string order, so the ``(-score, id)`` tie-break
+    carries over to object ids.  One batch of array work serves every
+    term; nothing is cached across queries.
+    """
+    if not terms:
+        return []
+    entries = scaled_entries(terms, alpha, exclude, candidates)
+    order = np.lexsort((entries.ids, -entries.impacts, entries.term))
+    pairs = list(zip(entries.ids[order].tolist(), entries.values[order].tolist()))
+    bounds = np.searchsorted(entries.term[order], np.arange(len(terms) + 1)).tolist()
+    return [
+        ImpactSortedSource(pairs[lo:hi])
+        for lo, hi, source in zip(bounds, bounds[1:], entries.sources.tolist())
+        if source
+    ]
 
 
 @dataclass
@@ -293,11 +266,3 @@ def threshold_algorithm(
         stats.rounds = depth
     results = sorted(heap, key=lambda e: (-e[0], e[1].value))
     return [(rev.value, score) for score, rev in results]
-
-
-def sorted_access_count(sources: Sequence[TopKSource[IdT]], k: int) -> int:
-    """Run TA and return the number of sorted-access rounds it needed
-    (the early-termination depth) — kept for the index-ablation bench."""
-    stats = AccessStats()
-    threshold_algorithm(sources, k, stats=stats)
-    return stats.rounds

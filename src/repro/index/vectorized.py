@@ -1,20 +1,23 @@
 """Vectorized zero-copy scoring: one accumulate-and-select kernel.
 
-The scalar index path materializes one Python ``Posting`` per touched
-clique and feeds per-entry tuples through
-:class:`~repro.index.threshold.ImpactSortedSource` — every sorted and
-random access costs a Python-level call.  This module replaces the hot
-path with batch numpy work over the same data:
+Both Algorithm 1 query modes read a posting in the one form defined
+here: the default path ranks it with batch numpy work, and scalar
+``mode="index"`` builds its per-query Threshold Algorithm sources
+(:class:`~repro.index.threshold.ImpactSortedSource`) from the same
+arrays:
 
 * :class:`PostingVectors` — one clique's posting as parallel arrays:
   ascending **dense** object ids (rank in the sorted id table, so dense
   order == string order and tie-breaks survive the translation) and
   the two α-independent Eq. 7 component arrays.  Against a v3 segment
   the float arrays are zero-copy views straight into the mapping.
+* :func:`scaled_entries` — the one entry filter both modes apply: the
+  query's postings concatenated in source order, α-mixed, ``P ≤ 0``,
+  excluded and non-candidate entries dropped, the rest scaled by their
+  term's weights, in one whole-array expression each.
 * :func:`accumulate_top_k` — the query kernel retrieval and
-  recommendation share: the query's postings concatenated in source
-  order, α-mixed and scaled in one whole-array expression each, summed
-  per object with one ``np.unique`` + ``np.bincount``, then the top-k
+  recommendation share: the scaled entries summed per object with one
+  ``np.unique`` + ``np.bincount``, then the top-k
   selected by ``(-score, dense id)``.  Work is O(touched entries): no
   ``n_objects``-sized array, no per-α cache, no Threshold Algorithm
   walk — every entry is summed anyway, so early termination would
@@ -23,11 +26,10 @@ path with batch numpy work over the same data:
   :class:`SegmentedVectorView` — adapters giving every index flavour
   the same vector access surface.
 
-**Bit parity.**  Every float op here is the same IEEE-754 double
-operation the scalar path performs, in the same association order:
-mixing and scaling go through the shared :mod:`repro.core.mrf` helpers
-(elementwise, so per-entry ``inner``/``outer`` arrays give the same
-bits as ``ImpactSortedSource``'s Python-float scaling), and
+**Bit parity.**  Both index modes score the entries
+:func:`scaled_entries` returns; mixing and scaling go through the
+shared :mod:`repro.core.mrf` helpers, elementwise, so each entry also
+carries the bits the rescoring scorer computes for it.
 ``np.bincount`` adds each object's entries sequentially in input
 order — source order — starting from ``0.0``, exactly the partial sums
 of adding scalar ``score()`` calls source by source (a source without
@@ -74,6 +76,60 @@ class PostingVectors:
         return len(self.ids)
 
 
+class Entries(NamedTuple):
+    """The entries of a query's terms that can score, in term order —
+    what :func:`scaled_entries` returns."""
+
+    #: Term (source) index of each entry.
+    term: np.ndarray
+    #: Dense object id of each entry.
+    ids: np.ndarray
+    #: Its α-mixed impact ``P`` (always > 0).
+    impacts: np.ndarray
+    #: Its scaled score ``outer·(inner·P)``.
+    values: np.ndarray
+    #: Per term: whether its posting has a positive impact, counted
+    #: before exclusion — the terms that are sources.
+    sources: np.ndarray
+
+
+def scaled_entries(
+    terms: Sequence[tuple[PostingVectors, float, float]],
+    alpha: float,
+    exclude: int | None = None,
+    candidates: np.ndarray | None = None,
+) -> Entries:
+    """The one entry filter both index modes apply to a non-empty list
+    of ``(posting, inner, outer)`` terms: α-mix every entry, keep the
+    positive impacts, drop the ``exclude`` dense id (the query object)
+    and, when ``candidates`` — a dense boolean mask over the view's
+    object table — is given, every id it marks ``False``; scale the
+    rest to ``outer·(inner·P)``."""
+    lengths = [len(term[0]) for term in terms]
+    ids = np.concatenate([term[0].ids for term in terms])
+    impacts = mix_components(
+        np.concatenate([term[0].freq for term in terms]),
+        np.concatenate([term[0].smooth for term in terms]),
+        alpha,
+    )
+    keep = impacts > 0.0
+    ends = np.cumsum(lengths)
+    positives = np.concatenate(([0], np.cumsum(keep)))
+    sources = positives[ends] > positives[ends - lengths]
+    if exclude is not None:
+        keep &= ids != exclude
+    if candidates is not None:
+        keep &= candidates[ids]
+    impacts = impacts[keep]
+    values = scale_impacts(
+        impacts,
+        np.repeat([term[1] for term in terms], lengths)[keep],
+        np.repeat([term[2] for term in terms], lengths)[keep],
+    )
+    term = np.repeat(np.arange(len(terms)), lengths)[keep]
+    return Entries(term, ids[keep], impacts, values, sources)
+
+
 class TopK(NamedTuple):
     """What :func:`accumulate_top_k` returns: the ranking plus the
     counts ``search_with_stats`` reports."""
@@ -98,46 +154,20 @@ def accumulate_top_k(
     """Top-``k`` objects by ``Σ_terms outer·(inner·(α·freq + (1-α)·smooth))``.
 
     ``terms`` are ``(posting, inner, outer)`` in source order — the
-    order the scalar Threshold Algorithm receives its sources in.
-    Non-positive impacts are dropped (the scalar impact views drop
-    them too), as are entries of the ``exclude`` dense id (the query
-    object) and, when ``candidates`` — a dense boolean mask over the
-    view's object table — is given, of every id it marks ``False``.
-
-    Every object with a surviving entry is a candidate, and its score
-    is the sequential source-order sum of its scaled entries, so the
-    result equals scalar TA over the same sources bit for bit,
-    ``(-score, id)`` tie order included.
+    order the scalar Threshold Algorithm receives its sources in — and
+    the entries summed are :func:`scaled_entries`'s, the ones the
+    scalar sources hold.  Every object with a surviving entry is a
+    candidate, and its score is the sequential source-order sum of its
+    scaled entries, so the result equals scalar TA over the same
+    sources bit for bit, ``(-score, id)`` tie order included.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not terms:
         return TopK([], 0, 0, 0)
-    postings = [term[0] for term in terms]
-    lengths = [len(vectors) for vectors in postings]
-    ids = np.concatenate([vectors.ids for vectors in postings])
-    impacts = mix_components(
-        np.concatenate([vectors.freq for vectors in postings]),
-        np.concatenate([vectors.smooth for vectors in postings]),
-        alpha,
-    )
-    keep = impacts > 0.0
-    # Postings with a positive entry, counted before exclusion, as the
-    # scalar path counts its sources.
-    ends = np.cumsum(lengths)
-    positives = np.concatenate(([0], np.cumsum(keep)))
-    n_sources = int(np.count_nonzero(positives[ends] > positives[ends - lengths]))
-    if exclude is not None:
-        keep &= ids != exclude
-    if candidates is not None:
-        keep &= candidates[ids]
-    values = scale_impacts(
-        impacts[keep],
-        np.repeat([term[1] for term in terms], lengths)[keep],
-        np.repeat([term[2] for term in terms], lengths)[keep],
-    )
-    hits, inverse = np.unique(ids[keep], return_inverse=True)
-    scores = np.bincount(inverse, weights=values, minlength=len(hits))
+    entries = scaled_entries(terms, alpha, exclude, candidates)
+    hits, inverse = np.unique(entries.ids, return_inverse=True)
+    scores = np.bincount(inverse, weights=entries.values, minlength=len(hits))
     n_candidates = len(hits)
     if n_candidates > k:
         kth = np.partition(scores, n_candidates - k)[n_candidates - k]
@@ -145,7 +175,8 @@ def accumulate_top_k(
         hits, scores = hits[top], scores[top]
     order = np.lexsort((hits, -scores))[:k]
     ranking = list(zip(hits[order].tolist(), scores[order].tolist()))
-    return TopK(ranking, n_sources, len(values), n_candidates)
+    n_sources = int(np.count_nonzero(entries.sources))
+    return TopK(ranking, n_sources, len(entries.values), n_candidates)
 
 
 class MmapVectorView:

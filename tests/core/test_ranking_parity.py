@@ -138,3 +138,43 @@ def test_search_with_stats_matches_search_and_terminates_early(base_engine, tie_
     assert _pairs(results) == _pairs(base_engine.search(query, k=5, mode="index"))
     assert stats.sorted_accesses < stats.total_posting_entries
     assert stats.rounds >= 1 and stats.n_sources >= 1
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    q=st.integers(0, 10_000),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+    lambda2=st.floats(0.0, 1.0),
+    exclude_query=st.booleans(),
+    k=st.integers(1, 15),
+)
+def test_scalar_ta_matches_rescore_at_any_alpha(
+    base_engine, tie_corpus, q, alpha, lambda2, exclude_query, k
+):
+    """Scalar ``mode="index"`` walks impact sources built per query from
+    the stored arrays; the rescoring path recomputes every potential
+    from the model.  Any α, λ, k and exclusion must rank alike."""
+    params = MRFParameters(alpha=alpha, lambdas={1: 1.0, 2: lambda2, 3: 0.1})
+    engine = base_engine.with_params(params)
+    query = tie_corpus[q % len(tie_corpus)]
+    modes = {
+        mode: _pairs(engine.search(query, k=k, mode=mode, exclude_query=exclude_query))
+        for mode in ("index", "index-rescore")
+    }
+    assert modes["index"] == modes["index-rescore"]
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    u=st.integers(0, 1000),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+    delta=st.floats(0.05, 1.0),
+    k=st.integers(1, 15),
+)
+def test_scalar_ta_recommendations_match_rescore(recommender, rec_corpus, u, alpha, delta, k):
+    users = rec_corpus.favorite_users()
+    user = users[u % len(users)]
+    rec = recommender.with_params(MRFParameters(alpha=alpha, delta=delta))
+    assert _pairs(rec.recommend(user, k=k, mode="index")) == _pairs(
+        rec.recommend(user, k=k, mode="index-rescore")
+    )

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.index.compression import (
-    CompressedPosting,
     compression_ratio,
     decode_postings,
     decode_varint,
@@ -83,26 +82,15 @@ def test_compression_ratio_empty():
 
 
 # ----------------------------------------------------------------------
-# CompressedPosting
+# a posting's id list in the codec
 # ----------------------------------------------------------------------
-def test_compressed_posting_append_iterate():
-    p = CompressedPosting("T:a")
-    for doc in (2, 7, 7, 30):
-        p.add(doc)
-    assert len(p) == 3
-    assert p.doc_ids() == [2, 7, 30]
-    assert p.key == "T:a"
-
-
 def test_compressed_posting_rejects_regression():
-    p = CompressedPosting("T:a")
-    p.add(10)
     with pytest.raises(ValueError):
-        p.add(5)
+        encode_postings([10, 5])
 
 
 def test_compressed_posting_smaller_than_raw():
-    p = CompressedPosting("T:a")
-    for doc in range(0, 5000, 3):
-        p.add(doc)
-    assert p.nbytes() < len(p) * 8
+    ids = list(range(0, 5000, 3))
+    data = encode_postings(ids)
+    assert len(data) < len(ids) * 8
+    assert decode_postings(data) == ids

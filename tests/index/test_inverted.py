@@ -1,5 +1,7 @@
 """Clique inverted index: correctness of postings against FIGs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cliques import Clique
@@ -50,20 +52,6 @@ def test_lookup_by_key_string(built, tiny_corpus, correlations):
     fig = FeatureInteractionGraph.from_object(tiny_corpus[0], correlations)
     clique = fig.cliques(max_size=1)[0]
     assert built.lookup(clique.key) is built.lookup(clique)
-
-
-def test_candidates_union(built, tiny_corpus, correlations):
-    fig = FeatureInteractionGraph.from_object(tiny_corpus[0], correlations)
-    cliques = fig.cliques(max_size=2)
-    candidates = built.candidates(cliques)
-    assert tiny_corpus[0].object_id in candidates
-    # union over per-clique postings
-    manual = set()
-    for c in cliques:
-        posting = built.lookup(c)
-        if posting:
-            manual.update(posting.object_ids)
-    assert candidates == manual
 
 
 def test_postings_have_no_duplicates(built):
@@ -147,16 +135,19 @@ def test_set_n_objects_rejects_negative(correlations):
 
 
 def test_scalar_search_fills_views_only_for_looked_up_postings(tiny_corpus, correlations):
-    """Nothing is sorted ahead of the first query; a scalar search caches
-    an impact view on exactly the postings of the cliques it used."""
+    """Nothing is converted ahead of the first query; a scalar search
+    fills the vector view's per-key cache with exactly the postings of
+    the cliques it used, and a search at another α reuses them."""
     index = CliqueInvertedIndex(correlations, max_clique_size=3).build(tiny_corpus)
     engine = RetrievalEngine(tiny_corpus, correlations=correlations, index=index)
-    assert not any(posting._views for posting in index.iter_postings())
+    view = index.vector_view()
+    assert not view._cache
     query = tiny_corpus.objects[0]
     assert engine.search(query, k=10, mode="index")
     looked_up = {clique.key for clique in engine.query_cliques(query)}
-    warmed = {posting.key for posting in index.iter_postings() if posting._views}
+    warmed = set(view._cache)
     assert warmed and warmed <= looked_up
     assert len(warmed) < len(index)
-    alpha = engine.params.alpha
-    assert all(set(index.lookup(key)._views) == {alpha} for key in warmed)
+    other = engine.with_params(replace(engine.params, alpha=1.0 - engine.params.alpha))
+    assert other.search(query, k=10, mode="index")
+    assert set(view._cache) == warmed

@@ -1,16 +1,17 @@
 """Fagin's Threshold Algorithm: exactness vs brute force + early stop."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.index.threshold import (
     AccessStats,
-    ImpactSortedSource,
     SortedListSource,
-    sorted_access_count,
+    impact_sources,
     threshold_algorithm,
 )
+from repro.index.vectorized import PostingVectors
 
 
 def _brute_force_topk(sources, k):
@@ -68,8 +69,9 @@ def test_early_termination_depth():
     n = 100
     s1 = SortedListSource([("top", 100.0)] + [(f"x{i}", 1.0 - i * 1e-4) for i in range(n)])
     s2 = SortedListSource([("top", 100.0)] + [(f"x{i}", 1.0 - i * 1e-4) for i in range(n)])
-    depth = sorted_access_count([s1, s2], k=1)
-    assert depth <= 3
+    stats = AccessStats()
+    threshold_algorithm([s1, s2], k=1, stats=stats)
+    assert stats.rounds <= 3
 
 
 def test_results_sorted_and_unique():
@@ -85,65 +87,133 @@ def test_results_sorted_and_unique():
 
 
 # ----------------------------------------------------------------------
-# lazy impact-ordered sources
+# impact-ordered sources over posting arrays
 # ----------------------------------------------------------------------
-def _impact_source(pairs, inner=1.0, outer=1.0, exclude=frozenset()):
-    return ImpactSortedSource(pairs, dict(pairs), inner=inner, outer=outer, exclude=exclude)
+def _vectors(entries):
+    """A posting over dense ids: ``entries`` maps id -> (freq, smooth)."""
+    ids = sorted(entries)
+    return PostingVectors(
+        "T:a",
+        1.0,
+        np.array(ids, dtype=np.int64),
+        np.array([entries[i][0] for i in ids], dtype=np.float64),
+        np.array([entries[i][1] for i in ids], dtype=np.float64),
+    )
+
+
+def _impact_source(pairs, inner=1.0, outer=1.0, exclude=None, candidates=None):
+    """The one source of a posting whose impacts are exactly ``pairs``'
+    scores (α = 1 mixes in nothing of the zero smoothing parts)."""
+    vectors = _vectors({oid: (p, 0.0) for oid, p in pairs})
+    (source,) = impact_sources([(vectors, inner, outer)], 1.0, exclude, candidates)
+    return source
+
+
+def _source(vectors, alpha):
+    (source,) = impact_sources([(vectors, 1.0, 1.0)], alpha)
+    return source
+
+
+def _scored_vectors():
+    return _vectors(
+        {
+            1: (0.2, 0.8),  # P(α=0.5) = 0.5
+            2: (0.9, 0.1),  # P(α=0.5) = 0.5 (tie with 1)
+            3: (0.0, 0.0),  # P = 0 at every α — dropped
+            4: (0.8, 0.8),  # P(α=0.5) = 0.8
+        }
+    )
+
+
+def _entries(source):
+    return [source.entry(rank) for rank in range(len(source))]
+
+
+def test_impact_source_sorted_descending_with_id_tiebreak():
+    source = _source(_scored_vectors(), 0.5)
+    assert [oid for oid, _ in _entries(source)] == [4, 1, 2]
+    scores = [s for _, s in _entries(source)]
+    assert scores == sorted(scores, reverse=True)
+    # tie between 1 and 2 broken by ascending id (ranked_sort order)
+    assert source.score(1) == source.score(2)
+
+
+def test_impact_source_drops_nonpositive_entries():
+    source = _source(_scored_vectors(), 0.5)
+    assert len(source) == 3
+    assert source.score(3) == 0.0
+    assert all(s > 0.0 for _, s in _entries(source))
+    # A posting with no positive impact is no source at all.
+    assert impact_sources([(_vectors({7: (0.0, 0.0)}), 1.0, 1.0)], 0.5) == []
+    terms = [(_vectors({7: (0.0, 0.0)}), 1.0, 1.0), (_scored_vectors(), 1.0, 1.0)]
+    assert [len(s) for s in impact_sources(terms, 0.5)] == [3]
+    assert impact_sources([], 0.5) == []
+
+
+def test_impact_source_alpha_remixes_stored_components():
+    # α=1 ranks by freq part alone; α=0 by smoothing part alone.
+    for alpha, expected in ((1.0, [2, 4, 1]), (0.0, [1, 4, 2])):
+        source = _source(_scored_vectors(), alpha)
+        assert [oid for oid, _ in _entries(source)] == expected
+
+
+def test_impact_source_exact_mix():
+    alpha = 0.3
+    source = _source(_scored_vectors(), alpha)
+    assert source.score(1) == alpha * 0.2 + (1.0 - alpha) * 0.8
 
 
 def test_impact_source_scales_sorted_and_random_access():
-    src = _impact_source([("a", 0.5), ("b", 0.25)], inner=2.0, outer=3.0)
-    assert src.entry(0) == ("a", 3.0 * (2.0 * 0.5))
-    assert src.score("b") == 3.0 * (2.0 * 0.25)
-    assert src.score("zzz") == 0.0
+    src = _impact_source([(0, 0.5), (1, 0.25)], inner=2.0, outer=3.0)
+    assert src.entry(0) == (0, 3.0 * (2.0 * 0.5))
+    assert src.score(1) == 3.0 * (2.0 * 0.25)
+    assert src.score(99) == 0.0
 
 
 def test_impact_source_excludes_query_id():
-    src = _impact_source([("q", 0.9), ("a", 0.5)], exclude={"q"})
+    src = _impact_source([(0, 0.5), (9, 0.9)], exclude=9)
     assert len(src) == 1
-    assert src.entry(0) == ("a", 0.5)
-    assert src.score("q") == 0.0
+    assert src.entry(0) == (0, 0.5)
+    assert src.score(9) == 0.0
+    # Excluding its only positive entry still leaves an (empty) source.
+    assert len(_impact_source([(9, 0.9)], exclude=9)) == 0
 
 
 def test_impact_source_eligible_filters_both_accesses():
-    """The candidate filter: ineligible ids are skipped on sorted access,
-    score 0 on random access and do not count towards the length."""
-    pairs = [("x", 0.9), ("a", 0.5), ("y", 0.4), ("b", 0.25)]
-    src = ImpactSortedSource(pairs, dict(pairs), inner=1.0, eligible={"a", "b"}.__contains__)
+    """The candidate mask: ids it marks ``False`` are skipped on sorted
+    access, score 0 on random access and do not count towards the
+    length."""
+    pairs = [(0, 0.5), (1, 0.25), (2, 0.9), (3, 0.4)]
+    mask = np.array([True, True, False, False])
+    src = _impact_source(pairs, candidates=mask)
     assert len(src) == 2
-    assert [src.entry(0), src.entry(1)] == [("a", 0.5), ("b", 0.25)]
-    assert src.score("x") == 0.0 and src.score("a") == 0.5
+    assert _entries(src) == [(0, 0.5), (1, 0.25)]
+    assert src.score(2) == 0.0 and src.score(0) == 0.5
+    # Masking out every entry still leaves an (empty) source.
+    assert len(_impact_source(pairs, candidates=np.zeros(4, dtype=bool))) == 0
 
 
 def test_impact_source_exclude_absent_id_keeps_length():
-    src = _impact_source([("a", 0.5)], exclude={"nope"})
+    src = _impact_source([(0, 0.5)], exclude=42)
     assert len(src) == 1
 
 
-def test_impact_source_cursor_is_lazy():
-    src = _impact_source([(f"o{i}", 1.0 - i * 0.01) for i in range(100)])
-    src.entry(2)
-    assert src._cursor == 3  # never touched the tail
-    src.entry(1)
-    assert src._cursor == 3  # re-reads come from the materialized prefix
-
-
 def test_impact_source_interchangeable_with_eager_source():
-    pairs = [("a", 3.0), ("c", 2.0), ("b", 1.0)]
+    pairs = [(0, 3.0), (2, 2.0), (1, 1.0)]
     eager = SortedListSource(list(pairs))
-    lazy = _impact_source(pairs)
-    assert threshold_algorithm([eager], k=3) == threshold_algorithm([lazy], k=3)
+    impact = _impact_source(pairs)
+    assert threshold_algorithm([eager], k=3) == threshold_algorithm([impact], k=3)
 
 
 def test_impact_source_early_termination_skips_tail():
     n = 200
-    pairs = [("top", 100.0)] + [(f"x{i:03d}", 1.0 - i * 1e-4) for i in range(n)]
+    pairs = [(0, 100.0)] + [(i + 1, 1.0 - i * 1e-4) for i in range(n)]
     s1, s2 = _impact_source(pairs), _impact_source(pairs)
     stats = AccessStats()
     threshold_algorithm([s1, s2], k=1, stats=stats)
     assert stats.rounds <= 3
-    assert s1._cursor <= 3  # the posting tail was never materialized
-    assert stats.sorted_accesses < 2 * len(pairs)
+    # The walk stopped after the head: the tail was never read.
+    assert stats.sorted_accesses <= 2 * stats.rounds < 2 * len(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -162,16 +232,6 @@ def test_access_stats_merge_accumulates():
     a = AccessStats(sorted_accesses=2, random_accesses=4, rounds=1)
     a.merge(AccessStats(sorted_accesses=3, random_accesses=1, rounds=2))
     assert (a.sorted_accesses, a.random_accesses, a.rounds) == (5, 5, 3)
-
-
-def test_sorted_access_count_matches_stats_rounds():
-    sources = [
-        SortedListSource([(f"o{i}", float(20 - i)) for i in range(20)]),
-        SortedListSource([(f"o{i}", float(i % 5)) for i in range(20)]),
-    ]
-    stats = AccessStats()
-    threshold_algorithm(sources, k=3, stats=stats)
-    assert sorted_access_count(sources, k=3) == stats.rounds
 
 
 @settings(deadline=None, max_examples=60)

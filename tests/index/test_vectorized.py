@@ -1,19 +1,19 @@
 """The accumulate-and-select kernel: scores, order, views, parity.
 
 Unit coverage for :mod:`repro.index.vectorized`.  The kernel's scores
-must equal the source-order sum of scalar
-:class:`~repro.index.threshold.ImpactSortedSource` random accesses bit
-for bit (compared as ``float.hex``), and its ranking must equal the
-scalar Threshold Algorithm's over the same sources — through every
-vector view flavour (in-memory, mmap'd v3 segment, and a segment stack
-holding one key in several segments) and through the recommender's
-candidate mask.  The stored ``blockmax`` section the writers still
+must equal the source-order sum of the scaled impacts, computed in
+Python floats, bit for bit (compared as ``float.hex``), and its ranking
+must equal brute force and the scalar Threshold Algorithm's over the
+same terms — through every vector view flavour (in-memory, mmap'd v3
+segment, and a segment stack holding one key in several segments) and
+through the recommender's candidate mask.  The stored ``blockmax`` section the writers still
 emit is checked against :func:`~repro.index.binfmt.block_maxima`.
 """
 
 from __future__ import annotations
 
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from repro.index.binfmt import (
     write_index_file,
 )
 from repro.index.postings import Posting
-from repro.index.threshold import ImpactSortedSource, threshold_algorithm
+from repro.index.threshold import AccessStats, impact_sources, threshold_algorithm
 from repro.index.vectorized import (
     InMemoryVectorView,
     MmapVectorView,
@@ -227,45 +227,41 @@ def _posting(key: str, entries: dict[int, tuple[float, float]]) -> Posting:
     return posting
 
 
-def _scalar_reference(postings, weights, alpha, k, exclude):
-    """Scalar sources in term order, per-id full scores (source-order
-    sum of ``ImpactSortedSource.score``) and the scalar TA ranking."""
-    sources = []
+def _brute_force(postings, weights, alpha, exclude=None, candidates=None):
+    """The exact reference over the postings' Python floats: per-id full
+    scores (the term-order sum of ``outer·(inner·P)`` over positive
+    ``P``), the number of postings with a positive ``P`` (counted
+    before exclusion) and the number of entries that survive."""
+    full: dict[str, float] = {}
+    n_sources = n_entries = 0
     for posting, (inner, outer) in zip(postings, weights):
-        view = posting.impact_view(alpha)
-        if view.pairs:
-            sources.append(
-                ImpactSortedSource(
-                    view.pairs, view.scores, inner=inner, outer=outer, exclude=exclude
-                )
-            )
-    positive = {
-        oid for posting in postings for oid, _ in posting.impact_view(alpha).pairs
-    } - exclude
-    full = {oid: sum(s.score(oid) for s in sources) for oid in positive}
-    return sources, full, threshold_algorithm(sources, k=k)
+        freq, smooth = posting.component_arrays()
+        positive = False
+        for oid, f, sm in zip(posting, freq, smooth):
+            p = alpha * f + (1.0 - alpha) * sm
+            if p <= 0.0:
+                continue
+            positive = True
+            if oid == exclude or (candidates is not None and oid not in candidates):
+                continue
+            full[oid] = full.get(oid, 0.0) + outer * (inner * p)
+            n_entries += 1
+        n_sources += positive
+    return full, n_sources, n_entries
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    raw=postings_strategy,
-    weights=st.lists(st.tuples(WEIGHTS, WEIGHTS), min_size=5, max_size=5),
-    alpha=st.floats(0.0, 1.0, allow_nan=False),
-    k=st.integers(1, N_IDS + 1),
-    exclude=st.none() | st.integers(0, N_IDS + 2),
-    split=st.integers(0, 2**16),
-)
-def test_kernel_equals_scalar_ta_on_every_view(raw, weights, alpha, k, exclude, split):
+def _top_k(full, k):
+    return sorted(full.items(), key=lambda e: (-e[1], e[0]))[:k]
+
+
+@contextmanager
+def _every_view(raw, split):
+    """The postings of ``raw`` behind every vector-view flavour: in
+    memory, one mmap'd v3 file, and a segment stack (an mmap'd main plus
+    two in-memory segments) over which each posting's entries are dealt
+    by object — an object lives in one segment, as ingest appends new
+    objects — so most keys sit in several segments."""
     postings = [_posting(f"c{i}", entries) for i, entries in enumerate(raw)]
-    weights = weights[: len(postings)]
-    excluded = {_oid(exclude)} if exclude is not None else set()
-    sources, full, expected = _scalar_reference(
-        postings, weights, alpha, k, frozenset(excluded)
-    )
-
-    # A second segment stack: each posting's entries dealt over three
-    # segments by object (an object lives in one segment, as ingest
-    # appends new objects), so most keys sit in several segments.
     segment_of = {i: (split >> (2 * (i % 8))) % 3 for i in range(N_IDS)}
     parts = [
         [
@@ -291,29 +287,101 @@ def test_kernel_equals_scalar_ta_on_every_view(raw, weights, alpha, k, exclude, 
                 segments += [
                     _PostingIndex([p for p in part if len(p)]) for part in parts[1:]
                 ]
-                views = {
+                yield postings, {
                     "memory": InMemoryVectorView(_PostingIndex(postings)),
                     "mmap": MmapVectorView(reader),
                     "segmented": SegmentedVectorView(segments),
                 }
-                for name, view in views.items():
-                    terms = [
-                        (view.vectors(p.key), inner, outer)
-                        for p, (inner, outer) in zip(postings, weights)
-                    ]
-                    dense_exclude = view.dense_id(_oid(exclude)) if exclude is not None else None
-                    top = accumulate_top_k(terms, alpha, k, exclude=dense_exclude)
-                    got = [(view.object_id(d), s) for d, s in top.ranking]
-                    assert got == expected, name
-                    for oid, score in got:
-                        assert score.hex() == full[oid].hex(), (name, oid)
-                    # Every object with a positive impact is a candidate.
-                    assert top.n_candidates == len(full)
-                    assert top.n_sources == len(sources)
-                    assert top.n_entries == sum(len(s) for s in sources)
             finally:
                 for r in readers:
                     r.close()
+
+
+def _dense_exclude(view, exclude):
+    return view.dense_id(_oid(exclude)) if exclude is not None else None
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    raw=postings_strategy,
+    weights=st.lists(st.tuples(WEIGHTS, WEIGHTS), min_size=5, max_size=5),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+    k=st.integers(1, N_IDS + 1),
+    exclude=st.none() | st.integers(0, N_IDS + 2),
+    split=st.integers(0, 2**16),
+)
+def test_kernel_equals_scalar_ta_on_every_view(raw, weights, alpha, k, exclude, split):
+    with _every_view(raw, split) as (postings, views):
+        weights = weights[: len(postings)]
+        excluded = _oid(exclude) if exclude is not None else None
+        full, n_sources, n_entries = _brute_force(postings, weights, alpha, excluded)
+        expected = _top_k(full, k)
+        for name, view in views.items():
+            terms = [
+                (view.vectors(p.key), inner, outer)
+                for p, (inner, outer) in zip(postings, weights)
+            ]
+            top = accumulate_top_k(terms, alpha, k, exclude=_dense_exclude(view, exclude))
+            got = [(view.object_id(d), s) for d, s in top.ranking]
+            assert got == expected, name
+            for oid, score in got:
+                assert score.hex() == full[oid].hex(), (name, oid)
+            # Every object with a positive impact is a candidate.
+            assert top.n_candidates == len(full)
+            assert top.n_sources == n_sources
+            assert top.n_entries == n_entries
+            sources = impact_sources(terms, alpha, exclude=_dense_exclude(view, exclude))
+            scalar = threshold_algorithm(sources, k=k)
+            assert scalar == top.ranking, name
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    raw=postings_strategy,
+    weights=st.lists(st.tuples(WEIGHTS, WEIGHTS), min_size=5, max_size=5),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+    k=st.integers(1, N_IDS + 1),
+    exclude=st.none() | st.integers(0, N_IDS + 2),
+    candidates=st.none() | st.sets(st.integers(0, N_IDS - 1)),
+    split=st.integers(0, 2**16),
+)
+def test_scalar_ta_equals_brute_force_on_every_view(
+    raw, weights, alpha, k, exclude, candidates, split
+):
+    """Scalar ``mode="index"``'s walk — :func:`impact_sources` and the
+    Threshold Algorithm over the view's arrays — ranks exactly like
+    brute force over the same entries, scores bit for bit, with any α,
+    exclusion and candidate mask."""
+    with _every_view(raw, split) as (postings, views):
+        weights = weights[: len(postings)]
+        excluded = _oid(exclude) if exclude is not None else None
+        allowed = {_oid(i) for i in candidates} if candidates is not None else None
+        full, n_sources, n_entries = _brute_force(
+            postings, weights, alpha, excluded, allowed
+        )
+        expected = _top_k(full, k)
+        for name, view in views.items():
+            mask = None
+            if allowed is not None:
+                mask = np.zeros(view.n_objects, dtype=bool)
+                for oid in allowed:
+                    dense = view.dense_id(oid)
+                    if dense is not None:
+                        mask[dense] = True
+            terms = [
+                (view.vectors(p.key), inner, outer)
+                for p, (inner, outer) in zip(postings, weights)
+            ]
+            sources = impact_sources(
+                terms, alpha, exclude=_dense_exclude(view, exclude), candidates=mask
+            )
+            stats = AccessStats()
+            ranking = threshold_algorithm(sources, k=k, stats=stats)
+            got = [(view.object_id(d), s.hex()) for d, s in ranking]
+            assert got == [(oid, s.hex()) for oid, s in expected], name
+            assert len(sources) == n_sources
+            assert sum(len(s) for s in sources) == n_entries
+            assert stats.sorted_accesses <= n_entries
 
 
 # ----------------------------------------------------------------------

@@ -230,8 +230,8 @@ def _vectorized_report(
     engine.adopt_index(index)
 
     queries = sample_queries(corpus, n_queries=n_queries, seed=seed)
-    # Warm both paths off the clock: impact views for the scalar walk,
-    # the vector view's decoded postings for the vectorized kernel.
+    # Warm both paths off the clock: the vector view's decoded postings,
+    # which the scalar walk and the vectorized kernel both read.
     for query in queries:
         engine.search(query, k=k, mode="index")
         engine.search(query, k=k, mode="index-vectorized")
