@@ -102,7 +102,7 @@ def run_experiment():
         engine = H.fig_engine(size)
         systems = {
             "FIG": _ModeView(engine, "index"),
-            "FIG-vec": _ModeView(engine, "index-vectorized"),
+            "FIG-vec": _ModeView(engine, "auto"),
             "FIG-pre": _ModeView(engine, "index-rescore"),
             **H.baseline_systems(size),
         }
@@ -113,7 +113,7 @@ def run_experiment():
             detail[size][name] = timing.as_dict()
         access[size] = _access_accounting(engine, base_queries, k=10)
         vec_access[size] = _access_accounting(
-            engine, base_queries, k=10, mode="index-vectorized"
+            engine, base_queries, k=10, mode="auto"
         )
 
     rows.append("system (ms)    " + "  ".join(f"{s:>7}" for s in H.SWEEP_SIZES))
@@ -154,15 +154,15 @@ def run_extended_sweep():
         queries = sample_queries(corpus, n_queries=10, seed=H.QUERY_SEED)
         entry = {
             name: time_per_query(_ModeView(engine, mode), queries, k=10).as_dict()
-            for name, mode in (("FIG", "index"), ("FIG-vec", "index-vectorized"))
+            for name, mode in (("FIG", "index"), ("FIG-vec", "auto"))
         }
         entry["ta_access"] = _access_accounting(
-            engine, queries, k=10, mode="index-vectorized"
+            engine, queries, k=10, mode="auto"
         )
         entry["parity_failures"] = [
             q.object_id
             for q in queries
-            if engine.search(q, k=10, mode="index-vectorized")
+            if engine.search(q, k=10, mode="auto")
             != engine.search(q, k=10, mode="index")
         ]
         out[size] = entry
@@ -186,7 +186,7 @@ def _parity_counts(largest_size):
     for query in queries:
         fast = engine.search(query, k=10, mode="index")
         assert fast == engine.search(query, k=10, mode="index-rescore")
-        assert fast == engine.search(query, k=10, mode="index-vectorized")
+        assert fast == engine.search(query, k=10, mode="auto")
 
     alpha1 = RetrievalEngine(
         H.retrieval_corpus(largest_size), params=MRFParameters(alpha=1.0)
@@ -194,7 +194,7 @@ def _parity_counts(largest_size):
     for query in queries:
         fast = alpha1.search(query, k=10, mode="index")
         assert fast == alpha1.search(query, k=10, mode="scan")
-        assert fast == alpha1.search(query, k=10, mode="index-vectorized")
+        assert fast == alpha1.search(query, k=10, mode="auto")
     return {
         "index_vs_rescore": len(queries),
         "index_vs_vectorized": len(queries),

@@ -10,7 +10,7 @@ escape hatches:
 * **shard-parallel build** (2 workers, smallest size) — asserted
   bit-identical to the serial build; wall-clock wins need real cores,
   so no speedup is asserted (CI boxes are often single-core);
-* **save / load of the v3 artifact** — the serving cold-start path:
+* **save / load of the binary artifact** — the serving cold-start path:
   the artifact mmaps and decodes lazily, and its load must beat
   re-scoring (the build) by at least ``MIN_LOAD_SPEEDUP``;
 * **scale sweep** (``REPRO_BENCH_INDEX_SWEEP``, default
@@ -164,7 +164,7 @@ def _postings_equivalent(a: CliqueInvertedIndex, b: CliqueInvertedIndex) -> bool
 
 
 def _save_load(index, correlations, tmp_dir, size):
-    """Save and load the v3 artifact; return the detail row."""
+    """Save and load the binary artifact; return the detail row."""
     bin_path = tmp_dir / f"index_{size}.bin"
     _, bin_save = _timed(lambda: save_index(index, bin_path))
     bin_loaded, bin_load = _timed(lambda: load_index(bin_path, correlations))
@@ -235,7 +235,7 @@ def run_scale_sweep(tmp_dir):
         del index
 
         # Segmented direct-to-binary build: shards write self-contained
-        # v3 segment files, the streaming merge folds them — byte-for-
+        # segment files, the streaming merge folds them — byte-for-
         # byte the monolithic artifact, with per-worker peak RSS bounded
         # by the shard.  (The parent's heap is dropped above so the
         # fork-inherited baseline does not drown the per-shard signal.)

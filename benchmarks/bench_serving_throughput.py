@@ -118,7 +118,7 @@ def _probe(port: int, query: str) -> dict:
 
 
 def _saved_corpus_dir(corpus, directory: Path) -> Path:
-    """Persist the corpus *and* the v3 binary index so every serving
+    """Persist the corpus *and* the binary index so every serving
     configuration (in-process or prefork) loads the same artifact and
     forked workers share its pages through the OS page cache."""
     save_corpus(corpus, directory)
@@ -298,7 +298,7 @@ def test_serving_throughput(benchmark, capsys):
     assert result["cold"]["requests"] == total
     assert result["warm"]["requests"] == total
     # the serving default must reach the vectorized engine
-    assert result["default_mode"] == "index-vectorized"
+    assert result["default_mode"] == "auto"
     # the warm phase resamples a tiny pool: nearly everything hits cache
     assert result["cache"]["hits"] >= total - N_CLIENTS * WARM_QUERY_POOL
     # cached answers must not be slower than full scoring
@@ -322,7 +322,7 @@ def test_serving_prefork_parity(benchmark, capsys):
     )
     _report(result, capsys)
     assert result["parity_across_configs"]
-    assert result["default_mode"] == "index-vectorized"
+    assert result["default_mode"] == "auto"
     prefork = [cfg for cfg in result["configs"] if cfg["model"] == "prefork"]
     assert prefork and prefork[0]["cold"]["requests"] == 4 * 20
 
@@ -367,8 +367,8 @@ def main(argv: list[str] | None = None) -> int:
         print("serving-throughput FAIL: configurations disagree on the "
               "default-mode probe query", file=sys.stderr)
         return 1
-    if result["default_mode"] != "index-vectorized":
-        print(f"serving-throughput FAIL: default mode resolved to "
+    if result["default_mode"] != "auto":
+        print(f"serving-throughput FAIL: default mode is "
               f"{result['default_mode']}", file=sys.stderr)
         return 1
     if args.gate is not None:

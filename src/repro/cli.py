@@ -9,7 +9,7 @@ Examples::
 
     repro generate --objects 1000 --out ./corpus
     repro info ./corpus
-    repro index build ./corpus --workers 4           # v3 binary index.bin
+    repro index build ./corpus --workers 4           # binary index.bin
     repro search ./corpus --query obj000003 --k 10
     repro generate --objects 1500 --tracked-users 10 --recommendation --out ./rec
     repro recommend ./rec --user tracked000 --k 10 --delta 0.4
@@ -44,14 +44,12 @@ from repro.serving.service import QueryService
 from repro.serving.snapshot import SnapshotManager, build_snapshot
 from repro.social.generator import GeneratorConfig, SyntheticFlickr
 from repro.social.ingest import IngestConfig, IngestError, ingest_object
-from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import build_segmented
 from repro.storage.store import (
     StorageError,
     load_corpus,
     load_index,
     save_corpus,
-    save_index,
 )
 
 
@@ -99,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--k", type=int, default=10)
     search.add_argument(
         "--mode",
-        choices=("auto", "index-vectorized", "index", "scan"),
+        choices=("auto", "index", "scan"),
         default="auto",
         help="auto (vectorized), scalar index, or exhaustive scan "
         "— all rank bit-identically",
@@ -226,25 +224,20 @@ def _cmd_index(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     engine = RetrievalEngine(corpus, build_index=False)
     path = Path(args.corpus) / "index.bin"
+    # Shard workers write segment files and a streaming merge assembles
+    # index.bin, so no process ever holds the whole posting heap; one
+    # worker writes a single segment that becomes index.bin as is.  The
+    # bytes do not depend on the worker count.
+    report = build_segmented(
+        list(corpus),
+        engine.correlations,
+        max_clique_size=engine.params.max_clique_size,
+        n_workers=args.workers,
+        out_path=path,
+    )
     merged = ""
-    if args.workers > 1:
-        # Segmented build: shard workers write v3 segment files and a
-        # streaming merge assembles index.bin, so no process ever holds
-        # the whole posting heap.  Byte-identical to the serial build +
-        # save path at any worker count.
-        report = build_segmented(
-            list(corpus),
-            engine.correlations,
-            max_clique_size=engine.params.max_clique_size,
-            n_workers=args.workers,
-            out_path=path,
-        )
+    if report.n_segments > 1:
         merged = f"; {report.n_segments} segments merged in {report.merge_seconds:.2f}s"
-    else:
-        index = CliqueInvertedIndex(
-            engine.correlations, max_clique_size=engine.params.max_clique_size
-        ).build(corpus)
-        save_index(index, path)
     # Re-open the artifact, by default with the eager payload checksum
     # sweep: a torn or bit-flipped write fails here, at build time, not
     # at serve time.

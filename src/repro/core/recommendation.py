@@ -250,14 +250,14 @@ class Recommender:
         ``current_month`` is Eq. 10's ``t_c``; it defaults to the start
         of the evaluation window (the "now" at which the newly incoming
         objects are being considered).  ``mode="auto"`` (the default)
-        runs ``index-vectorized`` when an index is present.  Rankings
+        runs the accumulate-and-select kernel over the index.  Rankings
         agree across the index modes in ids and float scores, exact
         score ties included (canonical ``(-score, id)`` order).
         """
-        if mode not in ("auto", "index-vectorized", "index", "index-rescore", "scan"):
+        if mode not in ("auto", "index", "index-rescore", "scan"):
             raise ValueError(
-                "mode must be 'auto', 'index-vectorized', 'index', "
-                f"'index-rescore' or 'scan', got {mode!r}"
+                "mode must be 'auto', 'index', 'index-rescore' or 'scan', "
+                f"got {mode!r}"
             )
         profile = self.profile_for(user)
         t_now = current_month if current_month is not None else self._split.evaluation.start

@@ -8,12 +8,11 @@ The engine owns the paper's whole preprocessing pipeline for one corpus:
    group co-membership for users, Eq. 1 across modalities;
 3. the clique inverted index over every object's FIG.
 
-Four query modes are provided (``mode="auto"``, the default, resolves
-to ``index-vectorized`` whenever an index is present):
+Four query modes are provided:
 
-* ``mode="index-vectorized"`` — Algorithm 1 as batch numpy work: the
+* ``mode="auto"`` (the default) — Algorithm 1 as batch numpy work: the
   query cliques' postings are consumed as whole arrays (zero-copy views
-  against an mmap'd v3 segment), summed per object in source order and
+  against an mmap'd ``index.bin``), summed per object in source order and
   the top-k selected straight from the sums
   (:func:`repro.index.vectorized.accumulate_top_k`).  Rankings are
   bit-identical to ``mode="index"``.
@@ -86,7 +85,7 @@ class IndexQueryStats:
     below ``total_posting_entries`` — the invariant the CI perf gate
     asserts.
 
-    Vectorized (``auto`` / ``index-vectorized``) mode sums every entry,
+    The default (``auto``) mode sums every entry,
     so ``n_sources`` counts the postings with a positive impact,
     ``sorted_accesses == total_posting_entries`` is the number of
     positive entries summed, ``random_accesses`` the distinct
@@ -336,12 +335,12 @@ class RetrievalEngine:
         ``exclude_query`` drops the query's own id from the results —
         the paper's queries are corpus images, and returning the query
         to itself carries no information.  ``mode="auto"`` (the
-        default) runs ``index-vectorized`` when an index is present.
+        default) runs the accumulate-and-select kernel over the index.
         """
-        if mode not in ("auto", "index-vectorized", "index", "index-rescore", "scan"):
+        if mode not in ("auto", "index", "index-rescore", "scan"):
             raise ValueError(
-                "mode must be 'auto', 'index-vectorized', 'index', "
-                f"'index-rescore' or 'scan', got {mode!r}"
+                "mode must be 'auto', 'index', 'index-rescore' or 'scan', "
+                f"got {mode!r}"
             )
         cliques = self.query_cliques(query)
         exclude = {query.object_id} if exclude_query else set()
@@ -369,13 +368,11 @@ class RetrievalEngine:
 
         ``mode`` selects the scalar (``"index"``, the default — its
         access budget is what the CI gate is calibrated on) or the
-        vectorized path (``"index-vectorized"`` / ``"auto"``); see
+        vectorized default path (``"auto"``); see
         :class:`IndexQueryStats` for what each counts.
         """
-        if mode not in ("auto", "index-vectorized", "index"):
-            raise ValueError(
-                f"mode must be 'auto', 'index-vectorized' or 'index', got {mode!r}"
-            )
+        if mode not in ("auto", "index"):
+            raise ValueError(f"mode must be 'auto' or 'index', got {mode!r}")
         if self._index is None:
             raise ValueError("engine was built with build_index=False; use mode='scan'")
         cliques = self.query_cliques(query)

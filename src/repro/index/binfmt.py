@@ -1,7 +1,7 @@
-"""Binary memory-mapped index format (v3) — the packed on-disk layout.
+"""Binary memory-mapped index format (v4) — the packed on-disk layout.
 
 The clique inverted index's one on-disk format.  A text format parses
-every posting on load — O(corpus) before the first query.  Format v3
+every posting on load — O(corpus) before the first query.  This format
 is the classic IR answer: one file of packed contiguous sections that a
 reader ``mmap``s and decodes *per clique on demand*, so opening an
 index costs header parsing plus CRC sweeps — not a parse of every
@@ -10,52 +10,38 @@ posting.
 Layout (all integers little-endian, sections 8-byte aligned)::
 
     offset  size  field
-    0       8     magic  b"RPROIDX3"
-    8       4     u32 version (= 3)
+    0       8     magic  b"RPROIDX4"
+    8       4     u32 version (= 4)
     12      4     u32 flags (must be 0)
     16      4     u32 max_clique_size
-    20      4     u32 n_sections
+    20      4     u32 n_sections (= 6)
     24      8     u64 n_objects      (indexed-object count, may exceed
                                       the ids actually present)
     32      8     u64 n_cliques
     40      8     u64 total_entries  (sum of posting lengths)
     48      4     u32 header_crc    (crc32 of bytes [0, 48))
-    52      --    section table: n_sections records of
+    52      192   section table: 6 records of
                     8s name | u64 offset | u64 length | u32 crc | 4 pad
-    --      4     u32 table_crc     (crc32 of the section table bytes)
-    --      --    section payloads, each padded to 8-byte alignment
+    244     4     u32 table_crc     (crc32 of the section table bytes)
+    248     --    section payloads, each padded to 8-byte alignment
 
-Sections (fixed set, any order on disk):
+Sections (fixed set, every one required, any order on disk):
 
 * ``objids`` — string table of every object id, **sorted**; the dense
   integer id of an object is its rank here, so string ids round-trip.
 * ``keys`` — string table of every clique key, **sorted** (UTF-8 byte
   order == code-point order), enabling binary-search lookup straight
-  off the mmap with no materialized dictionary.
+  off the mmap with no materialized dictionary.  A key's rank is its
+  slot; every per-clique section is slot-ordered.
 * ``postmeta`` — per key slot: posting byte offset/length, entry
   count, entry offset into the float arrays, and CorS (never NaN; a
   reader rejects the file otherwise).
-* ``order`` — u32 per clique: the slot of the i-th posting in the
-  original index iteration order, so a binary round trip preserves
-  iteration (and therefore re-serialization) order exactly.
 * ``postings`` — concatenated d-gap + varint streams of dense object
   ids (:func:`repro.index.compression.encode_postings`).
 * ``freq`` / ``smooth`` — the two build-time Eq. 7 components as
   contiguous f64 arrays, parallel to the decoded id streams.  f64 (not
   f32) because loaded rankings must stay **bit-identical** to the
   in-memory build.
-* ``blockmax`` (*optional*) — per fixed-size posting block of
-  :data:`BLOCK_SIZE` entries, the block's component maxima: all
-  blocks' ``max(freq)`` f64s (slot order, blocks in storage order
-  within each slot), then all blocks' ``max(smooth)`` f64s.  Only
-  postings **longer than one block** store bounds (readers return
-  ``None`` for the others).  Because ``α, 1-α ≥ 0`` and f64
-  multiply/add are monotone under rounding, ``α·max_f + (1-α)·max_s``
-  bounds every member's α-mixed impact for *any* α — a WAND-style
-  upper bound.  No query path reads the section today (every query
-  sums whole postings, DESIGN.md §9); it is still written, so the
-  file stays byte-stable, and files without it (pre-blockmax v3) load
-  the same.
 
 String tables: ``u32 count | u32 offsets[count+1] | utf-8 blob``.
 
@@ -64,6 +50,8 @@ Entry order inside a posting is canonicalized to ascending object id
 That is a pure permutation of the build's entry order and cannot change
 any ranking: the query paths select by ``(-score, id)``
 (``accumulate_top_k``, ``ImpactSortedSource``, ``SortedListSource``).
+Posting order is canonicalized the same way (key order), so the file
+is a pure function of the postings' contents.
 
 Corruption handling: every failure raises :class:`BinaryFormatError`
 carrying the section name and byte offset; the storage layer maps it
@@ -90,8 +78,8 @@ import numpy as np
 from repro.index.compression import decode_postings, encode_postings
 from repro.index.postings import Posting
 
-MAGIC = b"RPROIDX3"
-BINARY_FORMAT_VERSION = 3
+MAGIC = b"RPROIDX4"
+BINARY_FORMAT_VERSION = 4
 
 _HEADER = struct.Struct("<8sIIIIQQQ")
 _CRC = struct.Struct("<I")
@@ -107,42 +95,18 @@ _POSTMETA_DTYPE = np.dtype(
     ]
 )
 
-#: The complete section set of a v3 file (writers emit all of them).
-SECTION_NAMES = (
-    "objids", "keys", "postmeta", "order", "postings", "freq", "smooth", "blockmax",
-)
+#: The complete section set of a file (writers emit all of them, in
+#: this order; readers require all of them).
+SECTION_NAMES = ("objids", "keys", "postmeta", "postings", "freq", "smooth")
 
-#: Sections a reader tolerates missing: ``blockmax`` was added after the
-#: first v3 files shipped, and its content is rebuildable from
-#: ``freq``/``smooth`` — older artifacts stay loadable.
-_OPTIONAL_SECTIONS = frozenset({"blockmax"})
-
-#: Sections whose CRC is always checked at open (cheap, metadata-sized;
-#: ``blockmax`` is ~``total_entries/BLOCK_SIZE`` pairs, metadata-scale).
-_EAGER_SECTIONS = frozenset({"objids", "keys", "postmeta", "order", "blockmax"})
-
-#: Entries per upper-bound block of the ``blockmax`` section.  Postings
-#: are stored ascending-id, so a block is a contiguous id range; 128
-#: keeps the bound table tiny (16 bytes per 128 entries) while leaving
-#: enough entries per block for the skip to pay for itself.
-BLOCK_SIZE = 128
-assert BLOCK_SIZE > 0  # block-count math divides by it
-
-
-def block_maxima(values: np.ndarray) -> np.ndarray:
-    """Per-block maxima of ``values`` over :data:`BLOCK_SIZE`-entry
-    blocks — one posting component's run of the ``blockmax`` section,
-    computed here for both writers."""
-    arr = np.asarray(values, dtype=np.float64)
-    if not len(arr):
-        return np.empty(0, dtype=np.float64)
-    return np.maximum.reduceat(arr, np.arange(0, len(arr), BLOCK_SIZE))
+#: Sections whose CRC is always checked at open (cheap, metadata-sized).
+_EAGER_SECTIONS = frozenset({"objids", "keys", "postmeta"})
 
 _ALIGN = 8
 
 
 class BinaryFormatError(ValueError):
-    """Malformed v3 binary index artifact.
+    """Malformed binary index artifact.
 
     ``section`` names the section the failure was detected in (or
     ``"header"``/``"section-table"``); ``offset`` is the absolute byte
@@ -246,7 +210,7 @@ def assemble_index_file(
     total_entries: int,
     max_clique_size: int,
 ) -> Path:
-    """Lay out ``sections`` as a v3 file — the single source of truth
+    """Lay out ``sections`` as an index file — the single source of truth
     for the byte layout (header, CRCs, section table, 8-byte padding).
 
     Both the in-memory writer (:func:`write_index_file`) and the
@@ -316,7 +280,8 @@ def write_index_file(
     n_objects: int,
     max_clique_size: int,
 ) -> Path:
-    """Serialize ``postings`` (in index iteration order) as a v3 file.
+    """Serialize ``postings`` as an index file.  Their order does not
+    matter: slots are written in key order.
 
     The write is atomic (temp file + ``os.replace``): a serving process
     holding the previous artifact mmap'd keeps reading the old inode —
@@ -334,17 +299,11 @@ def write_index_file(
     rank = {oid: i for i, oid in enumerate(object_ids)}
 
     slot_order = sorted(range(len(postings)), key=lambda i: keys[i])
-    slot_of = {posting_index: slot for slot, posting_index in enumerate(slot_order)}
-    order = np.asarray(
-        [slot_of[i] for i in range(len(postings))], dtype="<u4"
-    ).tobytes()
 
     postmeta = bytearray()
     streams = bytearray()
     freq_parts = bytearray()
     smooth_parts = bytearray()
-    block_max_freq: list[np.ndarray] = []
-    block_max_smooth: list[np.ndarray] = []
     total_entries = 0
     for posting_index in slot_order:
         posting = postings[posting_index]
@@ -360,30 +319,17 @@ def write_index_file(
             )
         )
         streams.extend(stream)
-        freq_arr = np.asarray([e[1] for e in entries], dtype="<f8")
-        smooth_arr = np.asarray([e[2] for e in entries], dtype="<f8")
-        if len(entries) > BLOCK_SIZE:
-            block_max_freq.append(block_maxima(freq_arr))
-            block_max_smooth.append(block_maxima(smooth_arr))
-        freq_parts.extend(freq_arr.tobytes())
-        smooth_parts.extend(smooth_arr.tobytes())
+        freq_parts.extend(np.asarray([e[1] for e in entries], dtype="<f8").tobytes())
+        smooth_parts.extend(np.asarray([e[2] for e in entries], dtype="<f8").tobytes())
         total_entries += len(entries)
-
-    empty_f8 = np.empty(0, dtype="<f8")
-    blockmax = (
-        np.concatenate(block_max_freq or [empty_f8]).astype("<f8").tobytes()
-        + np.concatenate(block_max_smooth or [empty_f8]).astype("<f8").tobytes()
-    )
 
     sections: dict[str, bytes | SpilledSection] = {
         "objids": pack_string_table(object_ids),
         "keys": pack_string_table([keys[i] for i in slot_order]),
         "postmeta": bytes(postmeta),
-        "order": order,
         "postings": bytes(streams),
         "freq": bytes(freq_parts),
         "smooth": bytes(smooth_parts),
-        "blockmax": blockmax,
     }
     return assemble_index_file(
         path,
@@ -396,18 +342,18 @@ def write_index_file(
 
 
 def read_section_table(file_path: str | Path) -> dict[str, tuple[int, int]]:
-    """``{section name: (absolute offset, length)}`` of a v3 file —
+    """``{section name: (absolute offset, length)}`` of an index file —
     the corruption-test hook (flip a byte *inside* a named section)."""
     with BinaryIndexReader(file_path, verify_payload=False) as reader:
         return dict(reader.sections)
 
 
 class BinaryIndexReader:
-    """mmap-backed random access into one v3 index file.
+    """mmap-backed random access into one index file.
 
     Opening parses the header and section table, validates structure
-    (bounds, string-table monotonicity, postmeta consistency, the order
-    permutation) and CRC-checks the metadata sections — plus the
+    (bounds, string-table monotonicity, postmeta consistency) and
+    CRC-checks the metadata sections — plus the
     payload sections when ``verify_payload`` (the default).  Postings
     decode lazily, one clique at a time; the float arrays are zero-copy
     views into the mapping.
@@ -446,7 +392,7 @@ class BinaryIndexReader:
         size = len(mm)
         if size < _HEADER.size + _CRC.size:
             raise BinaryFormatError(
-                f"file too small for a v3 header ({size} bytes)",
+                f"file too small for an index header ({size} bytes)",
                 section="header",
                 offset=0,
             )
@@ -468,11 +414,9 @@ class BinaryIndexReader:
         (header_crc,) = _CRC.unpack_from(mm, _HEADER.size)
         if zlib.crc32(mm[0:_HEADER.size]) != header_crc:
             raise BinaryFormatError("header CRC mismatch", section="header", offset=0)
-        min_sections = len(SECTION_NAMES) - len(_OPTIONAL_SECTIONS)
-        if not min_sections <= n_sections <= len(SECTION_NAMES):
+        if n_sections != len(SECTION_NAMES):
             raise BinaryFormatError(
-                f"expected {min_sections}-{len(SECTION_NAMES)} sections, "
-                f"header says {n_sections}",
+                f"expected {len(SECTION_NAMES)} sections, header says {n_sections}",
                 section="header",
                 offset=20,
             )
@@ -514,13 +458,8 @@ class BinaryIndexReader:
                 )
             sections[name] = (offset, length)
             crcs[name] = crc
-        missing = set(SECTION_NAMES) - _OPTIONAL_SECTIONS - set(sections)
-        if missing:
-            raise BinaryFormatError(
-                f"missing sections: {sorted(missing)}",
-                section="section-table",
-                offset=table_start,
-            )
+        # n_sections == len(SECTION_NAMES) distinct known names: every
+        # section is present.
 
         for name in sections:
             if name in _EAGER_SECTIONS or verify_payload:
@@ -551,31 +490,9 @@ class BinaryIndexReader:
                 offset=sections["keys"][0],
             )
         self._postmeta = self._open_postmeta()
-        self._order = self._open_order()
         self._post_base = sections["postings"][0]
         self._freq = self._open_floats("freq")
         self._smooth = self._open_floats("smooth")
-        counts = (
-            self._postmeta["count"].astype(np.int64)
-            if self.n_cliques
-            else np.empty(0, dtype=np.int64)
-        )
-        # Per-slot block ranges into the blockmax arrays: slot i owns
-        # blocks [_block_offsets[i], _block_offsets[i+1]).  entry_off is
-        # assigned sequentially in slot order by the writer, so a plain
-        # cumsum over slot-ordered counts matches the section layout.
-        # Single-block postings store no bounds (their only block is
-        # always opened before anything can be emitted).
-        stored = np.where(
-            counts > BLOCK_SIZE, (counts + (BLOCK_SIZE - 1)) // BLOCK_SIZE, 0
-        )
-        self._block_offsets = np.concatenate(([0], np.cumsum(stored)))
-        self._total_blocks = int(self._block_offsets[-1])
-        if "blockmax" in sections:
-            self._blockmax_freq, self._blockmax_smooth = self._open_blockmax()
-        else:
-            self._blockmax_freq = None
-            self._blockmax_smooth = None
         #: slot -> decoded dense-id array; repeated queries against the
         #: same mapping must not re-run the varint decode.
         self._dense_ids_cache: dict[int, np.ndarray] = {}
@@ -656,25 +573,6 @@ class BinaryIndexReader:
             )
         return meta
 
-    def _open_order(self) -> np.ndarray:
-        offset, length = self._section("order")
-        if length != self.n_cliques * 4:
-            raise BinaryFormatError(
-                f"order section is {length} bytes, expected {self.n_cliques * 4}",
-                section="order",
-                offset=offset,
-            )
-        order = np.frombuffer(self._mm, dtype="<u4", count=self.n_cliques, offset=offset)
-        if self.n_cliques:
-            seen = np.bincount(order.astype(np.int64), minlength=self.n_cliques)
-            if len(seen) != self.n_cliques or bool(np.any(seen != 1)):
-                raise BinaryFormatError(
-                    "order section is not a permutation of the slots",
-                    section="order",
-                    offset=offset,
-                )
-        return order
-
     def _open_floats(self, name: str) -> np.ndarray:
         offset, length = self._section(name)
         if length != self.total_entries * 8:
@@ -684,27 +582,6 @@ class BinaryIndexReader:
                 offset=offset,
             )
         return np.frombuffer(self._mm, dtype="<f8", count=self.total_entries, offset=offset)
-
-    def _open_blockmax(self) -> tuple[np.ndarray, np.ndarray]:
-        offset, length = self._section("blockmax")
-        expected = self._total_blocks * 16
-        if length != expected:
-            raise BinaryFormatError(
-                f"blockmax section is {length} bytes, expected {expected} for "
-                f"{self._total_blocks} posting blocks",
-                section="blockmax",
-                offset=offset,
-            )
-        max_freq = np.frombuffer(
-            self._mm, dtype="<f8", count=self._total_blocks, offset=offset
-        )
-        max_smooth = np.frombuffer(
-            self._mm,
-            dtype="<f8",
-            count=self._total_blocks,
-            offset=offset + self._total_blocks * 8,
-        )
-        return max_freq, max_smooth
 
     # ------------------------------------------------------------------
     # access
@@ -857,24 +734,6 @@ class BinaryIndexReader:
             self._smooth[entry_off:entry_off + count],
         )
 
-    @property
-    def has_blockmax(self) -> bool:
-        """Whether the artifact carries the stored block-max section."""
-        return self._blockmax_freq is not None
-
-    def posting_block_max(self, slot: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Zero-copy ``(max_freq, max_smooth)`` views over slot
-        ``slot``'s :data:`BLOCK_SIZE`-entry blocks, or ``None`` when the
-        file stores no bounds for it — a pre-blockmax artifact, or a
-        single-block posting (the writer omits those)."""
-        if self._blockmax_freq is None or self._blockmax_smooth is None:
-            return None
-        lo = int(self._block_offsets[slot])
-        hi = int(self._block_offsets[slot + 1])
-        if hi == lo:
-            return None
-        return self._blockmax_freq[lo:hi], self._blockmax_smooth[lo:hi]
-
     def read_posting(self, slot: int) -> tuple[list[str], list[float], list[float], float]:
         """Decode slot ``slot``: ``(object_ids, freq, smooth, cors)``.
 
@@ -889,18 +748,10 @@ class BinaryIndexReader:
         smooth = self._smooth[entry_off:entry_off + count].tolist()
         return ids, freq, smooth, self.posting_cors(slot)
 
-    def iteration_order(self) -> list[int]:
-        """Slots in original index iteration order."""
-        return [int(s) for s in self._order]
-
     # ------------------------------------------------------------------
     # whole-section access (the streaming segment merge's surface —
     # vectorized consumers that sweep the file once, no per-slot loops)
     # ------------------------------------------------------------------
-    def iteration_order_array(self) -> np.ndarray:
-        """Slots in original iteration order as an int64 array."""
-        return self._order.astype(np.int64)
-
     def _bytes_table(self, offsets: np.ndarray, blob_start: int, count: int) -> np.ndarray:
         """Materialize a string-table section as a fixed-width ``S``
         array (null-padded).  Padding compares below every real byte,
@@ -980,19 +831,15 @@ class BinaryIndexReader:
     def close(self) -> None:
         """Release the mapping.  Values handed out by ``read_posting``
         are copies, so they survive a close; zero-copy views from
-        :meth:`posting_components`/:meth:`posting_block_max` pin the
+        :meth:`posting_components` pin the
         mapping — it is then unmapped when the last view is released
         instead of here (further reader calls still fail fast)."""
         for attr in (
             "_objid_offsets",
             "_key_offsets",
             "_postmeta",
-            "_order",
             "_freq",
             "_smooth",
-            "_blockmax_freq",
-            "_blockmax_smooth",
-            "_block_offsets",
         ):
             if hasattr(self, attr):
                 delattr(self, attr)

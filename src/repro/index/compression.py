@@ -3,7 +3,7 @@
 At the paper's scale (236K objects, millions of cliques) raw posting
 lists dominate index memory.  This module provides the classic
 inverted-index remedy: store each posting as gap-encoded,
-variable-byte-encoded integer doc ids — the form the v3 binary index's
+variable-byte-encoded integer doc ids — the form the binary index's
 ``postings`` section stores, over dense ids (ranks in the sorted
 object-id table).
 
@@ -83,7 +83,7 @@ def decode_posting_spans(data: bytes, counts: np.ndarray) -> np.ndarray:
     ``data`` holds the byte-contiguous gap+varint streams of
     ``len(counts)`` postings with ``counts[i]`` entries each (the exact
     layout :func:`encode_postings` writes back to back, which is how
-    the v3 ``postings`` section stores slot-ordered postings).  Returns
+    the ``postings`` section stores slot-ordered postings).  Returns
     one int64 array of all decoded ids, with the gap accumulator reset
     at each posting boundary — element-for-element equal to
     ``decode_postings`` run per stream, but vectorized over the whole

@@ -9,8 +9,8 @@ LSM/Lucene way:
 1. **Shard workers** score contiguous corpus shards (the same
    ``_build_shard`` body as the in-memory parallel build, same
    ``split_shards`` dispatch) and each writes its partial postings as a
-   *self-contained v3 segment file*.  A worker's peak RSS is bounded by
-   its shard, not the corpus.
+   *self-contained segment file* in the index format.  A worker's peak
+   RSS is bounded by its shard, not the corpus.
 2. **Streaming k-way merge** (:func:`merge_segment_files`) mmaps the
    segments and emits the final ``index.bin`` slot by slot: per-clique
    entries are remapped to the global dense-id space and merged in
@@ -22,29 +22,29 @@ LSM/Lucene way:
 
 **Byte identity.**  The merged file equals ``write_index_file`` over
 the monolithic postings byte for byte because every section is a pure
-function of the same data: the global object table is the sorted union
-of the shards' disjoint sorted tables; per-slot entries are unique
+function of the same data: the global object and key tables are the
+sorted unions of the shards' sorted tables (slots are key-ordered, so
+no build order survives into the file); per-slot entries are unique
 ascending global ranks, so the k-way merge and the monolithic sort
-agree; CorS is a pure function of the key, so the first segment
-holding a key stores the same value the serial first encounter did;
-block maxima are recomputed from the merged component arrays with the
-same :func:`~repro.index.binfmt.block_maxima`; and the iteration
-(``order``) section replays first-encounter order across segments in
-segment order — exactly the serial build's dict-insertion order.  Tests gate this with ``cmp``.
+agree; and CorS is a pure function of the key, so the first segment
+holding a key stores the same value the serial first encounter did.
+Tests gate this with ``cmp``.
 
 The same merge folds **delta segments** into the main segment during
 compaction: a delta holds only newer objects (ids disjoint from the
 main segment, appended after it), which is precisely the "next shard"
 shape the merge already handles.
 
-Serial fallback discipline (LK201): ``n_workers == 1`` (or a corpus too
-small to shard) runs the identical shard → segment → merge pipeline
-inline with no process pool, so the artifact does not depend on the
-worker count.
+One build path: ``n_workers == 1`` (or a corpus too small to shard)
+scores the whole corpus inline into one segment with no process pool,
+and that segment — already the final artifact, since a one-segment
+merge reproduces its bytes — is renamed into place instead of merged.
+The artifact does not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
 import resource
 import tempfile
 import time
@@ -60,12 +60,10 @@ from repro.core.correlation import CorrelationModel
 from repro.core.objects import MediaObject
 from repro.core.sharding import split_shards
 from repro.index.binfmt import (
-    BLOCK_SIZE,
     BinaryFormatError,
     BinaryIndexReader,
     SpilledSection,
     assemble_index_file,
-    block_maxima,
     pack_postmeta_table,
     pack_string_table_bytes,
     write_index_file,
@@ -107,7 +105,7 @@ class SegmentedBuildReport:
 def _write_segment(
     payload: tuple[Sequence[MediaObject], CorrelationModel, int, str],
 ) -> tuple[str, int, int]:
-    """Worker body: score one shard and write it as a v3 segment file
+    """Worker body: score one shard and write it as a segment file
     (module-level so it pickles under every start method).  Returns
     ``(path, n_objects, peak_rss_kb)``."""
     objects, correlations, max_clique_size, path_str = payload
@@ -121,22 +119,6 @@ def _write_segment(
     return path_str, len(objects), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def write_segment_file(
-    file_path: str | Path,
-    objects: Sequence[MediaObject],
-    correlations: CorrelationModel,
-    *,
-    max_clique_size: int,
-) -> SegmentBuildResult:
-    """Score ``objects`` and write them as one v3 segment file inline —
-    the delta-segment persistence path (ingest batches are small enough
-    that a pool would cost more than it saves)."""
-    path_str, n_objects, rss = _write_segment(
-        (objects, correlations, max_clique_size, str(file_path))
-    )
-    return SegmentBuildResult(Path(path_str), n_objects, rss)
-
-
 def build_segment_files(
     objects: Iterable[MediaObject],
     correlations: CorrelationModel,
@@ -145,7 +127,7 @@ def build_segment_files(
     n_workers: int,
     directory: str | Path,
 ) -> list[SegmentBuildResult]:
-    """Shard ``objects`` and write one v3 segment file per shard into
+    """Shard ``objects`` and write one segment file per shard into
     ``directory``; parallel across a process pool when ``n_workers > 1``
     and the corpus is big enough to shard, inline otherwise (identical
     bytes either way — the shard split does not depend on the pool)."""
@@ -183,7 +165,7 @@ def merge_segment_files(
     *,
     verify_payload: bool = False,
 ) -> Path:
-    """Stream-merge v3 segment files into one v3 file at ``out_path``.
+    """Stream-merge segment files into one index file at ``out_path``.
 
     Segments must hold disjoint object-id sets (contiguous corpus
     shards, or main + delta segments); entries merge per clique in
@@ -254,21 +236,8 @@ def _merge(readers: Sequence[BinaryIndexReader], out: Path) -> Path:
     for r in reversed(range(len(readers))):
         cors_g[gslot[r]] = columns[r][4]
 
-    # Iteration order: first encounter across segments in segment order
-    # replays the serial build's dict-insertion order exactly.
-    seen = np.zeros(n_global, dtype=bool)
-    order_parts: list[np.ndarray] = []
-    for r, reader in enumerate(readers):
-        iterated = gslot[r][reader.iteration_order_array()]
-        fresh = ~seen[iterated]
-        order_parts.append(iterated[fresh])
-        seen[iterated] = True
-    order = np.concatenate(order_parts).astype("<u4").tobytes()
-
     post_off_g = np.zeros(n_global, dtype=np.int64)
     post_len_g = np.zeros(n_global, dtype=np.int64)
-    block_max_freq: list[np.ndarray] = []
-    block_max_smooth: list[np.ndarray] = []
     with tempfile.TemporaryDirectory(
         prefix=out.name + ".merge-", dir=out.parent
     ) as spill_dir:
@@ -352,29 +321,18 @@ def _merge(readers: Sequence[BinaryIndexReader], out: Path) -> Path:
                 smooth_bytes = smooth_arr.tobytes()
                 smooth_out.write(smooth_bytes)
                 crcs["smooth"] = zlib.crc32(smooth_bytes, crcs["smooth"])
-                for s in np.nonzero(counts_chunk > BLOCK_SIZE)[0]:
-                    entry_lo = int(starts_rel[s])
-                    entry_hi = entry_lo + int(counts_chunk[s])
-                    block_max_freq.append(block_maxima(freq_arr[entry_lo:entry_hi]))
-                    block_max_smooth.append(block_maxima(smooth_arr[entry_lo:entry_hi]))
                 chunk_lo = chunk_hi
 
         if int(post_len_g.max(initial=0)) > 0xFFFFFFFF or int(
             counts_g.max(initial=0)
         ) > 0xFFFFFFFF:
             raise BinaryFormatError("posting exceeds u32 postmeta addressing")
-        empty_f8 = np.empty(0, dtype="<f8")
-        blockmax = (
-            np.concatenate(block_max_freq or [empty_f8]).astype("<f8").tobytes()
-            + np.concatenate(block_max_smooth or [empty_f8]).astype("<f8").tobytes()
-        )
         sections: dict[str, bytes | SpilledSection] = {
             "objids": pack_string_table_bytes(global_oids.tolist()),
             "keys": pack_string_table_bytes(global_keys.tolist()),
             "postmeta": pack_postmeta_table(
                 post_off_g, post_len_g, counts_g, entry_cum[:-1], cors_g
             ),
-            "order": order,
             "postings": SpilledSection(
                 spill_paths["postings"], post_bytes, crcs["postings"]
             ),
@@ -384,7 +342,6 @@ def _merge(readers: Sequence[BinaryIndexReader], out: Path) -> Path:
             "smooth": SpilledSection(
                 spill_paths["smooth"], total_entries * 8, crcs["smooth"]
             ),
-            "blockmax": blockmax,
         }
         return assemble_index_file(
             out,
@@ -411,7 +368,8 @@ def build_segmented(
     monolithic ``build`` + ``save_index`` path at any worker count, with
     per-worker peak RSS bounded by the shard instead of the corpus.
     Segment files live in a temp directory next to ``out_path`` and are
-    removed after the merge.  ``clock`` feeds only the report's timing
+    removed after the merge; a lone segment is renamed into place
+    instead, so a one-shard build writes the artifact once.  ``clock`` feeds only the report's timing
     fields — the artifact bytes are a pure function of the inputs.
     """
     out = Path(out_path)
@@ -443,7 +401,10 @@ def build_segmented(
             )
         merge_start = clock()
         segment_bytes = tuple(result.path.stat().st_size for result in results)
-        merge_segment_files([result.path for result in results], out)
+        if len(results) == 1:
+            os.replace(results[0].path, out)
+        else:
+            merge_segment_files([result.path for result in results], out)
         merge_seconds = clock() - merge_start
     return SegmentedBuildReport(
         out_path=out,

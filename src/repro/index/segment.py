@@ -1,4 +1,4 @@
-"""Memory-mapped index segment: the query-side view of a v3 artifact.
+"""Memory-mapped index segment: the query-side view of an ``index.bin``.
 
 :class:`MmapCliqueIndex` is a read-only :class:`CliqueInvertedIndex`
 whose postings live in a :class:`~repro.index.binfmt.BinaryIndexReader`
@@ -38,7 +38,7 @@ from repro.index.vectorized import MmapVectorView
 
 
 class MmapCliqueIndex(CliqueInvertedIndex):
-    """Read-only inverted index over an mmap'd v3 segment.
+    """Read-only inverted index over an mmap'd index file.
 
     Parameters
     ----------
@@ -106,10 +106,10 @@ class MmapCliqueIndex(CliqueInvertedIndex):
         return key in self._postings or self._reader.find_slot(key) is not None
 
     def iter_postings(self) -> Iterator[Posting]:
-        """Materialize and yield every posting in the artifact's stored
-        iteration order (the order the source index serialized in) —
-        the full-scan path behind re-serialization and conversion."""
-        for slot in self._reader.iteration_order():
+        """Materialize and yield every posting in slot (== key) order —
+        the full-scan path behind re-serialization and read-back
+        checks."""
+        for slot in range(self._reader.n_cliques):
             yield self._materialize(self._reader.key_at(slot), slot)
 
     def vector_view(self) -> MmapVectorView:

@@ -24,11 +24,10 @@ model) holds by construction:
   with identical entries in identical order — the ``>=``-termination
   twin-tie behaviour cannot diverge, which per-(clique, segment)
   sources would not guarantee.
-* ``iter_postings`` yields first-encounter order across the stack
-  (main's stored order, then each delta's novel keys in insertion
-  order), which *is* the monolithic build's dict-insertion order — so
-  re-serializing a segmented index is byte-identical to serializing a
-  from-scratch build.
+* ``iter_postings`` yields every key once, merged across the stack;
+  the writer lays slots out in key order, so re-serializing a
+  segmented index is byte-identical to serializing a from-scratch
+  build.
 
 Derivation is O(delta): :meth:`with_delta` shares the main segment
 (pin-counted via ``acquire``/``close``) and all prior deltas and reads
@@ -180,9 +179,9 @@ class SegmentedCliqueIndex(CliqueInvertedIndex):
         return any(key in segment for segment in self._segments)
 
     def iter_postings(self) -> Iterator[Posting]:
-        """Every posting (merged across segments) in first-encounter
-        order over the stack — the monolithic build's insertion order,
-        so re-serialization round-trips byte-identically."""
+        """Every posting, merged across segments, once per key: the
+        main segment's keys, then each delta's novel keys.  The writer
+        sorts by key, so the order does not reach a file."""
         seen: set[str] = set()
         for segment in self._segments:
             for posting in segment.iter_postings():

@@ -9,7 +9,7 @@ arrays:
 * :class:`PostingVectors` — one clique's posting as parallel arrays:
   ascending **dense** object ids (rank in the sorted id table, so dense
   order == string order and tie-breaks survive the translation) and
-  the two α-independent Eq. 7 component arrays.  Against a v3 segment
+  the two α-independent Eq. 7 component arrays.  Against an mmap'd segment
   the float arrays are zero-copy views straight into the mapping.
 * :func:`scaled_entries` — the one entry filter both modes apply: the
   query's postings concatenated in source order, α-mixed, ``P ≤ 0``,
@@ -53,7 +53,7 @@ class PostingVectors:
 
     ``ids`` are dense ranks into the view's sorted object-id table;
     ``freq``/``smooth`` are the stored Eq. 7 components (zero-copy
-    views against a v3 segment).
+    views against an mmap'd segment).
     """
 
     __slots__ = ("key", "cors", "ids", "freq", "smooth")
@@ -180,7 +180,7 @@ def accumulate_top_k(
 
 
 class MmapVectorView:
-    """Vector access to a v3 segment: zero-copy component views and the
+    """Vector access to an mmap'd segment: zero-copy component views and the
     reader's cached dense-id decode."""
 
     def __init__(self, reader: BinaryIndexReader) -> None:
@@ -218,7 +218,7 @@ class InMemoryVectorView:
     Builds one sorted object-id table up front (dense id = rank, so
     dense order == string order) and converts each posting to ascending
     dense-id arrays on first touch — the fallback that keeps the
-    vectorized engine available without a v3 artifact.
+    vectorized engine available without an ``index.bin``.
     """
 
     def __init__(self, index) -> None:  # CliqueInvertedIndex; untyped to avoid a cycle

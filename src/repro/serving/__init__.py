@@ -41,7 +41,7 @@ from repro.serving.metrics import (
     render_dump,
 )
 from repro.serving.prefork import PreforkServer, WorkerControl
-from repro.serving.service import MAX_K, QueryService, ServiceError, resolve_mode
+from repro.serving.service import MAX_K, QueryService, ServiceError
 from repro.serving.snapshot import (
     EngineSnapshot,
     SnapshotLease,
@@ -72,6 +72,5 @@ __all__ = [
     "install_signal_handlers",
     "merge_dumps",
     "render_dump",
-    "resolve_mode",
     "result_cache_key",
 ]

@@ -2,7 +2,7 @@
 
 ``ThreadingHTTPServer`` is GIL-bound — one hot query saturates a core.
 The classic escape (nginx/gunicorn/Apache prefork) is *shared-nothing
-processes over a shared listening socket*, and the v3 binary index
+processes over a shared listening socket*, and the binary index
 makes it nearly free here: the supervisor binds the socket and
 loads/validates the corpus + ``index.bin`` exactly once, then forks
 ``--workers N`` children that each run the existing

@@ -28,28 +28,16 @@ from repro.serving.snapshot import EngineSnapshot, SnapshotLease, SnapshotManage
 #: values would turn a single request into a corpus-wide sort).
 MAX_K = 1000
 
-#: Modes a request may select.  ``auto``/``index-vectorized`` run the
-#: vectorized engine, ``index`` the scalar TA walk, ``scan``
-#: the exhaustive reference — all index modes rank bit-identically, so
-#: the mode only shows up in latency (and in the cache key).
-_VALID_MODES = ("auto", "index-vectorized", "index", "scan")
+#: Modes a request may select.  ``auto`` runs the vectorized engine,
+#: ``index`` the scalar TA walk, ``scan`` the exhaustive reference —
+#: all index modes rank bit-identically, so the mode only shows up in
+#: latency (and in the cache key).
+_VALID_MODES = ("auto", "index", "scan")
 
 #: Cache-key placeholder for endpoints that have no mode dimension
 #: (``recommend`` always runs the index path).  Distinct from every
 #: entry in ``_VALID_MODES`` so it can never collide with a real mode.
 _NO_MODE = "-"
-
-
-def resolve_mode(mode: str) -> str:
-    """Map a requested mode to the engine mode that actually runs.
-
-    ``auto`` resolves to ``index-vectorized`` (the engine default since
-    the vectorized path landed); everything else names itself.  Cache
-    keys use the *resolved* mode, so ``auto`` and ``index-vectorized``
-    requests — which rank bit-identically — share one cache entry
-    instead of double-populating the LRU.
-    """
-    return "index-vectorized" if mode == "auto" else mode
 
 
 class ServiceError(Exception):
@@ -234,7 +222,7 @@ class QueryService:
         if not isinstance(query, str) or not query:
             raise ServiceError(400, "query must be a non-empty object id")
         k = _validate_k(k)
-        mode = resolve_mode(_validate_mode(mode))
+        mode = _validate_mode(mode)
         with self._lease() as snapshot:
             key = result_cache_key(snapshot.generation, "search", query, k, mode)
             cached = self._cache.get(key)
@@ -329,7 +317,7 @@ class QueryService:
                 400, "at least one of tags/visual_words/users must be non-empty"
             )
         k = _validate_k(k)
-        mode = resolve_mode(_validate_mode(mode))
+        mode = _validate_mode(mode)
         with self._lease() as snapshot:
             signature = (tag_bag, visual_bag, user_bag)
             key = result_cache_key(snapshot.generation, "similar", signature, k, mode)

@@ -56,7 +56,7 @@ from repro.storage.store import (
 
 #: The persisted retrieval index the snapshot loader picks up (written
 #: by ``repro index build`` / :func:`repro.storage.store.save_index`):
-#: a v3 binary artifact, loaded O(metadata) via mmap (read-only pages
+#: a binary artifact, loaded O(metadata) via mmap (read-only pages
 #: shared across reloads and worker processes).
 INDEX_ARTIFACT = "index.bin"
 
@@ -68,9 +68,10 @@ class IndexProvenance:
     ``origin`` is ``"built"`` (preprocessed from the corpus at load
     time) or ``"loaded"`` (picked up from ``index.bin``);
     ``build_seconds`` is the wall time of whichever of those happened.
-    ``format_version`` is the on-disk index format (always 3, the
-    binary mmap format; a built snapshot reports the format it would
-    save as).  ``payload_verified`` records whether payload checksums
+    ``format_version`` is the on-disk index format
+    (:data:`~repro.index.binfmt.BINARY_FORMAT_VERSION`, the one binary
+    mmap format; a built snapshot reports the format it would save
+    as).  ``payload_verified`` records whether payload checksums
     were swept at load time (``False`` when the operator passed
     ``--no-verify-payload`` for a faster cold start; always ``True``
     for a built index, which has no artifact to distrust).  Surfaced
@@ -129,7 +130,7 @@ class EngineSnapshot:
     def close(self) -> None:
         """Release OS resources held by this snapshot's index.
 
-        A snapshot whose index came from the v3 binary artifact holds
+        A snapshot whose index came from the binary artifact holds
         the artifact's file descriptor and mapping open
         (:class:`repro.index.segment.MmapCliqueIndex`); a built
         in-memory index holds nothing and ``close`` is a no-op.  The
@@ -207,12 +208,13 @@ def _attach_index(
     directory: Path,
     verify_payload: bool = True,
 ) -> tuple[RetrievalEngine, IndexProvenance]:
-    """Give the engine its retrieval index: pick up ``index.bin`` (v3
-    mmap) when a valid one sits next to the corpus, otherwise
+    """Give the engine its retrieval index: pick up ``index.bin``
+    (mmap) when a valid one sits next to the corpus, otherwise
     preprocess.
 
-    A stale artifact (object count differing from the corpus) or a
-    corrupt one falls through to building — serving correctness never
+    A stale artifact (object count differing from the corpus), a
+    corrupt one or one of an older format version falls through to
+    building — serving correctness never
     depends on an artifact being right, only cold-start time does.  The
     mapping is read-only, so successive generations reloading the same
     file share page-cache pages instead of re-parsing.
@@ -507,7 +509,7 @@ class SnapshotManager:
         (and the snapshot unchanged) when there was nothing to fold.
 
         When the main segment is the mmap'd ``index.bin`` itself, each
-        delta is written as a small v3 segment file and the streaming
+        delta is written as a small segment file and the streaming
         k-way merge (:func:`~repro.index.segbuild.merge_segment_files`)
         rewrites the artifact without materializing the main segment's
         postings in the heap — compaction cost is O(artifact bytes +

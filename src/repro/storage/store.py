@@ -17,7 +17,7 @@ centroid matrix is the only binary artifact.  ``MRFParameters`` get a
 single-file JSON round trip so trained parameters can ship with an
 index.
 
-The clique inverted index persists as one v3 binary artifact
+The clique inverted index persists as one binary artifact
 (``index.bin``; see :mod:`repro.index.binfmt`): packed contiguous
 sections behind a CRC-checked header, recognised by its magic bytes
 (never its file name) and loaded O(metadata) via ``mmap`` with lazy
@@ -330,14 +330,13 @@ def load_params(file_path: str | Path) -> MRFParameters:
 # clique inverted index
 # ----------------------------------------------------------------------
 def save_index(index: CliqueInvertedIndex, file_path: str | Path) -> Path:
-    """Persist the index as a v3 binary artifact.
+    """Persist the index as a binary artifact.
 
-    Postings serialize in index iteration order (first-encounter corpus
-    order), which the format's ``order`` section preserves, so a
-    save/load round trip re-serializes identically.  Entry order
-    *within* a posting is canonicalized to ascending object id — a pure
-    permutation that cannot change rankings, since every consumer sorts
-    by ``(-score, id)``.
+    Postings serialize in key order whatever order the index iterates
+    in, so a save/load round trip re-serializes identically.  Entry
+    order *within* a posting is canonicalized to ascending object id —
+    a pure permutation that cannot change rankings, since every
+    consumer sorts by ``(-score, id)``.
     """
     path = Path(file_path)
     try:
@@ -359,11 +358,13 @@ def load_index(
     *,
     verify_payload: bool = True,
 ) -> MmapCliqueIndex:
-    """Open a v3 index artifact as a lazily-decoding
+    """Open an index artifact as a lazily-decoding
     :class:`MmapCliqueIndex` — O(metadata) to open, postings decode per
     clique on first touch.  ``verify_payload`` controls the eager CRC
     sweep of the posting/component payload sections.  Any file that is
-    missing, not a v3 index or corrupt raises :class:`StorageError`.
+    missing, not an index of the current format or corrupt raises
+    :class:`StorageError`; one written by an older format version says
+    so and names the command that rebuilds it.
     """
     path = Path(file_path)
     try:
@@ -373,8 +374,16 @@ def load_index(
         raise StorageError(f"missing index artifact: {path}") from None
     except OSError as exc:
         raise StorageError(f"unreadable index artifact {path}: {exc}") from exc
+    version = binfmt.BINARY_FORMAT_VERSION
     if head != binfmt.MAGIC:
-        raise StorageError(f"{path} is not a v3 binary index (bad magic bytes)")
+        stem, digit = head[:-1], head[-1:]
+        if stem == binfmt.MAGIC[:-1] and digit.isdigit():
+            raise StorageError(
+                f"{path} is a format v{digit.decode()} binary index, but only "
+                f"v{version} can be read: rebuild it with "
+                "`repro index build <corpus-dir>`"
+            )
+        raise StorageError(f"{path} is not a v{version} binary index (bad magic bytes)")
     try:
         reader = binfmt.BinaryIndexReader(path, verify_payload=verify_payload)
     except BinaryFormatError as exc:

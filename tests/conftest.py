@@ -7,6 +7,9 @@ in the benchmarks, tests check mechanics and invariants.
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,22 @@ def contracts_off(monkeypatch):
     yield
     monkeypatch.undo()
     reset_contracts_cache()
+
+
+@pytest.fixture
+def mark_as_format_v3():
+    """Rewrite an ``index.bin`` header as format v3's (magic
+    ``RPROIDX3``, version 3, header CRC re-sealed): the artifact an
+    older build left behind, which loading must refuse."""
+
+    def rewrite(path):
+        data = bytearray(path.read_bytes())
+        data[:8] = b"RPROIDX3"
+        struct.pack_into("<I", data, 8, 3)
+        struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
+        path.write_bytes(bytes(data))
+
+    return rewrite
 
 
 @pytest.fixture(scope="session")

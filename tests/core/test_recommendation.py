@@ -136,11 +136,11 @@ def test_current_month_override(recommender, rec_corpus):
 
 
 def test_recommend_vectorized_bitwise_parity(recommender, rec_corpus):
-    """``index-vectorized`` (and the ``auto`` default) return the same
+    """``auto`` (explicit and as the default) returns the same
     ids and float scores as the scalar index path."""
     for user in rec_corpus.favorite_users()[:3]:
         scalar = recommender.recommend(user, k=10, mode="index")
-        fast = recommender.recommend(user, k=10, mode="index-vectorized")
+        fast = recommender.recommend(user, k=10, mode="auto")
         assert [(h.object_id, h.score) for h in fast] == [
             (h.object_id, h.score) for h in scalar
         ]
@@ -152,7 +152,7 @@ def test_recommend_vectorized_parity_under_decay(rec_corpus):
     vectorized path must apply it identically."""
     rec = Recommender(rec_corpus, params=MRFParameters(delta=0.5))
     user = rec_corpus.favorite_users()[0]
-    assert rec.recommend(user, k=10, mode="index-vectorized") == rec.recommend(
+    assert rec.recommend(user, k=10, mode="auto") == rec.recommend(
         user, k=10, mode="index"
     )
 
@@ -163,7 +163,7 @@ def test_recommend_vectorized_parity_under_decay(rec_corpus):
 @pytest.fixture(scope="module")
 def shared_indexes(rec_corpus, tmp_path_factory):
     """The retrieval engine's corpus-wide index, in memory and saved +
-    reloaded as a v3 mmap artifact, with the engine's correlation model."""
+    reloaded as an mmap artifact, with the engine's correlation model."""
     engine = RetrievalEngine(rec_corpus)
     path = tmp_path_factory.mktemp("rec-shared") / "index.bin"
     save_index(engine.index, path)

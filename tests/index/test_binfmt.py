@@ -1,10 +1,10 @@
-"""v3 binary index format: layout, round trip, corruption detection.
+"""Binary index format: layout, round trip, corruption detection.
 
 Satellite coverage for the binary store: every corruption mode must
 raise :class:`BinaryFormatError` naming the failing section (and byte
 offset where known) — truncation, bit flips in each section, bad
 magic/version/flags, CRC mismatches — and a write/read round trip must
-be exact, including the iteration-order permutation and unicode keys.
+be exact, including key-ordered slots and unicode keys.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from repro.index.binfmt import (
     BINARY_FORMAT_VERSION,
-    BLOCK_SIZE,
     MAGIC,
     SECTION_NAMES,
     BinaryFormatError,
@@ -39,18 +38,6 @@ def _sample_postings() -> list[Posting]:
     b.add("obj001", 3.0, 4.0)
     empty = Posting("tag:empty", cors=0.0)
     return [a, b, empty]
-
-
-def _blocky_postings() -> list[Posting]:
-    """The samples plus one posting spanning multiple blocks — only
-    multi-block postings store ``blockmax`` bounds, so this populates
-    every section of the file, optional ones included."""
-    postings = _sample_postings()
-    big = Posting("tag:big", cors=0.5)
-    for i in range(BLOCK_SIZE + 2):
-        big.add(f"big{i:04d}", float(i + 1), 0.5)
-    postings.append(big)
-    return postings
 
 
 @pytest.fixture()
@@ -100,14 +87,6 @@ def test_empty_posting_round_trips(artifact):
         assert cors == 0.0
 
 
-def test_iteration_order_preserved(artifact):
-    """The ``order`` section recovers the original serialization order
-    even though slots are key-sorted on disk."""
-    with BinaryIndexReader(artifact) as reader:
-        keys = [reader.key_at(slot) for slot in reader.iteration_order()]
-    assert keys == [p.key for p in _sample_postings()]
-
-
 def test_find_slot_miss(artifact):
     with BinaryIndexReader(artifact) as reader:
         assert reader.find_slot("tag:absent") is None
@@ -120,7 +99,6 @@ def test_empty_index_round_trips(tmp_path):
     with BinaryIndexReader(path) as reader:
         assert reader.n_cliques == 0
         assert reader.total_entries == 0
-        assert reader.iteration_order() == []
         assert reader.find_slot("anything") is None
 
 
@@ -132,6 +110,32 @@ def test_writer_rejects_duplicate_keys(tmp_path):
 
 def test_writer_is_atomic(artifact):
     assert not artifact.with_name(artifact.name + ".tmp").exists()
+
+
+def test_header_layout_matches_documented_offsets(artifact):
+    """Six section records after the 52-byte header, ``table_crc`` at
+    244 and the first payload at 248 (DESIGN.md §8)."""
+    data = artifact.read_bytes()
+    assert struct.unpack_from("<I", data, 20) == (len(SECTION_NAMES),) == (6,)
+    assert struct.unpack_from("<I", data, 244) == (zlib.crc32(data[52:244]),)
+    table = read_section_table(artifact)
+    assert list(table) == list(SECTION_NAMES)
+    assert table["objids"][0] == 248
+
+
+def test_slots_are_key_ordered_whatever_the_input_order(tmp_path, artifact):
+    """The file is a pure function of the postings' contents: slots
+    follow key order, so reversing the input changes no byte."""
+    reversed_path = write_index_file(
+        tmp_path / "reversed.bin",
+        _sample_postings()[::-1],
+        n_objects=12,
+        max_clique_size=2,
+    )
+    assert reversed_path.read_bytes() == artifact.read_bytes()
+    with BinaryIndexReader(artifact) as reader:
+        keys = [reader.key_at(slot) for slot in range(reader.n_cliques)]
+    assert keys == sorted(p.key for p in _sample_postings())
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +210,7 @@ def test_truncated_payload_names_section(artifact):
 @pytest.mark.parametrize("section", SECTION_NAMES)
 def test_bit_flip_in_each_section_is_named(tmp_path, section):
     path = write_index_file(
-        tmp_path / "index.bin", _blocky_postings(), n_objects=200, max_clique_size=2
+        tmp_path / "index.bin", _sample_postings(), n_objects=12, max_clique_size=2
     )
     offset, length = read_section_table(path)[section]
     assert length > 0, f"sample index leaves section {section!r} empty"
@@ -285,5 +289,5 @@ def test_missing_file():
 def test_magic_is_stable():
     """The magic is the on-disk contract — changing it orphans every
     existing artifact."""
-    assert MAGIC == b"RPROIDX3"
-    assert BINARY_FORMAT_VERSION == 3
+    assert MAGIC == b"RPROIDX4"
+    assert BINARY_FORMAT_VERSION == 4

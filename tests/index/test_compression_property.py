@@ -1,6 +1,6 @@
 """Property tests for the varint/d-gap posting codec.
 
-The v3 binary index persists every posting through
+The binary index persists every posting through
 ``encode_postings``/``decode_postings``; these Hypothesis suites pin
 the codec contract the format depends on: exact round trip for every
 strictly increasing id sequence (including empty and single-element),

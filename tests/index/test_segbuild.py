@@ -3,9 +3,8 @@
 The whole value of :mod:`repro.index.segbuild` is that its artifact is
 *indistinguishable* from the monolithic ``build`` + ``save_index``
 path — same bytes, any worker count.  These tests gate that with
-``filecmp`` at several shard counts, through unicode ids/keys, with
-multi-block (stored blockmax) postings, and across the delta-fold shape
-compaction uses (main + tail segments).  Failure modes (overlapping
+``filecmp`` at several shard counts, through unicode ids/keys, and
+across the delta-fold shape compaction uses (main + tail segments).  Failure modes (overlapping
 object ids, empty input) must raise, never corrupt.
 """
 
@@ -18,13 +17,14 @@ import pytest
 
 from repro.core.objects import Feature, MediaObject
 from repro.core.retrieval import correlation_model_for_corpus
-from repro.index.binfmt import BLOCK_SIZE, BinaryIndexReader, write_index_file
+from repro.index.binfmt import BinaryIndexReader, write_index_file
+from repro.index import segbuild
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import (
+    SegmentBuildResult,
     build_segment_files,
     build_segmented,
     merge_segment_files,
-    write_segment_file,
 )
 from repro.social.corpus import Corpus
 from repro.social.users import SocialGraph
@@ -75,6 +75,16 @@ def _monolithic(corpus, model, path):
     )
 
 
+def _segment(objects, model, directory) -> SegmentBuildResult:
+    """One segment file over ``objects``, written inline into its own
+    ``directory``."""
+    directory.mkdir()
+    (result,) = build_segment_files(
+        objects, model, max_clique_size=MAX_CLIQUE, n_workers=1, directory=directory
+    )
+    return result
+
+
 # ----------------------------------------------------------------------
 # byte identity across shard counts
 # ----------------------------------------------------------------------
@@ -110,14 +120,31 @@ def test_segment_files_then_merge_matches_monolithic(corpus, model, tmp_path):
 
 
 def test_merge_single_segment_matches_monolithic(corpus, model, tmp_path):
-    """One segment over the whole corpus merges to the same bytes — the
-    degenerate case the serial fallback relies on."""
+    """One segment over the whole corpus merges to its own bytes, which
+    equal the monolithic write — why a one-shard build may rename its
+    segment into place instead of merging it."""
     reference = _monolithic(corpus, model, tmp_path / "mono.bin")
-    result = write_segment_file(
-        tmp_path / "only.bin", list(corpus), model, max_clique_size=MAX_CLIQUE
-    )
+    result = _segment(list(corpus), model, tmp_path / "only")
+    assert filecmp.cmp(result.path, reference, shallow=False)
     merged = merge_segment_files([result.path], tmp_path / "merged.bin")
     assert filecmp.cmp(merged, reference, shallow=False)
+
+
+def test_one_shard_build_renames_its_segment(corpus, model, tmp_path, monkeypatch):
+    """A one-worker build writes one segment and moves it into place:
+    no merge runs and no segment or temp directory is left behind."""
+
+    def no_merge(*args, **kwargs):
+        raise AssertionError("a one-segment build must not merge")
+
+    monkeypatch.setattr(segbuild, "merge_segment_files", no_merge)
+    out = tmp_path / "out" / "index.bin"
+    report = build_segmented(
+        list(corpus), model, max_clique_size=MAX_CLIQUE, n_workers=1, out_path=out
+    )
+    assert report.n_segments == 1
+    assert report.segment_bytes == (out.stat().st_size,)
+    assert [p.name for p in out.parent.iterdir()] == ["index.bin"]
 
 
 # ----------------------------------------------------------------------
@@ -131,15 +158,9 @@ def test_main_plus_delta_merge_matches_full_rebuild(tmp_path):
     objects = list(full)
     model = correlation_model_for_corpus(full)
     reference = _monolithic(full, model, tmp_path / "mono.bin")
-    main = write_segment_file(
-        tmp_path / "main.bin", objects[:40], model, max_clique_size=MAX_CLIQUE
-    )
-    d1 = write_segment_file(
-        tmp_path / "d1.bin", objects[40:52], model, max_clique_size=MAX_CLIQUE
-    )
-    d2 = write_segment_file(
-        tmp_path / "d2.bin", objects[52:], model, max_clique_size=MAX_CLIQUE
-    )
+    main = _segment(objects[:40], model, tmp_path / "main")
+    d1 = _segment(objects[40:52], model, tmp_path / "d1")
+    d2 = _segment(objects[52:], model, tmp_path / "d2")
     merged = merge_segment_files(
         [main.path, d1.path, d2.path], tmp_path / "folded.bin"
     )
@@ -147,39 +168,12 @@ def test_main_plus_delta_merge_matches_full_rebuild(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# blockmax through the merge
-# ----------------------------------------------------------------------
-def test_merge_recomputes_blockmax_for_multi_block_postings(tmp_path):
-    big = _corpus(3 * BLOCK_SIZE)  # "commön" posting spans 3 blocks
-    model = correlation_model_for_corpus(big)
-    reference = _monolithic(big, model, tmp_path / "mono.bin")
-    report = build_segmented(
-        list(big),
-        model,
-        max_clique_size=MAX_CLIQUE,
-        n_workers=2,
-        out_path=tmp_path / "seg.bin",
-    )
-    assert filecmp.cmp(report.out_path, reference, shallow=False)
-    with BinaryIndexReader(report.out_path) as reader:
-        assert reader.has_blockmax
-        slot = reader.find_slot(Feature.text("commön").key)
-        assert slot is not None
-        stored = reader.posting_block_max(slot)
-        assert stored is not None and len(stored[0]) == 3
-
-
-# ----------------------------------------------------------------------
 # failure modes
 # ----------------------------------------------------------------------
 def test_merge_rejects_overlapping_object_ids(corpus, model, tmp_path):
     objects = list(corpus)
-    a = write_segment_file(
-        tmp_path / "a.bin", objects[:50], model, max_clique_size=MAX_CLIQUE
-    )
-    b = write_segment_file(
-        tmp_path / "b.bin", objects[45:], model, max_clique_size=MAX_CLIQUE
-    )
+    a = _segment(objects[:50], model, tmp_path / "a")
+    b = _segment(objects[45:], model, tmp_path / "b")
     with pytest.raises(ValueError, match="disjoint"):
         merge_segment_files([a.path, b.path], tmp_path / "bad.bin")
 

@@ -115,7 +115,7 @@ def test_segmented_rankings_bit_identical_to_monolithic(fixture_state, params, c
     queries.append(data.draw(st.sampled_from([o.object_id for o in full])))
     for qid in queries:
         query = full.get(qid)
-        for mode in ("index", "index-vectorized"):
+        for mode in ("index", "auto"):
             expect = mono_engine.search(query, k=10, mode=mode)
             got = seg_engine.search(query, k=10, mode=mode)
             assert [(r.object_id, r.score) for r in got] == [
@@ -132,7 +132,7 @@ def test_twin_tie_ordering_across_boundary(fixture_state):
     mono_engine = RetrievalEngine(full, params=params, correlations=model, index=mono)
     seg_engine = RetrievalEngine(full, params=params, correlations=model, index=stack)
     query = full.get("twin-a2")
-    for mode in ("index", "index-vectorized"):
+    for mode in ("index", "auto"):
         expect = mono_engine.search(query, k=20, mode=mode)
         got = seg_engine.search(query, k=20, mode=mode)
         assert [(r.object_id, r.score) for r in got] == [

@@ -4,10 +4,9 @@ Unit coverage for :mod:`repro.index.vectorized`.  The kernel's scores
 must equal the source-order sum of the scaled impacts, computed in
 Python floats, bit for bit (compared as ``float.hex``), and its ranking
 must equal brute force and the scalar Threshold Algorithm's over the
-same terms — through every vector view flavour (in-memory, mmap'd v3
+same terms — through every vector view flavour (in-memory, mmap'd
 segment, and a segment stack holding one key in several segments) and
-through the recommender's candidate mask.  The stored ``blockmax`` section the writers still
-emit is checked against :func:`~repro.index.binfmt.block_maxima`.
+through the recommender's candidate mask.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from hypothesis import strategies as st
 from repro.core.mrf import MRFParameters
 from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine
-from repro.index.binfmt import (
-    BLOCK_SIZE,
-    BinaryIndexReader,
-    block_maxima,
-    write_index_file,
-)
+from repro.index.binfmt import BinaryIndexReader, write_index_file
 from repro.index.postings import Posting
 from repro.index.threshold import AccessStats, impact_sources, threshold_algorithm
 from repro.index.vectorized import (
@@ -41,7 +35,7 @@ from repro.index.vectorized import (
 )
 from repro.storage.store import load_index, save_index
 
-N_ENTRIES = 3 * BLOCK_SIZE + 17  # four blocks, last one ragged
+N_ENTRIES = 401
 
 
 def _synthetic_vectors(seed: int = 0) -> PostingVectors:
@@ -67,43 +61,6 @@ def _expected_entries(vectors, alpha, inner, outer, exclude=()):
     ]
     entries.sort(key=lambda e: (-e[1], e[0]))
     return entries
-
-
-# ----------------------------------------------------------------------
-# block maxima (the writers' blockmax payload)
-# ----------------------------------------------------------------------
-def test_block_maxima_matches_manual():
-    values = np.arange(N_ENTRIES, dtype=np.float64) % 97
-    maxima = block_maxima(values)
-    expected = [
-        values[lo : lo + BLOCK_SIZE].max() for lo in range(0, N_ENTRIES, BLOCK_SIZE)
-    ]
-    assert maxima.tolist() == expected
-
-
-def test_block_maxima_empty():
-    assert len(block_maxima(np.empty(0))) == 0
-
-
-def test_stored_block_max_matches_rebuilt(tmp_path):
-    small = Posting("tag:small", cors=0.5)
-    for i in range(5):
-        small.add(f"s{i:03d}", float(i + 1), 0.25)
-    big = Posting("tag:big", cors=0.5)
-    for i in range(2 * BLOCK_SIZE + 9):
-        big.add(f"b{i:04d}", float((i * 7) % 100 + 1), float(i % 13) / 13.0)
-    path = write_index_file(
-        tmp_path / "index.bin", [small, big], n_objects=600, max_clique_size=2
-    )
-    with BinaryIndexReader(path) as reader:
-        # single-block postings store no bounds
-        assert reader.posting_block_max(reader.find_slot("tag:small")) is None
-        slot = reader.find_slot("tag:big")
-        stored = reader.posting_block_max(slot)
-        assert stored is not None
-        freq, smooth = reader.posting_components(slot)
-        np.testing.assert_array_equal(stored[0], block_maxima(freq))
-        np.testing.assert_array_equal(stored[1], block_maxima(smooth))
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +166,7 @@ class _PostingIndex:
 
 
 class _MmapSegment:
-    """A segment stand-in over a written v3 file (``reader`` attribute
+    """A segment stand-in over a written index file (``reader`` attribute
     plus ``vector_view``), as :class:`SegmentedVectorView` reads it."""
 
     def __init__(self, reader: BinaryIndexReader) -> None:
@@ -257,7 +214,7 @@ def _top_k(full, k):
 @contextmanager
 def _every_view(raw, split):
     """The postings of ``raw`` behind every vector-view flavour: in
-    memory, one mmap'd v3 file, and a segment stack (an mmap'd main plus
+    memory, one mmap'd file, and a segment stack (an mmap'd main plus
     two in-memory segments) over which each posting's entries are dealt
     by object — an object lives in one segment, as ingest appends new
     objects — so most keys sit in several segments."""
@@ -390,7 +347,7 @@ def test_scalar_ta_equals_brute_force_on_every_view(
 @pytest.fixture(scope="module")
 def shared_recommenders(rec_corpus, tmp_path_factory):
     """Recommenders over the engine's corpus-wide index (so the
-    candidate mask is a strict subset), in memory and as a v3 file."""
+    candidate mask is a strict subset), in memory and as an index file."""
     engine = RetrievalEngine(rec_corpus)
     path = tmp_path_factory.mktemp("kernel-rec") / "index.bin"
     save_index(engine.index, path)

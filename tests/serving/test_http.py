@@ -93,12 +93,12 @@ def test_similar_post(running_server):
 
 def test_default_search_mode_is_vectorized_over_http(running_server):
     """A modeless GET /search must reach the vectorized engine — the
-    transport default is ``auto``, resolved by the service layer."""
+    transport default is ``auto``, the engine's default."""
     query_id = running_server.service.manager.current.corpus[0].object_id
     payload = json.loads(_get(running_server, f"/search?query={query_id}&k=3")[1])
-    assert payload["mode"] == "index-vectorized"
+    assert payload["mode"] == "auto"
     explicit = json.loads(
-        _get(running_server, f"/search?query={query_id}&k=3&mode=index-vectorized")[1]
+        _get(running_server, f"/search?query={query_id}&k=3&mode=auto")[1]
     )
     assert explicit["results"] == payload["results"]
     assert explicit["cached"] is True  # same cache entry as the default
@@ -107,7 +107,7 @@ def test_default_search_mode_is_vectorized_over_http(running_server):
 def test_default_similar_mode_is_vectorized_over_http(running_server):
     status, body = _post(running_server, "/similar", {"tags": ["tag1"], "k": 3})
     assert status == 200
-    assert json.loads(body)["mode"] == "index-vectorized"
+    assert json.loads(body)["mode"] == "auto"
 
 
 def test_admin_reload_bumps_generation_and_empties_cache(running_server):

@@ -1,6 +1,6 @@
 """Opening a snapshot reads no posting.
 
-A v3 ``index.bin`` opens in O(metadata): no scalar posting is built and
+An ``index.bin`` opens in O(metadata): no scalar posting is built and
 no posting id stream is decoded until a query touches a clique.  A
 snapshot opened that way must rank exactly like one whose postings were
 all built and warmed up front — at load, after an ingest publish and

@@ -33,7 +33,7 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def indexed_corpus_dir(tmp_path_factory, tiny_corpus):
-    """The retrieval corpus saved with its v3 binary index artifact, so
+    """The retrieval corpus saved with its binary index artifact, so
     every forked worker maps the same read-only ``index.bin`` pages."""
     path = tmp_path_factory.mktemp("prefork") / "corpus"
     save_corpus(tiny_corpus, path)
@@ -75,7 +75,7 @@ def test_prefork_end_to_end(indexed_corpus_dir, tiny_corpus):
     reference_service = QueryService(manager, cache=ResultCache(64))
     query_ids = [obj.object_id for obj in list(tiny_corpus)[:5]]
     reference = {q: reference_service.search(query=q, k=10) for q in query_ids}
-    assert reference[query_ids[0]]["mode"] == "index-vectorized"
+    assert reference[query_ids[0]]["mode"] == "auto"
 
     pool = PreforkServer(indexed_corpus_dir, workers=2, port=0, grace=5.0)
     pool.start()
@@ -88,7 +88,7 @@ def test_prefork_end_to_end(indexed_corpus_dir, tiny_corpus):
         # -- default /search is bit-identical to the single-process path
         for query_id, expected in reference.items():
             payload = json.loads(_get(port, f"/search?query={query_id}&k=10"))
-            assert payload["mode"] == "index-vectorized"
+            assert payload["mode"] == "auto"
             assert payload["results"] == expected["results"]
 
         # -- /metrics aggregates every worker plus the supervisor

@@ -214,7 +214,7 @@ def test_stats_reports_index_provenance(service, loaded_manager):
     assert index_stats["build_seconds"] == prov.build_seconds
     assert index_stats["cliques"] == prov.n_cliques
     assert index_stats["postings"] == prov.total_postings
-    # a built snapshot reports the one on-disk format (v3 binary)
+    # a built snapshot reports the one on-disk format
     assert index_stats["format_version"] == BINARY_FORMAT_VERSION
 
 
@@ -264,7 +264,7 @@ def test_search_vectorized_mode_matches_index_mode(service, rec_corpus_dir):
     corpus = load_corpus(rec_corpus_dir)
     batch = RetrievalEngine(corpus)
     query_id = corpus[5].object_id
-    served = service.search(query=query_id, k=4, mode="index-vectorized")
+    served = service.search(query=query_id, k=4, mode="auto")
     expected = batch.search(corpus.get(query_id), k=4, mode="index")
     assert served["results"] == [
         {"object_id": r.object_id, "score": r.score} for r in expected
@@ -276,27 +276,18 @@ def test_search_vectorized_mode_matches_index_mode(service, rec_corpus_dir):
 # ----------------------------------------------------------------------
 def test_default_mode_resolves_to_vectorized(service, loaded_manager):
     """With no mode argument the service must run the vectorized engine
-    — the payload reports the *resolved* mode, not the ``auto`` alias."""
+    — ``auto``, the engine's default, which the payload reports."""
     query_id = loaded_manager.current.corpus[0].object_id
-    assert service.search(query=query_id, k=3)["mode"] == "index-vectorized"
-    assert service.similar(tags=["tag1"], k=3)["mode"] == "index-vectorized"
-
-
-def test_resolve_mode_maps_only_auto():
-    from repro.serving.service import resolve_mode
-
-    assert resolve_mode("auto") == "index-vectorized"
-    for mode in ("index-vectorized", "index", "scan"):
-        assert resolve_mode(mode) == mode
+    assert service.search(query=query_id, k=3)["mode"] == "auto"
+    assert service.similar(tags=["tag1"], k=3)["mode"] == "auto"
 
 
 def test_auto_and_vectorized_share_one_cache_entry(service, loaded_manager):
-    """``auto`` and ``index-vectorized`` rank identically; keying the
-    cache on the resolved mode keeps them from double-populating it."""
+    """An explicit ``auto`` and a modeless request are one computation
+    and share one cache entry."""
     query_id = loaded_manager.current.corpus[0].object_id
     first = service.search(query=query_id, k=3, mode="auto")
     assert first["cached"] is False
-    assert service.search(query=query_id, k=3, mode="index-vectorized")["cached"] is True
     assert service.search(query=query_id, k=3)["cached"] is True
     assert len(service.cache) == 1
     # the scalar walk is a genuinely different computation: its own entry
@@ -306,7 +297,7 @@ def test_auto_and_vectorized_share_one_cache_entry(service, loaded_manager):
 
 def test_similar_auto_and_vectorized_share_one_cache_entry(service):
     assert service.similar(tags=["tag1"], k=3, mode="auto")["cached"] is False
-    assert service.similar(tags=["tag1"], k=3, mode="index-vectorized")["cached"] is True
+    assert service.similar(tags=["tag1"], k=3)["cached"] is True
     assert len(service.cache) == 1
 
 

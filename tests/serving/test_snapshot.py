@@ -126,10 +126,29 @@ def test_stale_index_artifact_falls_back_to_build(tmp_path, tiny_corpus):
 
 
 def test_corrupt_index_artifact_falls_back_to_build(tmp_path, tiny_corpus):
+    from repro.index.binfmt import MAGIC
+
     path = _corpus_on_disk(tmp_path, tiny_corpus)
-    (path / "index.bin").write_bytes(b"RPROIDX3 but then garbage")
+    (path / "index.bin").write_bytes(MAGIC + b" but then garbage")
     snapshot = build_snapshot(path, generation=1)
     assert snapshot.index_provenance.origin == "built"
+
+
+def test_format_v3_artifact_falls_back_to_build(tmp_path, tiny_corpus, mark_as_format_v3):
+    """An ``index.bin`` from format v3 is refused by the loader, so the
+    snapshot builds its index and ranks exactly like a fresh build."""
+    from repro.core.retrieval import RetrievalEngine
+    from repro.storage.store import save_index
+
+    path = _corpus_on_disk(tmp_path, tiny_corpus)
+    fresh = RetrievalEngine(tiny_corpus)
+    mark_as_format_v3(save_index(fresh.index, path / "index.bin"))
+
+    snapshot = build_snapshot(path, generation=1)
+    assert snapshot.index_provenance.origin == "built"
+    for query in list(tiny_corpus)[:5]:
+        assert snapshot.engine.search(query, k=10) == fresh.search(query, k=10)
+    snapshot.close()
 
 
 def test_binary_artifact_next_to_corpus_is_picked_up(tmp_path, tiny_corpus):
@@ -167,6 +186,7 @@ def test_text_index_jsonl_is_ignored(tmp_path, tiny_corpus):
     """A text ``index.jsonl`` (the retired format) beside the corpus is
     not an index: the snapshot builds, and loading it directly is a
     storage error."""
+    from repro.index.binfmt import BINARY_FORMAT_VERSION
     from repro.storage.store import load_index
 
     path = _corpus_on_disk(tmp_path, tiny_corpus)
@@ -175,7 +195,9 @@ def test_text_index_jsonl_is_ignored(tmp_path, tiny_corpus):
 
     snapshot = build_snapshot(path, generation=1)
     assert snapshot.index_provenance.origin == "built"
-    with pytest.raises(StorageError, match="not a v3 binary index"):
+    with pytest.raises(
+        StorageError, match=f"not a v{BINARY_FORMAT_VERSION} binary index"
+    ):
         load_index(artifact, snapshot.engine.correlations)
 
 
@@ -241,7 +263,7 @@ def test_manager_forwards_verify_payload(tmp_path, tiny_corpus):
 # leases and deterministic disposal (the reload fd-leak fix)
 # ----------------------------------------------------------------------
 def _binary_corpus_dir(tmp_path, tiny_corpus):
-    """Corpus dir with a v3 artifact, so snapshots hold a real fd+mmap."""
+    """Corpus dir with an index artifact, so snapshots hold a real fd+mmap."""
     from repro.storage.store import save_index
 
     path = _corpus_on_disk(tmp_path, tiny_corpus)

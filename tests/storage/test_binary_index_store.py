@@ -1,27 +1,21 @@
-"""Binary (v3) index persistence through the storage layer.
+"""Binary index persistence through the storage layer.
 
 Covers the store-level contract on top of ``repro.index.binfmt``: the
 lazily-decoding :class:`MmapCliqueIndex` load path, save/load/save byte
-identity, files without the optional ``blockmax`` section, and
-corruption surfacing through the ``StorageError`` taxonomy with the
-failing section named.
+identity, refusal of an older format version, and corruption surfacing
+through the ``StorageError`` taxonomy with the failing section named.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from collections import Counter
 
 import pytest
 
-from repro.core.objects import Feature, MediaObject
-from repro.core.retrieval import correlation_model_for_corpus
-from repro.index.binfmt import BLOCK_SIZE, BinaryIndexReader, read_section_table
+from repro.index.binfmt import BINARY_FORMAT_VERSION, MAGIC, read_section_table
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segment import MmapCliqueIndex
-from repro.social.corpus import Corpus
-from repro.social.users import SocialGraph
 from repro.storage.store import StorageError, load_index, save_index
 
 
@@ -35,49 +29,14 @@ def binary_artifact(built, tmp_path):
     return save_index(built, tmp_path / "index.bin")
 
 
-@pytest.fixture(scope="module")
-def multi_block():
-    """An index whose ``shared`` posting spans three
-    :data:`~repro.index.binfmt.BLOCK_SIZE` blocks, so its file stores
-    per-block bounds — ``tiny_corpus`` has no posting longer than one
-    block and leaves the ``blockmax`` section empty."""
-    objects = [
-        MediaObject(
-            object_id=f"o{i:05d}",
-            features=Counter(
-                {
-                    Feature.text("shared"): 1 + i % 3,
-                    Feature.text(f"rare{i % 32}"): 1,
-                    Feature.user(f"u{i % 16}"): 1,
-                }
-            ),
-            timestamp=i % 6,
-        )
-        for i in range(3 * BLOCK_SIZE)
-    ]
-    corpus = Corpus(
-        objects=objects,
-        social=SocialGraph({f"u{i}": [] for i in range(16)}),
-        n_months=6,
-    )
-    model = correlation_model_for_corpus(corpus)
-    return CliqueInvertedIndex(model, max_clique_size=2).build(corpus)
-
-
-def _keep_sections(path, keep, rename=None):
-    """Cut the section table to its first ``keep`` records (renaming
-    some), re-sealing the header and table CRCs so only the section-set
-    checks can fire.  Payload offsets are absolute, so the payloads
-    stay where they are."""
+def _keep_sections(path, keep):
+    """Cut the section table to its first ``keep`` records, re-sealing
+    the header and table CRCs so only the section-count check can fire.
+    Payload offsets are absolute, so the payloads stay where they are."""
     data = bytearray(path.read_bytes())
     struct.pack_into("<I", data, 20, keep)
     struct.pack_into("<I", data, 48, zlib.crc32(bytes(data[:48])))
     table = 52
-    for i in range(keep):
-        record = table + 32 * i
-        name = bytes(data[record:record + 8]).rstrip(b"\0").decode()
-        if rename and name in rename:
-            data[record:record + 8] = rename[name].encode().ljust(8, b"\0")
     end = table + 32 * keep
     struct.pack_into("<I", data, end, zlib.crc32(bytes(data[table:end])))
     path.write_bytes(bytes(data))
@@ -117,8 +76,8 @@ def test_binary_round_trip_bit_identical(built, binary_artifact, correlations):
 
 
 def test_suffix_does_not_pick_format(built, binary_artifact, tmp_path, correlations):
-    """Every save writes v3 and every load detects it by content, so
-    the file name carries no meaning."""
+    """Every save writes the binary format and every load detects it by
+    content, so the file name carries no meaning."""
     odd = save_index(built, tmp_path / "index.jsonl")
     assert odd.read_bytes() == binary_artifact.read_bytes()
     loaded = load_index(odd, correlations)
@@ -126,41 +85,16 @@ def test_suffix_does_not_pick_format(built, binary_artifact, tmp_path, correlati
     loaded.close()
 
 
-def test_save_load_save_carries_blockmax(multi_block, tmp_path, correlations):
-    """Re-serializing a loaded multi-block index reproduces the file
-    byte for byte: iteration order (the ``order`` section), canonical
-    entry order and the stored ``blockmax`` bounds all survive."""
-    src = save_index(multi_block, tmp_path / "big.bin")
-    assert read_section_table(src)["blockmax"][1] > 0
-    loaded = load_index(src, correlations)
+def test_save_load_save_is_byte_identical(binary_artifact, tmp_path, correlations):
+    """Re-serializing a loaded index reproduces the file byte for byte:
+    the loaded segment iterates its slots in key order, the writer's
+    own order."""
+    loaded = load_index(binary_artifact, correlations)
+    keys = [posting.key for posting in loaded.iter_postings()]
+    assert keys == sorted(keys)
     back = save_index(loaded, tmp_path / "back.bin")
     loaded.close()
-    assert back.read_bytes() == src.read_bytes()
-    with BinaryIndexReader(back) as reader:
-        assert reader.has_blockmax
-        slot = reader.find_slot(Feature.text("shared").key)
-        assert slot is not None
-        stored = reader.posting_block_max(slot)
-        assert stored is not None and len(stored[0]) == 3
-
-
-def test_pre_blockmax_file_still_loads(multi_block, tmp_path, correlations):
-    """A v3 file written before the optional ``blockmax`` section
-    existed loads, and the vector view serves the same posting arrays
-    (no query path reads the section)."""
-    path = save_index(multi_block, tmp_path / "old.bin")
-    key = Feature.text("shared").key
-    with_section = load_index(path, correlations)
-    full = with_section.vector_view().vectors(key)
-    expected = [full.ids.tolist(), full.freq.tolist(), full.smooth.tolist(), full.cors]
-    with_section.close()
-    _keep_sections(path, keep=7)  # blockmax is the last record
-    loaded = load_index(path, correlations)
-    assert not loaded.reader.has_blockmax
-    vectors = loaded.vector_view().vectors(key)
-    got = [vectors.ids.tolist(), vectors.freq.tolist(), vectors.smooth.tolist(), vectors.cors]
-    assert got == expected
-    loaded.close()
+    assert back.read_bytes() == binary_artifact.read_bytes()
 
 
 def test_loaded_segment_is_lazy(binary_artifact, correlations):
@@ -222,15 +156,33 @@ def test_binary_garbage_under_jsonl_name_is_storage_error(tmp_path, correlations
     the file, whatever it is called."""
     path = tmp_path / "index.jsonl"
     path.write_bytes(b"\x00\xff\xfe garbage \x80" * 10)
-    with pytest.raises(StorageError, match="not a v3 binary index") as exc_info:
+    with pytest.raises(
+        StorageError, match=f"not a v{BINARY_FORMAT_VERSION} binary index"
+    ) as exc_info:
         load_index(path, correlations)
     assert str(path) in str(exc_info.value)
 
 
+def test_older_format_version_names_the_rebuild(binary_artifact, correlations):
+    """A file from format v3 (magic ``RPROIDX3``) is refused with a
+    message naming its version and the command that rebuilds it."""
+    data = bytearray(binary_artifact.read_bytes())
+    data[: len(MAGIC)] = b"RPROIDX3"
+    binary_artifact.write_bytes(bytes(data))
+    with pytest.raises(StorageError) as exc_info:
+        load_index(binary_artifact, correlations)
+    message = str(exc_info.value)
+    assert "format v3" in message
+    assert f"only v{BINARY_FORMAT_VERSION}" in message
+    assert "repro index build" in message
+    assert str(binary_artifact) in message
+
+
 def test_missing_required_section_is_storage_error(binary_artifact, correlations):
-    """Only ``blockmax`` is optional: a table without ``smooth`` fails."""
-    _keep_sections(binary_artifact, keep=7, rename={"smooth": "blockmax"})
-    with pytest.raises(StorageError, match="missing sections"):
+    """Every section is required: a table without ``smooth`` (the last
+    record) fails."""
+    _keep_sections(binary_artifact, keep=5)
+    with pytest.raises(StorageError, match="expected 6 sections, header says 5"):
         load_index(binary_artifact, correlations)
 
 

@@ -52,7 +52,7 @@ def test_missing_file_is_storage_error(tmp_path, correlations):
 def test_empty_file_is_storage_error(tmp_path, correlations):
     path = tmp_path / "index.bin"
     path.write_bytes(b"")
-    with pytest.raises(StorageError, match="not a v3 binary index"):
+    with pytest.raises(StorageError, match=f"not a v{BINARY_FORMAT_VERSION} binary index"):
         load_index(path, correlations)
 
 
@@ -68,7 +68,7 @@ def test_wrong_kind_is_storage_error(tmp_path, correlations):
     """A text artifact (here: corpus metadata) is not an index."""
     path = tmp_path / "index.bin"
     path.write_text(json.dumps({"kind": "corpus", "format_version": 1}) + "\n")
-    with pytest.raises(StorageError, match="not a v3 binary index"):
+    with pytest.raises(StorageError, match=f"not a v{BINARY_FORMAT_VERSION} binary index"):
         load_index(path, correlations)
 
 

@@ -73,6 +73,32 @@ def test_index_writes_artifact(tmp_path, tiny_corpus, capsys):
     assert built.search(query, k=5) == loaded.search(query, k=5)
 
 
+def test_index_build_replaces_format_v3_artifact(
+    tmp_path, tiny_corpus, capsys, mark_as_format_v3
+):
+    """The rebuild the refusal message names: ``repro index build``
+    over a corpus holding a format-v3 ``index.bin`` replaces it with
+    one of the current format that loads."""
+    from repro.core.retrieval import RetrievalEngine
+    from repro.index.binfmt import BINARY_FORMAT_VERSION, MAGIC
+    from repro.storage.store import StorageError, load_corpus, load_index, save_index
+
+    corpus_dir = tmp_path / "corpus"
+    save_corpus(tiny_corpus, corpus_dir)
+    artifact = corpus_dir / "index.bin"
+    engine = RetrievalEngine(tiny_corpus)
+    mark_as_format_v3(save_index(engine.index, artifact))
+    with pytest.raises(StorageError, match="format v3"):
+        load_index(artifact, engine.correlations)
+
+    assert main(["index", "build", str(corpus_dir)]) == 0
+    capsys.readouterr()
+    assert artifact.read_bytes()[: len(MAGIC)] == MAGIC
+    with load_index(artifact, engine.correlations) as loaded:
+        assert loaded.reader.version == BINARY_FORMAT_VERSION
+        assert loaded.n_objects == len(load_corpus(corpus_dir))
+
+
 def test_index_invalid_workers(corpus_dir, capsys):
     assert main(["index", "build", corpus_dir, "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err
@@ -87,7 +113,7 @@ def test_index_missing_corpus_dir(tmp_path, capsys):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_index_build_failed_verify_exits_2(tmp_path, tiny_corpus, capsys, monkeypatch, workers):
     """A post-write verification failure is an operator error: exit 2
-    with one ``error:`` line, in the serial and the segmented branch."""
+    with one ``error:`` line, at one worker and at two."""
     from repro.index import binfmt
 
     corpus_dir = tmp_path / "corpus"
@@ -212,7 +238,7 @@ def test_index_build_no_verify_payload(tmp_path, tiny_corpus, capsys):
 def test_search_vectorized_mode(corpus_dir, tiny_corpus, capsys):
     query_id = tiny_corpus[0].object_id
     assert main(["search", corpus_dir, "--query", query_id, "--k", "3",
-                 "--mode", "index-vectorized"]) == 0
+                 "--mode", "auto"]) == 0
     vec_out = capsys.readouterr().out
     assert vec_out.count("score=") == 3
     # auto (the default) prints the same ranking

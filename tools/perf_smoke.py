@@ -10,7 +10,7 @@ properties the impact-ordering change bought:
   one means TA's early exit stopped firing);
 * **parity** — index-mode rankings stay bit-identical to the pre-change
   per-query rescoring path on every smoke query;
-* **binary store** — the v3 mmap artifact must open fast (load p50
+* **binary store** — the mmap'd artifact must open fast (load p50
   under ``--max-binary-load-ms``, default 50 ms) and serve rankings
   bit-identical to the engine it was saved from on every smoke query;
   a snapshot opened over it (``build_snapshot``, the serving load path)
@@ -22,11 +22,10 @@ properties the impact-ordering change bought:
   latency) and stay bit-identical;
 * **serving defaults** — a snapshot served off the saved corpus +
   ``index.bin`` must run the vectorized engine *by default* (payload
-  reports the resolved ``index-vectorized`` mode, a query sums a
-  positive number of posting entries, v3 provenance), ``auto`` and
-  ``index-vectorized`` requests must share one cache entry, and
-  default-mode rankings must stay bit-identical to the scalar index
-  walk;
+  reports the ``auto`` mode, a query sums a positive number of
+  posting entries, provenance of the current
+  :data:`~repro.index.binfmt.BINARY_FORMAT_VERSION`), and default-mode
+  rankings must stay bit-identical to the scalar index walk;
 * **segmented build** — the direct-to-binary sharded build
   (:func:`repro.index.segbuild.build_segmented`) must produce an
   ``index.bin`` byte-identical to the serial monolithic build + save
@@ -65,6 +64,7 @@ from pathlib import Path
 from repro.core.objects import MediaObject
 from repro.core.retrieval import RetrievalEngine
 from repro.eval import percentile, sample_queries
+from repro.index.binfmt import BINARY_FORMAT_VERSION
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import build_segmented
 from repro.serving.cache import ResultCache
@@ -146,7 +146,6 @@ def _serving_defaults_report(engine: RetrievalEngine, queries: list, k: int) -> 
 
         default_modes: set[str] = set()
         parity_failures: list[str] = []
-        cache_shared = True
         for query in queries:
             payload = service.search(query.object_id, k=k)
             default_modes.add(payload["mode"])
@@ -157,10 +156,6 @@ def _serving_defaults_report(engine: RetrievalEngine, queries: list, k: int) -> 
             ]
             if served != reference:
                 parity_failures.append(query.object_id)
-            # auto / index-vectorized must resolve to one cache entry.
-            explicit = service.search(query.object_id, k=k, mode="index-vectorized")
-            if not explicit["cached"]:
-                cache_shared = False
         _, stats = snapshot.engine.search_with_stats(
             engine.corpus.get(queries[0].object_id), k=k, mode="auto"
         )
@@ -168,14 +163,15 @@ def _serving_defaults_report(engine: RetrievalEngine, queries: list, k: int) -> 
 
     return {
         "default_modes": sorted(default_modes),
-        "default_is_vectorized": default_modes == {"index-vectorized"},
-        "cache_shared_across_mode_aliases": cache_shared,
+        "default_is_vectorized": default_modes == {"auto"},
         "provenance": {
             "origin": provenance.origin if provenance else None,
             "format_version": provenance.format_version if provenance else None,
         },
-        "served_from_v3_artifact": bool(
-            provenance and provenance.origin == "loaded" and provenance.format_version == 3
+        "served_from_binary_artifact": bool(
+            provenance
+            and provenance.origin == "loaded"
+            and provenance.format_version == BINARY_FORMAT_VERSION
         ),
         "entries_summed": stats.total_posting_entries,
         "entries_visible": stats.total_posting_entries > 0,
@@ -218,7 +214,7 @@ class _GcPauses:
 def _vectorized_report(
     n_objects: int, n_queries: int, k: int, seed: int, min_speedup: float, workers: int
 ) -> dict:
-    """Time scalar ``index`` mode against ``index-vectorized`` on a
+    """Time scalar ``index`` mode against the default ``auto`` on a
     larger corpus, and check parity."""
     corpus = SyntheticFlickr(
         GeneratorConfig(n_objects=n_objects), seed=seed
@@ -234,7 +230,7 @@ def _vectorized_report(
     # which the scalar walk and the vectorized kernel both read.
     for query in queries:
         engine.search(query, k=k, mode="index")
-        engine.search(query, k=k, mode="index-vectorized")
+        engine.search(query, k=k, mode="auto")
 
     scalar: list[float] = []
     vectorized: list[float] = []
@@ -251,7 +247,7 @@ def _vectorized_report(
         )
         best = min(
             (
-                _timed(engine.search_with_stats, query, k=k, mode="index-vectorized")
+                _timed(engine.search_with_stats, query, k=k, mode="auto")
                 for _ in range(3)
             ),
             key=lambda timed: timed[0],
@@ -467,8 +463,7 @@ def run_smoke(
     )
     serving_ok = (
         serving_defaults["default_is_vectorized"]
-        and serving_defaults["cache_shared_across_mode_aliases"]
-        and serving_defaults["served_from_v3_artifact"]
+        and serving_defaults["served_from_binary_artifact"]
         and serving_defaults["entries_visible"]
         and not serving_defaults["parity_failures"]
     )
@@ -647,22 +642,15 @@ def main(argv: list[str] | None = None) -> int:
     serving = report["serving_defaults"]
     if not serving["default_is_vectorized"]:
         print(
-            f"perf-smoke FAIL: default serving mode resolved to "
-            f"{serving['default_modes']} instead of ['index-vectorized']",
+            f"perf-smoke FAIL: default serving mode was "
+            f"{serving['default_modes']} instead of ['auto']",
             file=sys.stderr,
         )
         return 1
-    if not serving["cache_shared_across_mode_aliases"]:
+    if not serving["served_from_binary_artifact"]:
         print(
-            "perf-smoke FAIL: auto and index-vectorized requests do not share "
-            "a result-cache entry (double population)",
-            file=sys.stderr,
-        )
-        return 1
-    if not serving["served_from_v3_artifact"]:
-        print(
-            f"perf-smoke FAIL: snapshot did not pick up the v3 binary artifact "
-            f"(provenance {serving['provenance']})",
+            f"perf-smoke FAIL: snapshot did not pick up a v{BINARY_FORMAT_VERSION} "
+            f"binary artifact (provenance {serving['provenance']})",
             file=sys.stderr,
         )
         return 1
