@@ -377,7 +377,7 @@ def load_index(
     version = binfmt.BINARY_FORMAT_VERSION
     if head != binfmt.MAGIC:
         stem, digit = head[:-1], head[-1:]
-        if stem == binfmt.MAGIC[:-1] and digit.isdigit():
+        if stem == binfmt.MAGIC[:-1] and digit.isdigit() and int(digit) < version:
             raise StorageError(
                 f"{path} is a format v{digit.decode()} binary index, but only "
                 f"v{version} can be read: rebuild it with "

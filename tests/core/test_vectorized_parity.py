@@ -1,6 +1,6 @@
 """Property test: vectorized rankings are bit-identical to scalar.
 
-Satellite contract for the block-max vectorized path: at **any**
+Contract for the vectorized default path: at **any**
 parameter point (α anywhere in [0, 1], arbitrary non-negative λ per
 clique size, any δ) and over **both** index flavours — the in-memory
 build and an mmap'd ``index.bin`` — ``mode="auto"`` returns the
@@ -47,7 +47,7 @@ def memory_engine(twin_corpus):
 @pytest.fixture(scope="module")
 def mmap_engine(memory_engine, twin_corpus, tmp_path_factory):
     """Engine over the same index persisted to a binary segment —
-    the zero-copy path with stored block maxima."""
+    the zero-copy mmap path."""
     path = tmp_path_factory.mktemp("parity") / "index.bin"
     save_index(memory_engine.index, path)
     engine = RetrievalEngine(twin_corpus, params=MRFParameters(), build_index=False)

@@ -178,6 +178,20 @@ def test_older_format_version_names_the_rebuild(binary_artifact, correlations):
     assert str(binary_artifact) in message
 
 
+def test_newer_format_version_gets_no_rebuild_advice(binary_artifact, correlations):
+    """A file from a later format version is refused as not this
+    version's index; rebuilding with this reader would downgrade it, so
+    the message does not suggest it."""
+    data = bytearray(binary_artifact.read_bytes())
+    data[: len(MAGIC)] = MAGIC[:-1] + str(BINARY_FORMAT_VERSION + 1).encode()
+    binary_artifact.write_bytes(bytes(data))
+    with pytest.raises(
+        StorageError, match=f"not a v{BINARY_FORMAT_VERSION} binary index"
+    ) as exc_info:
+        load_index(binary_artifact, correlations)
+    assert "repro index build" not in str(exc_info.value)
+
+
 def test_missing_required_section_is_storage_error(binary_artifact, correlations):
     """Every section is required: a table without ``smooth`` (the last
     record) fails."""
