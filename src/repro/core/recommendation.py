@@ -33,6 +33,7 @@ from repro.core.mrf import CliqueScorer, MRFParameters
 from repro.core.objects import MediaObject
 from repro.core.retrieval import RankedResult, correlation_model_for_corpus, ranked_sort
 from repro.index.inverted import CliqueInvertedIndex
+from repro.index.segmented import SegmentedCliqueIndex, as_stack
 from repro.index.threshold import SortedListSource, impact_sources, threshold_algorithm
 from repro.index.vectorized import PostingVectors, accumulate_top_k
 from repro.social.corpus import Corpus
@@ -91,8 +92,11 @@ class Recommender:
         features and cover ``params``' max clique size, else
         ``ValueError``.  Opening it reads no posting: a query reads a
         clique's stored arrays on first touch.  The candidate set is
-        fixed at init, so serving passes one segment (the main one),
-        never a delta stack.  Takes precedence over ``build_index``.
+        fixed at init, so the recommender keeps ranking over the stack
+        it was given: serving hands it the snapshot's main-only stack,
+        and an ingest publish carries it over unchanged.  A
+        :class:`CliqueInvertedIndex` is read as a main-only stack.
+        Takes precedence over ``build_index``.
     correlations:
         A prebuilt correlation model to adopt instead of assembling one
         from the corpus — the engine's, when ``index`` is the engine's
@@ -107,7 +111,7 @@ class Recommender:
         default_threshold: float = 0.3,
         split: TemporalSplit | None = None,
         build_index: bool = True,
-        index: CliqueInvertedIndex | None = None,
+        index: CliqueInvertedIndex | SegmentedCliqueIndex | None = None,
         correlations: CorrelationModel | None = None,
     ) -> None:
         self._corpus = corpus
@@ -125,24 +129,25 @@ class Recommender:
         )
         self._by_id = {o.object_id: o for o in self._candidates}
         self._max_clique_size = self._params.max_clique_size
-        self._index: CliqueInvertedIndex | None = None
+        self._index: SegmentedCliqueIndex | None = None
         if index is not None:
             if index.max_clique_size < self._max_clique_size:
                 raise ValueError(
                     f"prebuilt index covers cliques up to size {index.max_clique_size}, "
                     f"but the parameters need {self._max_clique_size}"
                 )
-            self._index = index
+            self._index = as_stack(index)
         elif build_index:
-            self._index = CliqueInvertedIndex(
+            built = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(self._candidates)
+            self._index = SegmentedCliqueIndex(built.vector_view())
         self._candidate_mask: np.ndarray | None = (
             self._mask_candidates(self._index) if self._index is not None else None
         )
         self._profile_cache: dict[str, UserProfile] = {}
 
-    def _mask_candidates(self, index: CliqueInvertedIndex) -> np.ndarray:
+    def _mask_candidates(self, index: SegmentedCliqueIndex) -> np.ndarray:
         """Dense boolean mask over ``index``'s object table: ``True`` at
         every candidate.  A candidate with features always has cliques,
         so an index lacking its dense id was built over other objects —
@@ -184,7 +189,7 @@ class Recommender:
         return self._candidates
 
     @property
-    def index(self) -> CliqueInvertedIndex | None:
+    def index(self) -> SegmentedCliqueIndex | None:
         """The clique index this recommender ranks over (shared or own)."""
         return self._index
 

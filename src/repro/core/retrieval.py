@@ -46,6 +46,7 @@ from repro.core.fig import FeatureInteractionGraph
 from repro.core.mrf import CliqueScorer, MRFParameters
 from repro.core.objects import MediaObject
 from repro.index.inverted import CliqueInvertedIndex
+from repro.index.segmented import SegmentedCliqueIndex, as_stack
 from repro.index.threshold import (
     AccessStats,
     ImpactSortedSource,
@@ -164,10 +165,12 @@ class RetrievalEngine:
         Build the clique inverted index eagerly (disable for scan-only
         experiments to skip the preprocessing cost).
     index:
-        A prebuilt :class:`CliqueInvertedIndex` to adopt instead of
-        building one — the path the serving layer uses to load a
-        persisted index.  Must cover at least ``params``' max clique
-        size; takes precedence over ``build_index``.
+        A prebuilt index to adopt instead of building one — a
+        :class:`~repro.index.segmented.SegmentedCliqueIndex` (the path
+        the serving layer uses to load a persisted index) or a
+        :class:`CliqueInvertedIndex`, read as a main-only stack.  Must
+        cover at least ``params``' max clique size; takes precedence
+        over ``build_index``.
     index_workers:
         Worker processes for the eager index build (``1`` = serial).
     correlations:
@@ -186,7 +189,7 @@ class RetrievalEngine:
         thresholds: dict[tuple[str, str], float] | None = None,
         default_threshold: float = 0.3,
         build_index: bool = True,
-        index: CliqueInvertedIndex | None = None,
+        index: CliqueInvertedIndex | SegmentedCliqueIndex | None = None,
         index_workers: int = 1,
         correlations: CorrelationModel | None = None,
     ) -> None:
@@ -200,18 +203,14 @@ class RetrievalEngine:
             )
         )
         self._max_clique_size = self._params.max_clique_size
-        self._index: CliqueInvertedIndex | None = None
+        self._index: SegmentedCliqueIndex | None = None
         if index is not None:
-            if index.max_clique_size < self._max_clique_size:
-                raise ValueError(
-                    f"prebuilt index covers cliques up to size {index.max_clique_size}, "
-                    f"but the parameters need {self._max_clique_size}"
-                )
-            self._index = index
+            self.adopt_index(index)
         elif build_index:
-            self._index = CliqueInvertedIndex(
+            built = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(corpus, n_workers=index_workers)
+            self._index = SegmentedCliqueIndex(built.vector_view())
         self._clique_cache: dict[frozenset, tuple[Clique, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -230,13 +229,14 @@ class RetrievalEngine:
         return self._params
 
     @property
-    def index(self) -> CliqueInvertedIndex | None:
+    def index(self) -> SegmentedCliqueIndex | None:
         return self._index
 
-    def adopt_index(self, index: CliqueInvertedIndex) -> None:
+    def adopt_index(self, index: CliqueInvertedIndex | SegmentedCliqueIndex) -> None:
         """Install a prebuilt (typically loaded) index on an engine
         constructed with ``build_index=False`` — the serving layer's
-        load path.  The index must cover the parameters' clique bound.
+        load path.  The index must cover the parameters' clique bound;
+        a :class:`CliqueInvertedIndex` is read as a main-only stack.
 
         O(1): no posting is read here; a query reads a clique's
         posting when it first touches the clique."""
@@ -245,7 +245,7 @@ class RetrievalEngine:
                 f"prebuilt index covers cliques up to size {index.max_clique_size}, "
                 f"but the parameters need {self._max_clique_size}"
             )
-        self._index = index
+        self._index = as_stack(index)
 
     def with_params(self, params: MRFParameters) -> "RetrievalEngine":
         """Clone sharing corpus, correlation model and index, with new
@@ -270,7 +270,7 @@ class RetrievalEngine:
         return clone
 
     def with_ingested(
-        self, corpus: Corpus, index: CliqueInvertedIndex
+        self, corpus: Corpus, index: SegmentedCliqueIndex
     ) -> "RetrievalEngine":
         """Clone for an extended corpus with a derived (segmented)
         index — the O(delta) ingest publish path.

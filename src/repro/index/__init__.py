@@ -19,7 +19,7 @@ from repro.index.compression import (
 )
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.postings import Posting
-from repro.index.segment import MmapCliqueIndex
+from repro.index.segmented import SegmentedCliqueIndex
 from repro.index.threshold import (
     AccessStats,
     ImpactSortedSource,
@@ -34,8 +34,8 @@ __all__ = [
     "BinaryIndexReader",
     "CliqueInvertedIndex",
     "ImpactSortedSource",
-    "MmapCliqueIndex",
     "Posting",
+    "SegmentedCliqueIndex",
     "compression_ratio",
     "decode_postings",
     "decode_varint",

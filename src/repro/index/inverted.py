@@ -8,11 +8,14 @@ query-independent — ``ϕ'(c, O_i) = λ_{|c|}·CorS(c)·P(n_1..n_k|O_i)``
 depends only on the clique, the candidate and the MRF parameters — so
 the index computes them **once at build time**.  At query time the
 retrieval engine multiplies each posting by its constant per-clique
-weight and hands the impact-ordered lists straight to the Threshold
-Algorithm: no per-candidate scoring, no corpus access, and genuine
-early termination.  The scalar path sorts a posting into its
-α-specific order the first time a query touches it and caches that
-view on the posting; nothing is sorted ahead of the first query.
+weight and ranks the stored arrays: no per-candidate scoring and no
+corpus access.  The scalar path sorts each touched posting into its
+α-specific impact order per query; nothing is sorted ahead of a query.
+
+This builder is also the in-memory segment: a snapshot that has no
+``index.bin`` and every ingest delta serve one through its
+:class:`~repro.index.vectorized.InMemoryVectorView`, inside a
+:class:`~repro.index.segmented.SegmentedCliqueIndex`.
 
 Building is shard-parallel: the corpus splits into contiguous shards
 (via the same dispatch helper as the parallel scan), each worker scores
@@ -33,11 +36,7 @@ from repro.core.mrf import score_object
 from repro.core.objects import MediaObject
 from repro.core.sharding import split_shards
 from repro.index.postings import Posting
-from repro.index.vectorized import (
-    InMemoryVectorView,
-    MmapVectorView,
-    SegmentedVectorView,
-)
+from repro.index.vectorized import InMemoryVectorView
 
 def _build_shard(
     payload: tuple[Sequence[MediaObject], CorrelationModel, int],
@@ -81,7 +80,7 @@ class CliqueInvertedIndex:
         self._cors_lookup = cors_lookup
         self._postings: dict[str, Posting] = {}
         self._n_objects = 0
-        self._vector_view: InMemoryVectorView | MmapVectorView | SegmentedVectorView | None = None
+        self._vector_view: InMemoryVectorView | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -155,15 +154,14 @@ class CliqueInvertedIndex:
         self._vector_view = None
 
     def set_n_objects(self, n: int) -> None:
-        """Set the indexed-object count (segment views over stored or
-        stacked postings)."""
+        """Set the indexed-object count."""
         if n < 0:
             raise ValueError("object count must be >= 0")
         self._n_objects = n
 
-    def vector_view(self) -> InMemoryVectorView | MmapVectorView | SegmentedVectorView:
-        """Cached vector access surface for the vectorized query engine
-        (see :mod:`repro.index.vectorized`); rebuilt after any mutation
+    def vector_view(self) -> InMemoryVectorView:
+        """Cached read surface of this index as a segment (see
+        :mod:`repro.index.vectorized`); rebuilt after any mutation
         because the dense-id table depends on the posting contents."""
         if self._vector_view is None:
             self._vector_view = InMemoryVectorView(self)

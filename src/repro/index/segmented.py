@@ -1,266 +1,242 @@
-"""Multi-segment index: one immutable main segment plus delta tails.
+"""The read-side index: one main segment plus delta tails.
 
-Streaming ingest cannot afford a rebuild — at paper scale a monolithic
-build is ~25 minutes — so new objects land in small **delta segments**
-(in-memory indexes built over just the new objects with the snapshot's
-frozen correlation model) and queries run over the *stack* of segments,
-LSM-style.  :class:`SegmentedCliqueIndex` is that stack behind the
-ordinary :class:`~repro.index.inverted.CliqueInvertedIndex` read API,
-so every consumer — the scalar TA path, the vectorized path,
-``save_index``, serving snapshots — works unchanged.
+Every query reads the clique index (Section 3.5, Figure 3) through a
+:class:`SegmentedCliqueIndex`.  A mapped ``index.bin``
+(:func:`repro.storage.store.load_index`) and a built index alike are a
+*main-only* stack over one segment; streaming ingest, which cannot
+afford a rebuild — at paper scale a monolithic build is ~25 minutes —
+appends small **delta segments** (in-memory indexes built over just the
+new objects with the snapshot's frozen correlation model) and queries
+run over the stack, LSM-style.
+
+A segment is read only through its vector view
+(:class:`~repro.index.vectorized.MmapVectorView` over a mapped file,
+:class:`~repro.index.vectorized.InMemoryVectorView` over a builder).
+The stack derives its whole read API — ``lookup``, ``iter_postings``,
+``cors_for_key``, ``len``, ``in``, ``stats`` — once, from one view: a
+main-only stack reads its segment's own view as is (no remap, no global
+id table), a stack with deltas reads the
+:class:`~repro.index.vectorized.SegmentedVectorView` that merges them.
 
 **Bit parity with a monolithic build** (over the same correlation
 model) holds by construction:
 
-* A clique key held by exactly **one** segment resolves to that
-  segment's posting object *as-is* — no copy.
-* A key held by **several** segments resolves to one merged posting
-  whose entries concatenate main-first, then deltas in arrival order —
-  exactly the corpus order a from-scratch build appends in (segments
-  partition the corpus into contiguous, ordered slices).  CorS is taken
-  from the first holder: it is a pure function of the key under the
-  frozen model, so every holder stores the same value.
+* A clique key held by **several** segments resolves to one merged
+  posting whose entries concatenate main-first, then deltas in arrival
+  order — the corpus order a from-scratch build appends in (segments
+  partition the corpus into contiguous, ordered slices) — sorted by
+  dense id, the arrays a monolithic build stores.  CorS is taken from
+  the first holder: it is a pure function of the key under the frozen
+  model, so every holder stores the same value.
 * The Threshold Algorithm therefore sees **one source per clique**
   with identical entries in identical order — the ``>=``-termination
   twin-tie behaviour cannot diverge, which per-(clique, segment)
   sources would not guarantee.
 * ``iter_postings`` yields every key once, merged across the stack;
-  the writer lays slots out in key order, so re-serializing a
-  segmented index is byte-identical to serializing a from-scratch
-  build.
+  the writer lays slots out in key order, so re-serializing a stack is
+  byte-identical to serializing a from-scratch build.
 
 Derivation is O(delta): :meth:`with_delta` shares the main segment
 (pin-counted via ``acquire``/``close``) and all prior deltas and reads
 no posting — the publish cost of an ingest batch is the batch's own
 build, never proportional to the corpus.
 
-The stack is immutable like any served index: mutation raises
-``TypeError``; growth happens by deriving a new stack, compaction by
-merging segment *files* (:mod:`repro.index.segbuild`) and hot-reloading.
+The stack has no mutators: growth happens by deriving a new stack,
+compaction by merging segment *files* (:mod:`repro.index.segbuild`) and
+hot-reloading.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from typing import NoReturn
+from collections.abc import Iterator, Sequence
 
 from repro.core.cliques import Clique
-from repro.core.correlation import CorrelationModel
-from repro.core.objects import MediaObject
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.postings import Posting
-from repro.index.vectorized import SegmentedVectorView
+from repro.index.vectorized import SegmentedVectorView, SegmentView
 
 
-class SegmentedCliqueIndex(CliqueInvertedIndex):
+class SegmentedCliqueIndex:
     """Read view over ``(main, *deltas)`` index segments.
 
     Parameters
     ----------
     main:
-        The large immutable segment (typically an
-        :class:`~repro.index.segment.MmapCliqueIndex` over ``index.bin``;
-        any :class:`CliqueInvertedIndex` works).  If it exposes
-        ``acquire``/``close``, the stack takes one pin and releases it
-        on :meth:`close` — sharers across generations stay safe.
+        The large immutable segment's view — typically an
+        :class:`~repro.index.vectorized.MmapVectorView` over
+        ``index.bin``.  The stack owns one pin on it: a freshly opened
+        view carries exactly one, :meth:`with_delta` takes another for
+        the derived stack, and :meth:`close` releases the stack's.
     deltas:
-        Delta segments in arrival order (oldest first).  Their objects
-        must be disjoint from ``main``'s and from each other's, and
-        each must be built with the same correlation model and clique
-        bound as ``main``.
-    correlations:
-        The frozen correlation model shared by every segment (defaults
-        to ``main``'s).
+        Delta segment views in arrival order (oldest first).  Their
+        objects must be disjoint from ``main``'s and from each other's,
+        and each must be built with the same correlation model and
+        clique bound as ``main``.
     """
 
-    def __init__(
-        self,
-        main: CliqueInvertedIndex,
-        deltas: Sequence[CliqueInvertedIndex],
-        correlations: CorrelationModel | None = None,
-    ) -> None:
+    def __init__(self, main: SegmentView, deltas: Sequence[SegmentView] = ()) -> None:
         for delta in deltas:
             if delta.max_clique_size != main.max_clique_size:
                 raise ValueError(
                     f"delta segment clique bound {delta.max_clique_size} does not "
                     f"match the main segment's {main.max_clique_size}"
                 )
-        model = correlations if correlations is not None else main.correlations
-        super().__init__(model, max_clique_size=main.max_clique_size)
         self._main = main
         self._deltas = tuple(deltas)
-        self._segments: tuple[CliqueInvertedIndex, ...] = (main, *self._deltas)
-        self.set_n_objects(sum(segment.n_objects for segment in self._segments))
-        self._n_cliques: int | None = None
+        self._view: SegmentView | SegmentedVectorView = (
+            SegmentedVectorView((main, *self._deltas)) if self._deltas else main
+        )
+        #: Postings built by :meth:`lookup` (the rescore path,
+        #: re-serialization); queries read the view's arrays instead.
+        self._postings: dict[str, Posting] = {}
         self._closed = False
-        acquire = getattr(main, "acquire", None)
-        if acquire is not None:
-            acquire()
 
     # ------------------------------------------------------------------
     # stack structure
     # ------------------------------------------------------------------
     @property
-    def main(self) -> CliqueInvertedIndex:
+    def main(self) -> SegmentView:
         return self._main
 
     @property
-    def deltas(self) -> tuple[CliqueInvertedIndex, ...]:
+    def deltas(self) -> tuple[SegmentView, ...]:
         return self._deltas
+
+    @property
+    def max_clique_size(self) -> int:
+        return self._main.max_clique_size
+
+    @property
+    def n_objects(self) -> int:
+        """Indexed objects over every segment."""
+        return self._view.n_objects
 
     @property
     def n_delta_objects(self) -> int:
         """Objects living in delta segments (compaction folds them in)."""
         return sum(delta.n_objects for delta in self._deltas)
 
-    def with_delta(self, delta: CliqueInvertedIndex) -> "SegmentedCliqueIndex":
+    def with_delta(self, delta: SegmentView) -> "SegmentedCliqueIndex":
         """A new stack with ``delta`` appended — O(delta): the main
         segment and every prior delta are shared, not copied."""
-        return SegmentedCliqueIndex(
-            self._main, (*self._deltas, delta), correlations=self._cor
-        )
+        return SegmentedCliqueIndex(self._main.acquire(), (*self._deltas, delta))
+
+    def vector_view(self) -> SegmentView | SegmentedVectorView:
+        """The one view every query reads (see :mod:`repro.index.vectorized`)."""
+        return self._view
 
     # ------------------------------------------------------------------
     # read API
     # ------------------------------------------------------------------
-    def cors_for_key(self, key: str) -> float | None:
-        """First segment that knows the clique answers — every segment
-        scored it under the same frozen model, so they agree."""
-        for segment in self._segments:
-            cors = segment.cors_for_key(key)
-            if cors is not None:
-                return cors
-        return None
-
     def lookup(self, clique: Clique | str) -> Posting | None:
+        """Posting for a clique (``None`` when no segment holds it) —
+        Algorithm 1's ``InvList(c_i)``, entries in ascending object id
+        order, built from the view's arrays on first lookup and kept."""
         key = clique.key if isinstance(clique, Clique) else clique
         posting = self._postings.get(key)
-        if posting is not None:
-            return posting
-        parts = []
-        for segment in self._segments:
-            hit = segment.lookup(key)
-            if hit is not None:
-                parts.append(hit)
-        if not parts:
-            return None
-        if len(parts) == 1:
-            # Reuse the holder's posting object as-is.
-            posting = parts[0]
-        else:
-            ids: list[str] = []
-            freq: list[float] = []
-            smooth: list[float] = []
-            for part in parts:
-                ids.extend(part)
-                part_freq, part_smooth = part.component_arrays()
-                freq.extend(part_freq)
-                smooth.extend(part_smooth)
-            posting = Posting.from_arrays(key, parts[0].cors, ids, freq, smooth)
-        self._postings[key] = posting
+        if posting is None:
+            posting = self._build_posting(key)
+            if posting is not None:
+                self._postings[key] = posting
         return posting
 
+    def iter_postings(self) -> Iterator[Posting]:
+        """Every posting once, merged across segments: the main
+        segment's keys, then each delta's novel keys.  A full scan (the
+        writer's input) keeps none of the postings it builds.  The
+        writer sorts by key, so the order does not reach a file."""
+        for key in self._view.keys():
+            posting = self._postings.get(key) or self._build_posting(key)
+            assert posting is not None
+            yield posting
+
+    def _build_posting(self, key: str) -> Posting | None:
+        view = self._view
+        vectors = view.vectors(key)
+        if vectors is None:
+            return None
+        return Posting.from_arrays(
+            key,
+            vectors.cors,
+            [view.object_id(dense) for dense in vectors.ids.tolist()],
+            vectors.freq.tolist(),
+            vectors.smooth.tolist(),
+        )
+
+    def cors_for_key(self, key: str) -> float | None:
+        """Stored CorS of ``key`` without building or decoding a
+        posting — the delta build's reuse probe behind ``cors_lookup``."""
+        return self._view.cors(key)
+
     def __len__(self) -> int:
-        count = self._n_cliques
-        if count is None:
-            count = len(self._main)
-            seen: set[str] = set()
-            for delta in self._deltas:
-                for posting in delta.iter_postings():
-                    key = posting.key
-                    if key not in seen and key not in self._main:
-                        seen.add(key)
-                        count += 1
-            self._n_cliques = count
-        return count
+        """Number of distinct cliques over every segment."""
+        return len(self._view.posting_lengths())
 
     def __contains__(self, clique: Clique | str) -> bool:
         key = clique.key if isinstance(clique, Clique) else clique
-        return any(key in segment for segment in self._segments)
-
-    def iter_postings(self) -> Iterator[Posting]:
-        """Every posting, merged across segments, once per key: the
-        main segment's keys, then each delta's novel keys.  The writer
-        sorts by key, so the order does not reach a file."""
-        seen: set[str] = set()
-        for segment in self._segments:
-            for posting in segment.iter_postings():
-                key = posting.key
-                if key in seen:
-                    continue
-                seen.add(key)
-                merged = self.lookup(key)
-                assert merged is not None
-                yield merged
-
-    def vector_view(self) -> SegmentedVectorView:
-        if self._vector_view is None:
-            self._vector_view = SegmentedVectorView(self._segments)
-        view = self._vector_view
-        assert isinstance(view, SegmentedVectorView)
-        return view
+        return self._view.cors(key) is not None
 
     def stats(self) -> dict[str, float]:
-        """The main segment's summary widened to the stack.  The lazy
-        counters (``materialized_postings``, ``decoded_slots``) are the
-        main segment's when it is mapped; deltas are built in memory."""
-        merged = dict(self._main.stats())
-        for delta in self._deltas:
-            delta_stats = delta.stats()
-            merged["total_postings"] += delta_stats["total_postings"]
-            merged["max_posting_length"] = max(
-                merged["max_posting_length"], delta_stats["max_posting_length"]
-            )
-        merged["n_objects"] = float(self.n_objects)
-        merged["n_cliques"] = float(len(self))
-        total = merged["total_postings"]
-        merged["avg_posting_length"] = total / len(self) if len(self) else 0.0
-        merged["n_segments"] = float(len(self._segments))
-        merged["n_delta_objects"] = float(self.n_delta_objects)
-        return merged
+        """Size/selectivity summary from the merged posting lengths — no
+        posting is decoded.  ``materialized_postings`` (postings built
+        by :meth:`lookup`) and ``decoded_slots`` (postings decoded into
+        arrays) show how much of the index queries have touched; both
+        are 0 after open."""
+        lengths = self._view.posting_lengths()
+        n_cliques = len(lengths)
+        total = int(lengths.sum()) if n_cliques else 0
+        return {
+            "n_objects": float(self.n_objects),
+            "n_cliques": float(n_cliques),
+            "total_postings": float(total),
+            "avg_posting_length": total / n_cliques if n_cliques else 0.0,
+            "max_posting_length": float(lengths.max()) if n_cliques else 0.0,
+            "materialized_postings": float(len(self._postings)),
+            "decoded_slots": float(self._view.decoded_slots),
+        }
 
     def segment_stats(self) -> dict[str, object]:
         """Per-stack shape summary for the serving ``/stats`` surface."""
         return {
-            "n_segments": len(self._segments),
+            "n_segments": 1 + len(self._deltas),
             "main_objects": self._main.n_objects,
             "delta_objects": [delta.n_objects for delta in self._deltas],
-            "delta_cliques": [len(delta) for delta in self._deltas],
+            "delta_cliques": [len(delta.posting_lengths()) for delta in self._deltas],
         }
-
-    # ------------------------------------------------------------------
-    # immutability
-    # ------------------------------------------------------------------
-    def _read_only(self) -> NoReturn:
-        raise TypeError(
-            "SegmentedCliqueIndex is read-only: derive a new stack with "
-            "with_delta() or compact the segment files to change contents"
-        )
-
-    def add_object(self, obj: MediaObject) -> int:
-        self._read_only()
-
-    def build(
-        self, objects: Iterable[MediaObject], n_workers: int = 1
-    ) -> "CliqueInvertedIndex":
-        self._read_only()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    @property
+    def closed(self) -> bool:
+        """Whether the main segment's mapping has been released."""
+        return self._main.closed
+
     def close(self) -> None:
         """Release this stack's pin on the main segment (idempotent).
-        Delta segments are plain in-memory indexes owned by their
-        stacks' common lineage and need no release."""
-        if self._closed:
-            return
-        self._closed = True
-        release = getattr(self._main, "close", None)
-        if release is not None:
-            release()
+        Built postings keep working (they own their arrays); after the
+        last pin is released, not-yet-touched cliques cannot be read.
+        Delta segments are in-memory and need no release."""
+        if not self._closed:
+            self._closed = True
+            self._main.close()
+
+    def __enter__(self) -> "SegmentedCliqueIndex":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SegmentedCliqueIndex(main={self._main!r}, "
+            f"SegmentedCliqueIndex(main={self._main.path}, "
             f"n_deltas={len(self._deltas)}, n_objects={self.n_objects})"
         )
+
+
+def as_stack(index: CliqueInvertedIndex | SegmentedCliqueIndex) -> SegmentedCliqueIndex:
+    """``index`` as the stack a query reads: a builder becomes a
+    main-only stack over its in-memory view."""
+    if isinstance(index, CliqueInvertedIndex):
+        return SegmentedCliqueIndex(index.vector_view())
+    return index

@@ -22,9 +22,13 @@ arrays:
   ``n_objects``-sized array, no per-α cache, no Threshold Algorithm
   walk — every entry is summed anyway, so early termination would
   save no reading (DESIGN.md §9).
-* :class:`MmapVectorView` / :class:`InMemoryVectorView` /
-  :class:`SegmentedVectorView` — adapters giving every index flavour
-  the same vector access surface.
+* :class:`MmapVectorView` / :class:`InMemoryVectorView` — the read
+  surface of one segment (a mapped ``index.bin`` or a builder): the
+  posting arrays plus the sorted object-id table, keys, posting
+  lengths, CorS by key and backing file a
+  :class:`~repro.index.segmented.SegmentedCliqueIndex` derives its
+  read API from.  :class:`SegmentedVectorView` is the same surface
+  merged over a main segment and its ingest deltas.
 
 **Bit parity.**  Both index modes score the entries
 :func:`scaled_entries` returns; mixing and scaling go through the
@@ -39,13 +43,18 @@ non-negative scores here).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import NamedTuple
+from collections.abc import Iterator, Sequence
+from itertools import chain
+from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.mrf import mix_components, scale_impacts
 from repro.index.binfmt import BinaryIndexReader
+
+if TYPE_CHECKING:
+    from repro.index.inverted import CliqueInvertedIndex
 
 
 class PostingVectors:
@@ -180,22 +189,67 @@ def accumulate_top_k(
 
 
 class MmapVectorView:
-    """Vector access to an mmap'd segment: zero-copy component views and the
-    reader's cached dense-id decode."""
+    """The read surface of an mmap'd segment: zero-copy component views,
+    the reader's cached dense-id decode, and the metadata a segment
+    stack needs — the id table, keys, posting lengths and CorS, all
+    read straight off the mapping with no posting decoded.
+
+    The view owns its reader and counts the sharers of the mapping:
+    stacks derived by ingest share one main segment across snapshot
+    generations (guarded by: ``SnapshotManager._swap_lock`` — pins only
+    move while a snapshot is being constructed or retired).
+    Construction counts as the first pin; each :meth:`acquire` is
+    balanced by one :meth:`close`, and the last close releases the
+    mapping.
+    """
 
     def __init__(self, reader: BinaryIndexReader) -> None:
         self._reader = reader
         self._cache: dict[str, PostingVectors | None] = {}
+        self._pins = 1
 
     @property
     def n_objects(self) -> int:
         return self._reader.n_objects
+
+    @property
+    def max_clique_size(self) -> int:
+        return self._reader.max_clique_size
+
+    @property
+    def path(self) -> Path | None:
+        """The backing ``index.bin``."""
+        return self._reader.path
+
+    @property
+    def decoded_slots(self) -> int:
+        return self._reader.decoded_slots
 
     def dense_id(self, object_id: str) -> int | None:
         return self._reader.find_object(object_id)
 
     def object_id(self, dense: int) -> str:
         return self._reader.object_id_at(dense)
+
+    def object_ids(self) -> list[str]:
+        """The sorted object-id table (dense id = position)."""
+        return [oid.decode("utf-8") for oid in self._reader.object_id_table_array().tolist()]
+
+    def keys(self) -> Iterator[str]:
+        """Every clique key in slot (== sorted) order."""
+        return map(self._reader.key_at, range(self._reader.n_cliques))
+
+    def posting_lengths(self) -> np.ndarray:
+        """Posting lengths, parallel to :meth:`keys`."""
+        return self._reader.posting_lengths()
+
+    def slot(self, key: str) -> int | None:
+        """Position of ``key`` in :meth:`keys`; ``None`` when absent."""
+        return self._reader.find_slot(key)
+
+    def cors(self, key: str) -> float | None:
+        slot = self._reader.find_slot(key)
+        return None if slot is None else self._reader.posting_cors(slot)
 
     def vectors(self, key: str) -> PostingVectors | None:
         if key in self._cache:
@@ -211,17 +265,34 @@ class MmapVectorView:
         self._cache[key] = result
         return result
 
+    @property
+    def closed(self) -> bool:
+        """Whether the last pin released the mapping."""
+        return self._reader.closed
+
+    def acquire(self) -> "MmapVectorView":
+        """Register one more sharer of the mapping."""
+        self._pins += 1
+        return self
+
+    def close(self) -> None:
+        """Release one pin; the mapping closes with the last one."""
+        self._pins -= 1
+        if self._pins <= 0:
+            self._reader.close()
+
 
 class InMemoryVectorView:
-    """Vector access over a built/deserialized in-memory index.
+    """The read surface of a built (in-memory) index, shaped like
+    :class:`MmapVectorView`.
 
     Builds one sorted object-id table up front (dense id = rank, so
     dense order == string order) and converts each posting to ascending
-    dense-id arrays on first touch — the fallback that keeps the
-    vectorized engine available without an ``index.bin``.
+    dense-id arrays on first touch — the in-memory segment a snapshot
+    serves without an ``index.bin``, and every ingest delta.
     """
 
-    def __init__(self, index) -> None:  # CliqueInvertedIndex; untyped to avoid a cycle
+    def __init__(self, index: CliqueInvertedIndex) -> None:
         self._index = index
         ids: set[str] = set()
         for posting in index.iter_postings():
@@ -229,16 +300,53 @@ class InMemoryVectorView:
         self._table = sorted(ids)
         self._rank = {oid: dense for dense, oid in enumerate(self._table)}
         self._cache: dict[str, PostingVectors | None] = {}
+        self._slots: dict[str, int] | None = None
 
     @property
     def n_objects(self) -> int:
-        return len(self._table)
+        return self._index.n_objects
+
+    @property
+    def max_clique_size(self) -> int:
+        return self._index.max_clique_size
+
+    @property
+    def path(self) -> Path | None:
+        """``None``: the segment has no backing file."""
+        return None
+
+    @property
+    def decoded_slots(self) -> int:
+        """Postings converted to arrays so far."""
+        return sum(vectors is not None for vectors in self._cache.values())
 
     def dense_id(self, object_id: str) -> int | None:
         return self._rank.get(object_id)
 
     def object_id(self, dense: int) -> str:
         return self._table[dense]
+
+    def object_ids(self) -> list[str]:
+        """The sorted object-id table (dense id = position)."""
+        return self._table
+
+    def keys(self) -> Iterator[str]:
+        """Every clique key in first-encounter order."""
+        return (posting.key for posting in self._index.iter_postings())
+
+    def posting_lengths(self) -> np.ndarray:
+        """Posting lengths, parallel to :meth:`keys`."""
+        return np.fromiter((len(p) for p in self._index.iter_postings()), dtype=np.int64)
+
+    def slot(self, key: str) -> int | None:
+        """Position of ``key`` in :meth:`keys`; ``None`` when absent."""
+        if self._slots is None:
+            self._slots = {key: slot for slot, key in enumerate(self.keys())}
+        return self._slots.get(key)
+
+    def cors(self, key: str) -> float | None:
+        posting = self._index.lookup(key)
+        return None if posting is None else posting.cors
 
     def vectors(self, key: str) -> PostingVectors | None:
         if key in self._cache:
@@ -262,30 +370,33 @@ class InMemoryVectorView:
         self._cache[key] = result
         return result
 
+    @property
+    def closed(self) -> bool:
+        return False
 
-def _segment_object_ids(segment) -> list[str]:
-    """A segment's object ids in its local dense order (= sorted id
-    order for both index flavours): straight off the id table for an
-    mmap'd segment, the posting union otherwise."""
-    reader = getattr(segment, "reader", None)
-    if reader is not None:
-        return [oid.decode("utf-8") for oid in reader.object_id_table_array().tolist()]
-    ids: set[str] = set()
-    for posting in segment.iter_postings():
-        ids.update(posting.object_ids)
-    return sorted(ids)
+    def acquire(self) -> "InMemoryVectorView":
+        """Nothing to pin: the heap holds the postings."""
+        return self
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+#: One segment of a stack, read through its view.
+SegmentView = MmapVectorView | InMemoryVectorView
 
 
 class SegmentedVectorView:
-    """Vector access across a (main + delta) segment stack.
+    """The read surface of a (main + delta) segment stack: the segment
+    views' surface, merged.
 
-    Builds one *global* sorted object-id table over every segment
-    (dense id = global rank, so dense order == string order exactly as
-    in the single-segment views) plus a per-segment local→global dense
-    remap.  ``vectors(key)`` resolves per segment through each
-    segment's own cached view — the shared main segment keeps its
-    zero-copy decodes warm across snapshot generations — then lifts the
-    result into global dense ids:
+    A *global* sorted object-id table over every segment (dense id =
+    global rank, so dense order == string order exactly as in the
+    single-segment views) plus a per-segment local→global dense remap,
+    both built on the first id access.  ``vectors(key)`` resolves per
+    segment through each segment's own cached view — the shared main
+    segment keeps its zero-copy decodes warm across snapshot
+    generations — then lifts the result into global dense ids:
 
     * key in **one** segment (the overwhelmingly common case): the
       segment's arrays are reused with remapped ids.  The remap is
@@ -293,39 +404,92 @@ class SegmentedVectorView:
     * key in **several** segments: entries concatenate main-first (the
       corpus order the monolithic build would have seen) and sort by
       global dense id — the arrays a monolithic build stores.
+
+    ``keys()`` yields the main segment's keys, then each delta's novel
+    keys; ``posting_lengths()`` are the merged lengths parallel to them.
     """
 
-    def __init__(self, segments) -> None:  # Sequence[CliqueInvertedIndex]
-        self._views = [segment.vector_view() for segment in segments]
-        local_tables = [_segment_object_ids(segment) for segment in segments]
-        table: set[str] = set()
-        for ids in local_tables:
-            table.update(ids)
-        self._table = sorted(table)
-        self._rank = {oid: dense for dense, oid in enumerate(self._table)}
-        rank = self._rank
-        self._remaps = [
-            np.fromiter((rank[oid] for oid in ids), dtype=np.int64, count=len(ids))
-            for ids in local_tables
-        ]
+    def __init__(self, segments: Sequence[SegmentView]) -> None:
+        self._segments = tuple(segments)
+        self._n_objects = sum(segment.n_objects for segment in self._segments)
+        self._table: list[str] | None = None
+        self._rank: dict[str, int] = {}
+        self._remaps: list[np.ndarray] = []
+        self._novel: list[str] | None = None
+        self._lengths: np.ndarray | None = None
         self._cache: dict[str, PostingVectors | None] = {}
+
+    def _global_ids(self) -> list[str]:
+        if self._table is None:
+            local_tables = [segment.object_ids() for segment in self._segments]
+            rank = {
+                oid: dense
+                for dense, oid in enumerate(sorted(set().union(*local_tables)))
+            }
+            self._remaps = [
+                np.fromiter((rank[oid] for oid in ids), dtype=np.int64, count=len(ids))
+                for ids in local_tables
+            ]
+            self._rank = rank
+            self._table = list(rank)
+        return self._table
+
+    def _merge_lengths(self) -> tuple[list[str], np.ndarray]:
+        if self._novel is None or self._lengths is None:
+            main = self._segments[0]
+            lengths = main.posting_lengths().copy()
+            novel: dict[str, int] = {}
+            for segment in self._segments[1:]:
+                for key, n in zip(segment.keys(), segment.posting_lengths().tolist()):
+                    slot = main.slot(key)
+                    if slot is not None:
+                        lengths[slot] += n
+                    else:
+                        novel[key] = novel.get(key, 0) + n
+            self._lengths = np.concatenate(
+                [lengths, np.fromiter(novel.values(), dtype=np.int64, count=len(novel))]
+            )
+            self._novel = list(novel)
+        return self._novel, self._lengths
 
     @property
     def n_objects(self) -> int:
-        return len(self._table)
+        """Objects over every segment (every global dense id is below it)."""
+        return self._n_objects
+
+    @property
+    def decoded_slots(self) -> int:
+        return sum(segment.decoded_slots for segment in self._segments)
 
     def dense_id(self, object_id: str) -> int | None:
+        self._global_ids()
         return self._rank.get(object_id)
 
     def object_id(self, dense: int) -> str:
-        return self._table[dense]
+        return self._global_ids()[dense]
+
+    def keys(self) -> Iterator[str]:
+        return chain(self._segments[0].keys(), self._merge_lengths()[0])
+
+    def posting_lengths(self) -> np.ndarray:
+        return self._merge_lengths()[1]
+
+    def cors(self, key: str) -> float | None:
+        """First segment that knows the clique answers — every segment
+        scored it under the same frozen model, so they agree."""
+        for segment in self._segments:
+            cors = segment.cors(key)
+            if cors is not None:
+                return cors
+        return None
 
     def vectors(self, key: str) -> PostingVectors | None:
         if key in self._cache:
             return self._cache[key]
+        self._global_ids()
         parts: list[tuple[np.ndarray, PostingVectors]] = []
-        for view, remap in zip(self._views, self._remaps):
-            pv = view.vectors(key)
+        for segment, remap in zip(self._segments, self._remaps):
+            pv = segment.vectors(key)
             if pv is not None:
                 parts.append((remap, pv))
         result: PostingVectors | None

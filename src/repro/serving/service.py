@@ -82,24 +82,11 @@ def _render_results(results: Sequence[RankedResult]) -> list[dict[str, Any]]:
 
 
 def segment_shape(snapshot: EngineSnapshot) -> dict[str, Any] | None:
-    """Segment-stack shape of a snapshot's serving index: real
-    per-segment counts for a
-    :class:`~repro.index.segmented.SegmentedCliqueIndex`, the
-    single-segment degenerate form for a monolithic index, ``None``
-    when the snapshot carries no index at all.  Module-level because
-    the prefork supervisor reports it too."""
+    """Segment-stack shape of a snapshot's serving index (``None`` when
+    the snapshot carries no index at all).  Module-level because the
+    prefork supervisor reports it too."""
     index = snapshot.engine.index
-    if index is None:
-        return None
-    shape = getattr(index, "segment_stats", None)
-    if shape is not None:
-        return dict(shape())
-    return {
-        "n_segments": 1,
-        "main_objects": index.n_objects,
-        "delta_objects": [],
-        "delta_cliques": [],
-    }
+    return None if index is None else index.segment_stats()
 
 
 def parse_ingest_records(records: Any) -> list[MediaObject]:
@@ -370,9 +357,8 @@ class QueryService:
                 "segments": segment_shape(snapshot),
             }
             index = snapshot.engine.index
-            if provenance.origin == "loaded" and index is not None:
-                # How much of the mapped index.bin queries have touched
-                # so far (a built index holds every posting in memory).
+            if index is not None:
+                # How much of the index queries have touched so far.
                 counters = index.stats()
                 for name in ("materialized_postings", "decoded_slots"):
                     index_stats[name] = int(counters[name])

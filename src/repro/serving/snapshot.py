@@ -3,7 +3,10 @@
 The online system keeps exactly one engine per corpus: the correlation
 model is built at load time, and the clique inverted index (the paper's
 Figure 3 preprocessing) is either mapped from ``index.bin`` — an
-O(metadata) open that reads no posting — or built once.  Every query
+O(metadata) open that reads no posting — or built once; either way the
+engine reads it as a main-only
+:class:`~repro.index.segmented.SegmentedCliqueIndex`, which ingest
+grows by delta segments.  Every query
 runs against that prebuilt structure — the point of Section 3.5's
 index — and decodes or caches only the postings of its own cliques.
 
@@ -42,7 +45,6 @@ from repro.core.retrieval import RetrievalEngine
 from repro.index.binfmt import BINARY_FORMAT_VERSION
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segbuild import merge_segment_files
-from repro.index.segment import MmapCliqueIndex
 from repro.index.segmented import SegmentedCliqueIndex
 from repro.social.corpus import Corpus
 from repro.storage.store import (
@@ -130,16 +132,15 @@ class EngineSnapshot:
     def close(self) -> None:
         """Release OS resources held by this snapshot's index.
 
-        A snapshot whose index came from the binary artifact holds
-        the artifact's file descriptor and mapping open
-        (:class:`repro.index.segment.MmapCliqueIndex`); a built
-        in-memory index holds nothing and ``close`` is a no-op.  The
-        manager calls this once the snapshot is retired and the last
-        lease is released — never while a request may still read it.
+        A snapshot whose index came from the binary artifact holds a
+        pin on the artifact's file descriptor and mapping
+        (:class:`repro.index.vectorized.MmapVectorView`); a built
+        in-memory index holds nothing to release.  The manager calls
+        this once the snapshot is retired and the last lease is
+        released — never while a request may still read it.
         """
-        closer = getattr(self.engine.index, "close", None)
-        if closer is not None:
-            closer()
+        if self.engine.index is not None:
+            self.engine.index.close()
 
 
 def build_snapshot(
@@ -208,9 +209,9 @@ def _attach_index(
     directory: Path,
     verify_payload: bool = True,
 ) -> tuple[RetrievalEngine, IndexProvenance]:
-    """Give the engine its retrieval index: pick up ``index.bin``
-    (mmap) when a valid one sits next to the corpus, otherwise
-    preprocess.
+    """Give the engine its retrieval index, a main-only stack: over
+    ``index.bin`` (mmap) when a valid one sits next to the corpus,
+    otherwise over an in-memory build.
 
     A stale artifact (object count differing from the corpus), a
     corrupt one or one of an older format version falls through to
@@ -222,7 +223,7 @@ def _attach_index(
     artifact = directory.joinpath(INDEX_ARTIFACT)
     if artifact.is_file():
         started = time.perf_counter()
-        loaded: MmapCliqueIndex | None
+        loaded: SegmentedCliqueIndex | None
         try:
             loaded = load_index(artifact, engine.correlations, verify_payload=verify_payload)
         except StorageError:
@@ -242,9 +243,10 @@ def _attach_index(
             loaded.close()  # stale: release the mapping before rebuilding
 
     started = time.perf_counter()
-    index = CliqueInvertedIndex(
+    built = CliqueInvertedIndex(
         engine.correlations, max_clique_size=engine.params.max_clique_size
     ).build(corpus)
+    index = SegmentedCliqueIndex(built.vector_view())
     engine.adopt_index(index)
     stats = index.stats()
     return engine, IndexProvenance(
@@ -451,9 +453,10 @@ class SnapshotManager:
         extended corpus *under the same model* — the parity the
         segmented property test gates.
 
-        The recommender carries over unchanged: it ranks over the main
-        segment it was built with (kept mapped by the new stack's pin),
-        so its candidate set stays fixed until the next reload.
+        The recommender carries over unchanged: it ranks over the
+        main-only stack it was built with (its main segment kept mapped
+        by the new stack's pin), so its candidate set stays fixed until
+        the next reload.
 
         ``persist`` appends the batch to the corpus directory so a plain
         reload sees it; the prefork supervisor persists exactly once and
@@ -482,12 +485,7 @@ class SnapshotManager:
                 max_clique_size=base.max_clique_size,
                 cors_lookup=base.cors_for_key,
             ).build(materialized)
-            if isinstance(base, SegmentedCliqueIndex):
-                stack = base.with_delta(delta)
-            else:
-                stack = SegmentedCliqueIndex(
-                    base, (delta,), correlations=engine.correlations
-                )
+            stack = base.with_delta(delta.vector_view())
             new_engine = engine.with_ingested(corpus, stack)
             if persist:
                 append_objects(self._corpus_dir, materialized)
@@ -508,14 +506,14 @@ class SnapshotManager:
         Returns ``(snapshot, folded_objects)``; ``folded_objects`` is 0
         (and the snapshot unchanged) when there was nothing to fold.
 
-        When the main segment is the mmap'd ``index.bin`` itself, each
-        delta is written as a small segment file and the streaming
-        k-way merge (:func:`~repro.index.segbuild.merge_segment_files`)
-        rewrites the artifact without materializing the main segment's
-        postings in the heap — compaction cost is O(artifact bytes +
-        delta), published atomically via ``os.replace`` while the old
-        inode keeps serving.  An in-memory main segment (a snapshot that
-        built its index) falls back to serializing the merged stack.
+        Every segment without a file (the deltas, and a main segment
+        the snapshot built in memory) is written as a temporary segment
+        file, and one streaming k-way merge
+        (:func:`~repro.index.segbuild.merge_segment_files`) over all the
+        segment files rewrites the artifact without materializing a
+        mapped main segment's postings in the heap — compaction cost is
+        O(artifact bytes + delta), published atomically via
+        ``os.replace`` while the old inode keeps serving.
 
         The merged artifact is byte-identical to a from-scratch write
         over the extended corpus *under the frozen model*.  The reload
@@ -531,27 +529,22 @@ class SnapshotManager:
         with self._reload_lock:
             current = self.current
             index = current.engine.index
-            if not isinstance(index, SegmentedCliqueIndex) or not index.deltas:
+            if index is None or not index.deltas:
                 return current, 0
             folded = index.n_delta_objects
-            out_path = self._corpus_dir / "index.bin"
-            main = index.main
-            reader = getattr(main, "reader", None)
-            if (
-                isinstance(main, MmapCliqueIndex)
-                and reader is not None
-                and reader.path == out_path
-            ):
-                delta_paths: list[Path] = []
-                try:
-                    for i, delta in enumerate(index.deltas):
-                        path = self._corpus_dir.joinpath(f"index-delta-{i:05d}.tmp.bin")
-                        save_index(delta, path)
-                        delta_paths.append(path)
-                    merge_segment_files([out_path, *delta_paths], out_path)
-                finally:
-                    for path in delta_paths:
-                        path.unlink(missing_ok=True)
-            else:
-                save_index(index, out_path)
+            out_path = self._corpus_dir.joinpath(INDEX_ARTIFACT)
+            paths: list[Path] = []
+            written: list[Path] = []
+            try:
+                for i, segment in enumerate((index.main, *index.deltas)):
+                    path = segment.path
+                    if path is None:
+                        path = self._corpus_dir.joinpath(f"index-segment-{i:05d}.tmp.bin")
+                        save_index(SegmentedCliqueIndex(segment), path)
+                        written.append(path)
+                    paths.append(path)
+                merge_segment_files(paths, out_path)
+            finally:
+                for path in written:
+                    path.unlink(missing_ok=True)
             return self._load_locked(), folded

@@ -20,9 +20,9 @@ index.
 The clique inverted index persists as one binary artifact
 (``index.bin``; see :mod:`repro.index.binfmt`): packed contiguous
 sections behind a CRC-checked header, recognised by its magic bytes
-(never its file name) and loaded O(metadata) via ``mmap`` with lazy
-per-clique decode (:class:`repro.index.segment.MmapCliqueIndex`).  It
-stores each posting's CorS and build-time Eq. 7 components, so a
+(never its file name) and loaded O(metadata) via ``mmap`` as a
+main-only :class:`repro.index.segmented.SegmentedCliqueIndex` that
+decodes one clique per first touch.  It stores each posting's CorS and build-time Eq. 7 components, so a
 loaded index serves queries without touching the corpus.
 """
 
@@ -40,7 +40,8 @@ from repro.core.objects import Feature, MediaObject
 from repro.index import binfmt
 from repro.index.binfmt import BinaryFormatError
 from repro.index.inverted import CliqueInvertedIndex
-from repro.index.segment import MmapCliqueIndex
+from repro.index.segmented import SegmentedCliqueIndex
+from repro.index.vectorized import MmapVectorView
 from repro.social.corpus import Corpus, FavoriteEvent
 from repro.social.users import SocialGraph
 from repro.text.taxonomy import Taxonomy
@@ -329,7 +330,9 @@ def load_params(file_path: str | Path) -> MRFParameters:
 # ----------------------------------------------------------------------
 # clique inverted index
 # ----------------------------------------------------------------------
-def save_index(index: CliqueInvertedIndex, file_path: str | Path) -> Path:
+def save_index(
+    index: CliqueInvertedIndex | SegmentedCliqueIndex, file_path: str | Path
+) -> Path:
     """Persist the index as a binary artifact.
 
     Postings serialize in key order whatever order the index iterates
@@ -357,10 +360,12 @@ def load_index(
     correlations: CorrelationModel,
     *,
     verify_payload: bool = True,
-) -> MmapCliqueIndex:
-    """Open an index artifact as a lazily-decoding
-    :class:`MmapCliqueIndex` — O(metadata) to open, postings decode per
-    clique on first touch.  ``verify_payload`` controls the eager CRC
+) -> SegmentedCliqueIndex:
+    """Open an index artifact as a main-only
+    :class:`~repro.index.segmented.SegmentedCliqueIndex` over its
+    mapping — O(metadata) to open, postings decode per clique on first
+    touch.  The artifact stores every CorS and Eq. 7 component, so
+    nothing is scored with ``correlations`` here.  ``verify_payload`` controls the eager CRC
     sweep of the posting/component payload sections.  Any file that is
     missing, not an index of the current format or corrupt raises
     :class:`StorageError`; one written by an older format version says
@@ -388,7 +393,7 @@ def load_index(
         reader = binfmt.BinaryIndexReader(path, verify_payload=verify_payload)
     except BinaryFormatError as exc:
         raise StorageError(f"corrupt binary index artifact {path}: {exc}") from exc
-    return MmapCliqueIndex(reader, correlations)
+    return SegmentedCliqueIndex(MmapVectorView(reader))
 
 
 def _taxonomy_nodes(taxonomy: Taxonomy) -> list[str]:

@@ -172,13 +172,22 @@ def shared_indexes(rec_corpus, tmp_path_factory):
     mmapped.close()
 
 
+@pytest.fixture(scope="module")
+def private_recommender(rec_corpus):
+    """A recommender over its own candidate index; tests rank through
+    per-parameter ``with_params`` clones, which share that index."""
+    return Recommender(rec_corpus)
+
+
 @pytest.mark.parametrize("delta", [1.0, 0.5])
-def test_shared_index_rankings_equal_private_index(rec_corpus, shared_indexes, delta):
+def test_shared_index_rankings_equal_private_index(
+    rec_corpus, shared_indexes, private_recommender, delta
+):
     """Ranking over the engine's index, masked to candidates, returns
     the private candidate index's rankings in ids and float scores."""
     engine, indexes = shared_indexes
     params = MRFParameters(delta=delta)
-    private = Recommender(rec_corpus, params=params)
+    private = private_recommender.with_params(params)
     candidate_ids = {o.object_id for o in private.candidates}
     shared = {
         name: Recommender(

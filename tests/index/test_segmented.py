@@ -89,15 +89,18 @@ cuts_strategy = st.lists(
 
 
 def _stack(main, extra, cuts, model):
+    """``main`` (a builder, or the view of a mapped segment) stacked
+    with one in-memory delta per slice of ``extra`` between ``cuts``."""
     bounds = [0, *cuts, len(extra)]
     deltas = [
         CliqueInvertedIndex(model, max_clique_size=MAX_CLIQUE).build(
             extra[lo:hi]
-        )
+        ).vector_view()
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
     ]
-    return SegmentedCliqueIndex(main, deltas, correlations=model)
+    main_view = main.vector_view() if isinstance(main, CliqueInvertedIndex) else main
+    return SegmentedCliqueIndex(main_view, deltas)
 
 
 @settings(
@@ -149,10 +152,10 @@ def test_with_delta_shares_main_and_prior_deltas(fixture_state):
     _full, model, _mono, main, extra = fixture_state
     stack = _stack(main, extra[:8], [], model)
     tail = CliqueInvertedIndex(model, max_clique_size=MAX_CLIQUE).build(extra[8:])
-    grown = stack.with_delta(tail)
+    grown = stack.with_delta(tail.vector_view())
     assert grown.main is stack.main
     assert grown.deltas[: len(stack.deltas)] == stack.deltas
-    assert grown.deltas[-1] is tail
+    assert grown.deltas[-1] is tail.vector_view()
     assert grown.n_objects == stack.n_objects + tail.n_objects
 
 
@@ -169,10 +172,8 @@ def test_segment_stats_shape(fixture_state):
 def test_stack_is_read_only(fixture_state):
     _full, model, _mono, main, extra = fixture_state
     stack = _stack(main, extra, [], model)
-    with pytest.raises(TypeError, match="read-only"):
-        stack.add_object(extra[0])
-    with pytest.raises(TypeError, match="read-only"):
-        stack.build(extra)
+    assert not hasattr(stack, "add_object")
+    assert not hasattr(stack, "build")
 
 
 def test_serializing_stack_matches_monolithic_bytes(fixture_state, tmp_path):
@@ -185,3 +186,65 @@ def test_serializing_stack_matches_monolithic_bytes(fixture_state, tmp_path):
     a = save_index(mono, tmp_path / "mono.bin")
     b = save_index(stack, tmp_path / "stack.bin")
     assert a.read_bytes() == b.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# the stack's read API equals the monolithic build's
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=["memory", "mmap"])
+def main_segment(request, fixture_state, tmp_path_factory):
+    """The main segment as a stack reads it: the builder's in-memory
+    view, or the view of the same segment written and mapped."""
+    from repro.storage.store import load_index, save_index
+
+    _full, model, _mono, main, _extra = fixture_state
+    if request.param == "memory":
+        yield main.vector_view()
+        return
+    path = save_index(main, tmp_path_factory.mktemp("segmented") / "main.bin")
+    loaded = load_index(path, model)
+    assert not loaded.deltas and loaded.main.path == path
+    yield loaded.main
+    loaded.close()
+
+
+STAT_FIELDS = (
+    "n_objects",
+    "n_cliques",
+    "total_postings",
+    "avg_posting_length",
+    "max_posting_length",
+)
+
+
+@pytest.mark.parametrize("cuts", [[], [1], [8], [3, 11], [N_EXTRA]])
+def test_stack_stats_equal_monolithic(fixture_state, main_segment, cuts):
+    """Every size field, ``max_posting_length`` included: a clique in
+    several segments counts its merged length, not a segment's."""
+    _full, model, mono, _main, extra = fixture_state
+    stats = _stack(main_segment, extra, cuts, model).stats()
+    expected = mono.stats()
+    assert {name: stats[name] for name in STAT_FIELDS} == expected
+
+
+def _entries(posting):
+    freq, smooth = posting.component_arrays()
+    return sorted(zip(posting.object_ids, freq, smooth))
+
+
+@pytest.mark.parametrize("cuts", [[], [5, 11]])
+def test_stack_lookup_equals_monolithic(fixture_state, main_segment, cuts):
+    _full, model, mono, _main, extra = fixture_state
+    stack = _stack(main_segment, extra, cuts, model)
+    held = Counter(key for segment in (main_segment, *stack.deltas) for key in segment.keys())
+    assert any(n >= 2 for n in held.values())
+    assert len(stack) == len(mono) == len(held)
+    for posting in mono.iter_postings():
+        key = posting.key
+        assert key in stack
+        merged = stack.lookup(key)
+        assert merged is not None
+        assert merged.cors == posting.cors == stack.cors_for_key(key)
+        assert _entries(merged) == _entries(posting), (key, held[key])
+    assert stack.lookup("no-such-clique") is None
+    assert stack.cors_for_key("no-such-clique") is None

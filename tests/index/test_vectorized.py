@@ -146,35 +146,18 @@ def _oid(i: int) -> str:
 
 
 class _PostingIndex:
-    """Just enough index surface for the vector views: ``lookup``,
-    ``iter_postings`` and a cached ``vector_view``."""
+    """Just enough builder surface for :class:`InMemoryVectorView`:
+    ``lookup``, ``iter_postings`` and the indexed-object count."""
 
     def __init__(self, postings: list[Posting]) -> None:
         self._postings = {p.key: p for p in postings}
-        self._view: InMemoryVectorView | None = None
+        self.n_objects = len({oid for p in postings for oid in p})
 
     def lookup(self, key: str) -> Posting | None:
         return self._postings.get(key)
 
     def iter_postings(self):
         return iter(self._postings.values())
-
-    def vector_view(self) -> InMemoryVectorView:
-        if self._view is None:
-            self._view = InMemoryVectorView(self)
-        return self._view
-
-
-class _MmapSegment:
-    """A segment stand-in over a written index file (``reader`` attribute
-    plus ``vector_view``), as :class:`SegmentedVectorView` reads it."""
-
-    def __init__(self, reader: BinaryIndexReader) -> None:
-        self.reader = reader
-        self._view = MmapVectorView(reader)
-
-    def vector_view(self) -> MmapVectorView:
-        return self._view
 
 
 def _posting(key: str, entries: dict[int, tuple[float, float]]) -> Posting:
@@ -240,9 +223,10 @@ def _every_view(raw, split):
         with BinaryIndexReader(path) as reader:
             readers = [BinaryIndexReader(main_path)] if main_path else []
             try:
-                segments: list = [_MmapSegment(r) for r in readers]
+                segments: list = [MmapVectorView(r) for r in readers]
                 segments += [
-                    _PostingIndex([p for p in part if len(p)]) for part in parts[1:]
+                    InMemoryVectorView(_PostingIndex([p for p in part if len(p)]))
+                    for part in parts[1:]
                 ]
                 yield postings, {
                     "memory": InMemoryVectorView(_PostingIndex(postings)),

@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from repro.core.objects import Feature
-from repro.index.segment import MmapCliqueIndex
-from repro.index.segmented import SegmentedCliqueIndex
+from repro.core.objects import Feature, MediaObject
+from repro.index.inverted import CliqueInvertedIndex
+from repro.index.vectorized import MmapVectorView
 from repro.serving.cache import ResultCache
 from repro.serving.service import QueryService, ServiceError, parse_ingest_records
 from repro.serving.snapshot import SnapshotManager, build_snapshot
@@ -151,7 +151,7 @@ def test_compact_folds_deltas_and_reloads(own_service, own_dir):
     assert reply["segments"]["n_segments"] == 1
     assert reply["generation"] == before_generation + 1
     snapshot = own_service._manager.current
-    assert not isinstance(snapshot.engine.index, SegmentedCliqueIndex)
+    assert not snapshot.engine.index.deltas
     # The fold produced a loadable on-disk artifact.
     assert (own_dir / "index.bin").exists()
     assert own_service.search(query="c3", k=3)["results"]
@@ -163,6 +163,41 @@ def test_compact_without_deltas_is_noop(own_service):
     assert reply["status"] == "noop"
     assert reply["folded_objects"] == 0
     assert reply["generation"] == generation
+
+
+@pytest.mark.parametrize("origin", ["loaded", "built"])
+def test_compaction_writes_the_monolithic_artifact(origin, tmp_path, tiny_corpus):
+    """Whether the main segment is the mapped ``index.bin`` or was built
+    in memory, compaction merges every segment file into an artifact
+    byte-identical to saving a from-scratch build of the extended
+    corpus under the frozen model."""
+    path = tmp_path / "corpus"
+    save_corpus(tiny_corpus, path)
+    if origin == "loaded":
+        save_index(build_snapshot(path, generation=1).engine.index, path / "index.bin")
+    manager = SnapshotManager(str(path), clock=lambda: 1000.0)
+    engine = manager.load().engine
+    assert manager.current.index_provenance.origin == origin
+    # Fresh ids carrying existing objects' features: the deltas share
+    # cliques with the main segment and with each other.
+    batches = [
+        [
+            MediaObject(f"cmp{i:03d}", features=dict(obj.features), timestamp=obj.timestamp)
+            for i, obj in enumerate(tiny_corpus.objects[lo:hi], start=lo)
+        ]
+        for lo, hi in ((0, 3), (3, 7))
+    ]
+    for batch in batches:
+        manager.ingest(batch)
+    _, folded = manager.compact()
+    assert folded == 7
+    mono = CliqueInvertedIndex(
+        engine.correlations, max_clique_size=engine.params.max_clique_size
+    ).build([*tiny_corpus.objects, *batches[0], *batches[1]])
+    expected = save_index(mono, tmp_path / "mono.bin")
+    assert (path / "index.bin").read_bytes() == expected.read_bytes()
+    assert not list(path.glob("*.tmp.bin"))
+    manager.current.close()
 
 
 def test_objects_jsonl_append_is_replayable(own_service, own_dir):
@@ -191,9 +226,12 @@ def test_recommender_index_survives_ingest_and_compaction(tmp_path, rec_corpus):
     manager = SnapshotManager(str(path), clock=lambda: 1000.0)
     service = QueryService(manager, cache=ResultCache(64))
     first = manager.load()
-    main = first.engine.index
-    assert isinstance(main, MmapCliqueIndex)
-    assert first.recommender.index is main
+    index = first.engine.index
+    assert not index.deltas
+    main = index.main
+    assert isinstance(main, MmapVectorView)
+    assert main.path == path / "index.bin"
+    assert first.recommender.index is index
     user = rec_corpus.favorite_users()[0]
     before = service.recommend(user=user, k=5)
     assert before["generation"] == 1

@@ -16,8 +16,7 @@ import pytest
 from repro.core.objects import MediaObject
 from repro.index.binfmt import BinaryIndexReader
 from repro.index.postings import Posting
-from repro.index.segment import MmapCliqueIndex
-from repro.index.segmented import SegmentedCliqueIndex
+from repro.index.vectorized import MmapVectorView
 from repro.serving.cache import ResultCache
 from repro.serving.service import QueryService
 from repro.serving.snapshot import SnapshotManager, build_snapshot
@@ -59,10 +58,6 @@ def _manager_at(phase, indexed_dir, target, batch) -> SnapshotManager:
         _, folded = manager.compact()
         assert folded == len(batch)
     return manager
-
-
-def _main_segment(index):
-    return index.main if isinstance(index, SegmentedCliqueIndex) else index
 
 
 def _lazy_counters(index) -> tuple[int, int]:
@@ -110,7 +105,9 @@ def test_build_snapshot_builds_no_posting_and_decodes_no_slot(indexed_dir, monke
     snapshot = build_snapshot(indexed_dir, generation=1)
     try:
         index = snapshot.engine.index
-        assert isinstance(index, MmapCliqueIndex)
+        assert not index.deltas
+        assert isinstance(index.main, MmapVectorView)
+        assert index.main.path == indexed_dir / "index.bin"
         assert snapshot.index_provenance.origin == "loaded"
         assert snapshot.recommender is not None and snapshot.recommender.index is index
         assert built == [] and decoded == []
@@ -125,7 +122,7 @@ def test_lazy_rankings_equal_warmed_rankings(
 ):
     lazy = _manager_at(phase, indexed_dir, tmp_path / "lazy", ingest_batch)
     warm = _manager_at(phase, indexed_dir, tmp_path / "warm", ingest_batch)
-    assert _lazy_counters(_main_segment(lazy.current.engine.index)) == (0, 0)
+    assert _lazy_counters(lazy.current.engine.index) == (0, 0)
     _warm(warm.current)
     queries = [obj.object_id for obj in rec_corpus.objects[:8]]
     if phase != "load":
@@ -147,7 +144,7 @@ def test_stats_expose_lazy_caches(ingested, indexed_dir, ingest_batch, tmp_path)
     )
     service = QueryService(manager, cache=ResultCache(8))
     index = manager.current.engine.index
-    assert isinstance(index, SegmentedCliqueIndex) is ingested
+    assert bool(index.deltas) is ingested
     opened = service.stats()["index"]
     assert (opened["materialized_postings"], opened["decoded_slots"]) == (0, 0)
     service.search(query=manager.current.corpus.objects[0].object_id, k=5, mode="index")

@@ -1,7 +1,8 @@
 """Binary index persistence through the storage layer.
 
 Covers the store-level contract on top of ``repro.index.binfmt``: the
-lazily-decoding :class:`MmapCliqueIndex` load path, save/load/save byte
+lazily-decoding load path (a main-only :class:`SegmentedCliqueIndex`
+over the mapped file), save/load/save byte
 identity, refusal of an older format version, and corruption surfacing
 through the ``StorageError`` taxonomy with the failing section named.
 """
@@ -15,7 +16,8 @@ import pytest
 
 from repro.index.binfmt import BINARY_FORMAT_VERSION, MAGIC, read_section_table
 from repro.index.inverted import CliqueInvertedIndex
-from repro.index.segment import MmapCliqueIndex
+from repro.index.segmented import SegmentedCliqueIndex
+from repro.index.vectorized import MmapVectorView
 from repro.storage.store import StorageError, load_index, save_index
 
 
@@ -68,9 +70,16 @@ def _assert_equivalent(a: CliqueInvertedIndex, b: CliqueInvertedIndex) -> None:
 # ----------------------------------------------------------------------
 # save / load
 # ----------------------------------------------------------------------
+def _assert_mapped_main_only(loaded, path):
+    assert isinstance(loaded, SegmentedCliqueIndex)
+    assert not loaded.deltas
+    assert isinstance(loaded.main, MmapVectorView)
+    assert loaded.main.path == path
+
+
 def test_binary_round_trip_bit_identical(built, binary_artifact, correlations):
     loaded = load_index(binary_artifact, correlations)
-    assert isinstance(loaded, MmapCliqueIndex)
+    _assert_mapped_main_only(loaded, binary_artifact)
     _assert_equivalent(built, loaded)
     loaded.close()
 
@@ -81,7 +90,7 @@ def test_suffix_does_not_pick_format(built, binary_artifact, tmp_path, correlati
     odd = save_index(built, tmp_path / "index.jsonl")
     assert odd.read_bytes() == binary_artifact.read_bytes()
     loaded = load_index(odd, correlations)
-    assert isinstance(loaded, MmapCliqueIndex)
+    _assert_mapped_main_only(loaded, odd)
     loaded.close()
 
 
@@ -100,7 +109,7 @@ def test_save_load_save_is_byte_identical(binary_artifact, tmp_path, correlation
 def test_loaded_segment_is_lazy(binary_artifact, correlations):
     loaded = load_index(binary_artifact, correlations)
     assert not loaded._postings  # nothing materialized at load time
-    some_key = loaded.reader.key_at(0)
+    some_key = next(loaded.main.keys())
     posting = loaded.lookup(some_key)
     assert posting is not None
     assert list(loaded._postings) == [some_key]  # exactly one decoded
@@ -117,18 +126,16 @@ def test_segment_stats_match_built(built, binary_artifact, correlations):
     loaded.close()
 
 
-def test_segment_is_read_only(binary_artifact, correlations, tiny_corpus):
+def test_segment_is_read_only(binary_artifact, correlations):
     loaded = load_index(binary_artifact, correlations)
-    with pytest.raises(TypeError, match="read-only"):
-        loaded.add_object(tiny_corpus[0])
-    with pytest.raises(TypeError, match="read-only"):
-        loaded.build(tiny_corpus)
+    assert not hasattr(loaded, "add_object")
+    assert not hasattr(loaded, "build")
     loaded.close()
 
 
 def test_verify_payload_flag(binary_artifact, correlations):
     loaded = load_index(binary_artifact, correlations, verify_payload=False)
-    _ = loaded.lookup(loaded.reader.key_at(0))
+    _ = loaded.lookup(next(loaded.main.keys()))
     loaded.close()
 
 

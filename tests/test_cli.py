@@ -80,7 +80,7 @@ def test_index_build_replaces_format_v3_artifact(
     over a corpus holding a format-v3 ``index.bin`` replaces it with
     one of the current format that loads."""
     from repro.core.retrieval import RetrievalEngine
-    from repro.index.binfmt import BINARY_FORMAT_VERSION, MAGIC
+    from repro.index.binfmt import BINARY_FORMAT_VERSION, MAGIC, BinaryIndexReader
     from repro.storage.store import StorageError, load_corpus, load_index, save_index
 
     corpus_dir = tmp_path / "corpus"
@@ -94,8 +94,10 @@ def test_index_build_replaces_format_v3_artifact(
     assert main(["index", "build", str(corpus_dir)]) == 0
     capsys.readouterr()
     assert artifact.read_bytes()[: len(MAGIC)] == MAGIC
+    with BinaryIndexReader(artifact) as reader:
+        assert reader.version == BINARY_FORMAT_VERSION
     with load_index(artifact, engine.correlations) as loaded:
-        assert loaded.reader.version == BINARY_FORMAT_VERSION
+        assert loaded.main.path == artifact
         assert loaded.n_objects == len(load_corpus(corpus_dir))
 
 
