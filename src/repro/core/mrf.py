@@ -42,8 +42,8 @@ All float summations here iterate canonical orders (the clique's
 sorted feature tuple, the object's feature-bag insertion order): float
 addition is not associative, and set-order iteration would make scores
 differ across processes under hash randomization — breaking the
-bit-identical ranking contract between the serial scan, the parallel
-scan and the build-time-scored index.
+bit-identical ranking contract between the scan, the build-time-scored
+index and an index built in parallel or loaded from disk.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def joint_components(
     = α·freq_part + (1-α)·smooth_part``.  ``row_sums`` is the caller's
     per-object cache of ``S(n, O_i) = Σ_{m∈O_i} Cor(n, m)``; entries
     are filled on demand.  Every summation iterates a canonical order
-    (see the module docstring) so the scan scorer, the parallel-scan
-    workers and the index builder produce bit-identical floats.
+    (see the module docstring) so the scan scorer and the index builder
+    produce bit-identical floats.
     """
     freqs = [obj.frequency(f) for f in clique.features]
     joint = min(freqs) if all(f > 0 for f in freqs) else 0
@@ -278,9 +278,9 @@ def scale_impacts(p: Any, inner: float, outer: float = 1.0) -> Any:
 
     ``inner = λ_{|c|}·CorS(c)`` and ``outer`` is the recommendation
     path's temporal weight (1.0 for retrieval).  The association order
-    matches the rescoring path (``weight · potential`` with the
-    potential ``λ·CorS·P``), so applying it to a whole array yields the
-    same bits per element.
+    matches ``outer · CliqueScorer.potential`` (the potential is
+    ``(λ·CorS)·P``), so applying it to a whole array yields the same
+    bits per element as the exact model.
     """
     return outer * (inner * p)
 
@@ -290,25 +290,15 @@ class CliqueScorer:
 
     One scorer instance serves one query (or one user profile); it owns
     the per-candidate correlation row-sum cache described in the module
-    docstring.  The candidate cache is keyed by object id and retained
-    for the scorer's lifetime, so scoring many cliques against the same
-    candidate amortizes well — the access pattern of both Algorithm 1
-    and the sequential scan.  ``max_cached_objects`` bounds the cache:
-    long scans that forget to :meth:`release` evict their oldest entry
-    instead of growing without bound.
+    docstring.  The candidate cache is keyed by object id and kept until
+    :meth:`release`, so scoring many cliques against the same candidate
+    amortizes well — the access pattern of the sequential scans, which
+    release each candidate once it is scored.
     """
 
-    def __init__(
-        self,
-        correlations: CorrelationModel,
-        params: MRFParameters,
-        max_cached_objects: int = 1024,
-    ) -> None:
-        if max_cached_objects < 1:
-            raise ValueError("max_cached_objects must be >= 1")
+    def __init__(self, correlations: CorrelationModel, params: MRFParameters) -> None:
         self._cor = correlations
         self._params = params
-        self._max_cached_objects = max_cached_objects
         self._row_sums: dict[str, dict[Feature, float]] = {}
         self._cors_cache: dict[tuple[Feature, ...], float] = {}
 
@@ -381,10 +371,6 @@ class CliqueScorer:
     def _row_sums_for(self, obj: MediaObject) -> dict[Feature, float]:
         cached = self._row_sums.get(obj.object_id)
         if cached is None:
-            if len(self._row_sums) >= self._max_cached_objects:
-                # FIFO eviction: scans visit each candidate once, so the
-                # oldest entry is the least likely to be touched again.
-                self._row_sums.pop(next(iter(self._row_sums)))
             cached = {}
             self._row_sums[obj.object_id] = cached
         return cached

@@ -34,7 +34,7 @@ from repro.core.objects import MediaObject
 from repro.core.retrieval import RankedResult, correlation_model_for_corpus, ranked_sort
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.segmented import SegmentedCliqueIndex, as_stack
-from repro.index.threshold import SortedListSource, impact_sources, threshold_algorithm
+from repro.index.threshold import impact_sources, threshold_algorithm
 from repro.index.vectorized import PostingVectors, accumulate_top_k
 from repro.social.corpus import Corpus
 from repro.social.temporal import TemporalSplit, decay_weight
@@ -127,7 +127,6 @@ class Recommender:
         self._candidates: tuple[MediaObject, ...] = tuple(
             corpus.objects_in_window(self._split.evaluation)
         )
-        self._by_id = {o.object_id: o for o in self._candidates}
         self._max_clique_size = self._params.max_clique_size
         self._index: SegmentedCliqueIndex | None = None
         if index is not None:
@@ -204,7 +203,6 @@ class Recommender:
         clone._split = self._split
         clone._correlations = self._correlations
         clone._candidates = self._candidates
-        clone._by_id = self._by_id
         clone._max_clique_size = self._max_clique_size
         if self._index is not None and params.max_clique_size > self._index.max_clique_size:
             raise ValueError(
@@ -259,21 +257,14 @@ class Recommender:
         agree across the index modes in ids and float scores, exact
         score ties included (canonical ``(-score, id)`` order).
         """
-        if mode not in ("auto", "index", "index-rescore", "scan"):
-            raise ValueError(
-                "mode must be 'auto', 'index', 'index-rescore' or 'scan', "
-                f"got {mode!r}"
-            )
+        if mode not in ("auto", "index", "scan"):
+            raise ValueError(f"mode must be 'auto', 'index' or 'scan', got {mode!r}")
         profile = self.profile_for(user)
         t_now = current_month if current_month is not None else self._split.evaluation.start
         if mode == "scan":
-            scorer = CliqueScorer(self._correlations, self._params)
-            return self._recommend_scan(profile, scorer, k, t_now)
+            return self._recommend_scan(profile, k, t_now)
         if self._index is None:
             raise ValueError("recommender was built with build_index=False; use mode='scan'")
-        if mode == "index-rescore":
-            scorer = CliqueScorer(self._correlations, self._params)
-            return self._recommend_index_rescore(profile, scorer, k, t_now)
         if mode == "index":
             return self._recommend_index(profile, k, t_now)
         return self._recommend_index_vectorized(profile, k, t_now)
@@ -286,8 +277,8 @@ class Recommender:
         Eq. 10 temporal weight ``outer`` and a non-zero ``inner =
         λ_{|c|}·CorS(c)``.  The temporal weight is constant per clique,
         so it scales the stored impacts as the outer factor —
-        ``outer·(inner·P)``, the association the rescoring scorer
-        uses."""
+        ``outer·(inner·P)``, which is ``outer`` times
+        :meth:`CliqueScorer.potential` bit for bit."""
         assert self._index is not None
         view = self._index.vector_view()
         delta = self._params.delta
@@ -350,38 +341,10 @@ class Recommender:
             for dense, score in top.ranking
         ]
 
-    def _recommend_index_rescore(
-        self, profile: UserProfile, scorer: CliqueScorer, k: int, t_now: int
-    ) -> list[RankedResult]:
-        """Pre-change index path (per-query rescoring) — kept as parity
-        reference and perf baseline; the scorer's bounded row-sum cache
-        caps its per-query memory."""
-        assert self._index is not None
-        delta = self._params.delta
-        sources: list[SortedListSource] = []
-        for clique in profile.cliques:
-            weight = profile.temporal_weight(clique, t_now, delta)
-            if weight <= 0.0:
-                continue
-            posting = self._index.lookup(clique)
-            if posting is None:
-                continue
-            entries: list[tuple[str, float]] = []
-            for object_id in posting:
-                obj = self._by_id.get(object_id)
-                if obj is None:  # not a candidate (shared index)
-                    continue
-                score = weight * scorer.potential(clique, obj)
-                if score > 0.0:
-                    entries.append((object_id, score))
-            if entries:
-                sources.append(SortedListSource(entries))
-        merged = threshold_algorithm(sources, k=k)
-        return [RankedResult(object_id=oid, score=s) for oid, s in merged]
-
     def _recommend_scan(
-        self, profile: UserProfile, scorer: CliqueScorer, k: int, t_now: int
+        self, profile: UserProfile, k: int, t_now: int
     ) -> list[RankedResult]:
+        scorer = CliqueScorer(self._correlations, self._params)
         delta = self._params.delta
         weights = [
             profile.temporal_weight(clique, t_now, delta) for clique in profile.cliques

@@ -8,7 +8,7 @@ The engine owns the paper's whole preprocessing pipeline for one corpus:
    group co-membership for users, Eq. 1 across modalities;
 3. the clique inverted index over every object's FIG.
 
-Four query modes are provided:
+Three query modes are provided:
 
 * ``mode="auto"`` (the default) — Algorithm 1 as batch numpy work: the
   query cliques' postings are consumed as whole arrays (zero-copy views
@@ -20,11 +20,6 @@ Four query modes are provided:
   one impact-ordered source per query clique (built per query, scaled
   by the constant per-clique weight ``λ_{|c|}·CorS(c)``), merged with
   the Threshold Algorithm.
-* ``mode="index-rescore"`` — the pre-change Algorithm 1: walk the same
-  posting lists but recompute every (clique, candidate) potential per
-  query.  Kept as the reference the fast paths are asserted
-  bit-identical against, and as the perf baseline the benchmarks
-  compare to.
 * ``mode="scan"`` — the sequential reference scan of Section 3.5's
   opening: score *every* object with the full clique sum, including
   smoothing contributions for objects that do not contain a clique.
@@ -50,7 +45,6 @@ from repro.index.segmented import SegmentedCliqueIndex, as_stack
 from repro.index.threshold import (
     AccessStats,
     ImpactSortedSource,
-    SortedListSource,
     impact_sources,
     threshold_algorithm,
 )
@@ -109,9 +103,9 @@ class IndexQueryStats:
 def ranked_sort(results: Iterable[RankedResult]) -> list[RankedResult]:
     """Canonical ranking order: descending score, ascending object id.
 
-    Every ranking surface (scan retrieval, parallel shards, the serving
-    layer) sorts through this helper so tie-breaking stays bit-identical
-    across execution strategies.
+    Both scans (retrieval and recommendation) sort through this helper,
+    the order the index modes select by, so tie-breaking stays
+    bit-identical across execution strategies.
     """
     return sorted(results, key=lambda r: (-r.score, r.object_id))
 
@@ -337,19 +331,14 @@ class RetrievalEngine:
         to itself carries no information.  ``mode="auto"`` (the
         default) runs the accumulate-and-select kernel over the index.
         """
-        if mode not in ("auto", "index", "index-rescore", "scan"):
-            raise ValueError(
-                "mode must be 'auto', 'index', 'index-rescore' or 'scan', "
-                f"got {mode!r}"
-            )
+        if mode not in ("auto", "index", "scan"):
+            raise ValueError(f"mode must be 'auto', 'index' or 'scan', got {mode!r}")
         cliques = self.query_cliques(query)
         exclude = {query.object_id} if exclude_query else set()
         if mode == "scan":
             return self._search_scan(cliques, k, exclude)
         if self._index is None:
             raise ValueError("engine was built with build_index=False; use mode='scan'")
-        if mode == "index-rescore":
-            return self._search_index_rescore(cliques, k, exclude)
         if mode == "index":
             results, _ = self._search_index(cliques, k, exclude)
             return results
@@ -408,9 +397,9 @@ class RetrievalEngine:
         excluded query object (``None`` when it is not indexed).
 
         The weight multiplies *outside* the stored α-mixed component,
-        associating exactly as the rescoring scorer does (λ, then CorS,
-        then the joint probability), so scores are bit-identical to
-        ``mode="index-rescore"``.
+        associating as :meth:`CliqueScorer.potential` does (λ, then
+        CorS, then the joint probability), so each stored entry scores
+        the potential the exact model gives it, bit for bit.
         """
         assert self._index is not None
         view = self._index.vector_view()
@@ -469,37 +458,6 @@ class RetrievalEngine:
             for dense, score in top.ranking
         ]
         return results, top
-
-    # ------------------------------------------------------------------
-    # Algorithm 1 — pre-change reference (per-query rescoring)
-    # ------------------------------------------------------------------
-    def _search_index_rescore(
-        self, cliques: list[Clique], k: int, exclude: set[str]
-    ) -> list[RankedResult]:
-        """Walk the posting lists but recompute every potential — the
-        pre-impact-ordering query path, kept as parity reference and
-        perf baseline.  The scorer's bounded row-sum cache keeps this
-        path's per-query memory capped (it previously grew with the
-        candidate set)."""
-        assert self._index is not None
-        scorer = CliqueScorer(self._correlations, self._params)
-        sources: list[SortedListSource] = []
-        for clique in cliques:
-            posting = self._index.lookup(clique)
-            if posting is None:
-                continue
-            entries: list[tuple[str, float]] = []
-            for object_id in posting:
-                if object_id in exclude:
-                    continue
-                obj = self._corpus.get(object_id)
-                score = scorer.potential(clique, obj)
-                if score > 0.0:
-                    entries.append((object_id, score))
-            if entries:
-                sources.append(SortedListSource(entries))
-        merged = threshold_algorithm(sources, k=k)
-        return [RankedResult(object_id=oid, score=s) for oid, s in merged]
 
     # ------------------------------------------------------------------
     # sequential reference scan

@@ -1,10 +1,8 @@
-"""Contiguous corpus sharding for every shard-parallel path.
+"""Contiguous corpus sharding for the shard-parallel index builds.
 
-Lives in the fusion tier (below the index) so both the shard-parallel
-index build in :mod:`repro.index.inverted` and the parallel scanner in
-:mod:`repro.core.parallel` can import it without an upward or cyclic
-dependency — ``parallel`` sits above the index it drives, ``inverted``
-below it, and this module below both.
+Lives in the fusion tier, below the index, so both builders
+(:mod:`repro.index.inverted` and :mod:`repro.index.segbuild`) import
+it without an upward dependency.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ def split_shards(items: Sequence[_T], n: int) -> list[list[_T]]:
     """Contiguous shards of near-equal size, preserving order.
 
     Contiguous splits keep corpus order within and across shards, which
-    the bit-identical merge contracts of the parallel scan and the
-    shard-parallel index build rely on.
+    the bit-identical merge contracts of the shard-parallel index
+    builds rely on.
     """
     if n < 1:
         raise ValueError("shard count must be >= 1")

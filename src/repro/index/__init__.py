@@ -23,7 +23,6 @@ from repro.index.segmented import SegmentedCliqueIndex
 from repro.index.threshold import (
     AccessStats,
     ImpactSortedSource,
-    SortedListSource,
     threshold_algorithm,
 )
 

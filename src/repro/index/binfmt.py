@@ -49,7 +49,7 @@ Entry order inside a posting is canonicalized to ascending object id
 (string order == dense-int order), which is what d-gap encoding needs.
 That is a pure permutation of the build's entry order and cannot change
 any ranking: the query paths select by ``(-score, id)``
-(``accumulate_top_k``, ``ImpactSortedSource``, ``SortedListSource``).
+(``accumulate_top_k``, ``ImpactSortedSource``).
 Posting order is canonicalized the same way (key order), so the file
 is a pure function of the postings' contents.
 
@@ -658,9 +658,6 @@ class BinaryIndexReader:
             return lo
         return None
 
-    def posting_length(self, slot: int) -> int:
-        return int(self._postmeta[slot]["count"])
-
     def posting_lengths(self) -> np.ndarray:
         """All posting lengths, slot-ordered (stats without decoding)."""
         return self._postmeta["count"].astype(np.int64)
@@ -680,8 +677,8 @@ class BinaryIndexReader:
 
         The returned array is shared; callers must treat it read-only.
         ``cache=False`` decodes without populating the per-slot cache —
-        the full-file sweep of the segment merge must not pin every
-        decoded posting in memory.
+        a full sweep (``SegmentedCliqueIndex.iter_postings``) must not
+        pin every decoded posting in memory.
         """
         cached = self._dense_ids_cache.get(slot)
         if cached is not None:
@@ -733,20 +730,6 @@ class BinaryIndexReader:
             self._freq[entry_off:entry_off + count],
             self._smooth[entry_off:entry_off + count],
         )
-
-    def read_posting(self, slot: int) -> tuple[list[str], list[float], list[float], float]:
-        """Decode slot ``slot``: ``(object_ids, freq, smooth, cors)``.
-
-        Ids come back in ascending (string == dense) order; the float
-        lists are parallel to them and bit-exact (f64 round trip).
-        """
-        ranks = self.posting_dense_ids(slot)
-        count = int(self._postmeta[slot]["count"])
-        ids = [self.object_id_at(int(r)) for r in ranks]
-        entry_off = int(self._postmeta[slot]["entry_off"])
-        freq = self._freq[entry_off:entry_off + count].tolist()
-        smooth = self._smooth[entry_off:entry_off + count].tolist()
-        return ids, freq, smooth, self.posting_cors(slot)
 
     # ------------------------------------------------------------------
     # whole-section access (the streaming segment merge's surface —
@@ -829,8 +812,8 @@ class BinaryIndexReader:
         return not hasattr(self, "_mm")
 
     def close(self) -> None:
-        """Release the mapping.  Values handed out by ``read_posting``
-        are copies, so they survive a close; zero-copy views from
+        """Release the mapping.  Decoded id arrays are copies, so they
+        survive a close; zero-copy views from
         :meth:`posting_components` pin the
         mapping — it is then unmapped when the last view is released
         instead of here (further reader calls still fail fast)."""

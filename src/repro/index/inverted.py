@@ -18,7 +18,7 @@ This builder is also the in-memory segment: a snapshot that has no
 :class:`~repro.index.segmented.SegmentedCliqueIndex`.
 
 Building is shard-parallel: the corpus splits into contiguous shards
-(via the same dispatch helper as the parallel scan), each worker scores
+(:func:`~repro.core.sharding.split_shards`), each worker scores
 its shard's (clique, object) pairs with its own correlation model, and
 the per-shard partial postings merge in shard order — bit-identical to
 the serial build because every component is a pure function of
@@ -120,9 +120,8 @@ class CliqueInvertedIndex:
         """Index every object; returns self for chaining.
 
         ``n_workers > 1`` scores contiguous corpus shards in a process
-        pool and merges the partial postings in shard order — the same
-        dispatch pattern as :class:`repro.core.parallel.ParallelScanner`,
-        and bit-identical to the serial build.  One worker (the default)
+        pool and merges the partial postings in shard order,
+        bit-identical to the serial build.  One worker (the default)
         runs inline with no pool.
         """
         if n_workers < 1:
@@ -152,12 +151,6 @@ class CliqueInvertedIndex:
                 freq, smooth = shard_posting.component_arrays()
                 posting.extend_scored(list(zip(object_ids, freq, smooth)))
         self._vector_view = None
-
-    def set_n_objects(self, n: int) -> None:
-        """Set the indexed-object count."""
-        if n < 0:
-            raise ValueError("object count must be >= 0")
-        self._n_objects = n
 
     def vector_view(self) -> InMemoryVectorView:
         """Cached read surface of this index as a segment (see

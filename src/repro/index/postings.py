@@ -21,8 +21,9 @@ sweeps (``with_params``, the coordinate-ascent trainer) reuse the same
 built posting arrays unchanged.
 
 A :class:`Posting` of object-id strings is the build-side record: the
-index builder appends to it, ``index-rescore`` walks it, and the
-binary writer serializes it.
+index builder appends to it and the binary writer serializes it
+(:meth:`~repro.index.segmented.SegmentedCliqueIndex.lookup` rebuilds
+one from the stored arrays).
 """
 
 from __future__ import annotations

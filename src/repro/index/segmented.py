@@ -53,7 +53,7 @@ from collections.abc import Iterator, Sequence
 from repro.core.cliques import Clique
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.postings import Posting
-from repro.index.vectorized import SegmentedVectorView, SegmentView
+from repro.index.vectorized import PostingVectors, SegmentedVectorView, SegmentView
 
 
 class SegmentedCliqueIndex:
@@ -86,8 +86,8 @@ class SegmentedCliqueIndex:
         self._view: SegmentView | SegmentedVectorView = (
             SegmentedVectorView((main, *self._deltas)) if self._deltas else main
         )
-        #: Postings built by :meth:`lookup` (the rescore path,
-        #: re-serialization); queries read the view's arrays instead.
+        #: Postings built by :meth:`lookup`; queries read the view's
+        #: arrays instead.
         self._postings: dict[str, Posting] = {}
         self._closed = False
 
@@ -135,7 +135,7 @@ class SegmentedCliqueIndex:
         key = clique.key if isinstance(clique, Clique) else clique
         posting = self._postings.get(key)
         if posting is None:
-            posting = self._build_posting(key)
+            posting = self._posting(self._view.vectors(key))
             if posting is not None:
                 self._postings[key] = posting
         return posting
@@ -143,20 +143,21 @@ class SegmentedCliqueIndex:
     def iter_postings(self) -> Iterator[Posting]:
         """Every posting once, merged across segments: the main
         segment's keys, then each delta's novel keys.  A full scan (the
-        writer's input) keeps none of the postings it builds.  The
-        writer sorts by key, so the order does not reach a file."""
-        for key in self._view.keys():
-            posting = self._postings.get(key) or self._build_posting(key)
+        writer's input) keeps none of the postings it builds and leaves
+        every segment's decoded arrays as it found them.  The writer
+        sorts by key, so the order does not reach a file."""
+        view = self._view
+        for key in view.keys():
+            posting = self._postings.get(key) or self._posting(view.read_vectors(key))
             assert posting is not None
             yield posting
 
-    def _build_posting(self, key: str) -> Posting | None:
-        view = self._view
-        vectors = view.vectors(key)
+    def _posting(self, vectors: PostingVectors | None) -> Posting | None:
         if vectors is None:
             return None
+        view = self._view
         return Posting.from_arrays(
-            key,
+            vectors.key,
             vectors.cors,
             [view.object_id(dense) for dense in vectors.ids.tolist()],
             vectors.freq.tolist(),

@@ -8,25 +8,19 @@ the k-th best full score is strictly above the *threshold* — the
 aggregate of the current sorted-access frontier — because no unseen
 object can then reach it, not even to tie.
 
-This implementation is generic over any **monotone** aggregate
-(default: sum) and adopts the missing-entry-scores-zero convention,
-which is what Algorithm 1 needs: an object absent from a clique's
-candidate list contributes nothing for that clique.  With non-negative
-scores and sum aggregation this keeps the aggregate monotone, so the
+This implementation sums the per-source scores and adopts the
+missing-entry-scores-zero convention, which is what Algorithm 1 needs:
+an object absent from a clique's candidate list contributes nothing for
+that clique.  With non-negative scores the sum is monotone, so the
 early-termination guarantee holds.
 
-Two source flavours feed the walk:
-
-* :class:`SortedListSource` — sorts arbitrary ``(id, score)`` pairs at
-  construction: the right tool when scores are computed per query (the
-  ``index-rescore`` reference path).
-* :class:`ImpactSortedSource` — one posting's entries, built per query
-  by :func:`impact_sources` from the stored arrays the vectorized
-  kernel sums (:class:`~repro.index.vectorized.PostingVectors`):
-  α-mixed, filtered, ordered by impact and scaled by the query's
-  constant per-clique weight, keyed by dense object id.  Scalar
-  ``mode="index"`` runs Algorithm 1 over these, so both index modes
-  read one posting form and nothing is cached across queries.
+Every input is an :class:`ImpactSortedSource` — one posting's entries,
+built per query by :func:`impact_sources` from the stored arrays the
+vectorized kernel sums (:class:`~repro.index.vectorized.PostingVectors`):
+α-mixed, filtered, ordered by impact and scaled by the query's constant
+per-clique weight, keyed by dense object id.  Scalar ``mode="index"``
+runs Algorithm 1 over these, so both index modes read one posting form
+and nothing is cached across queries.
 
 :class:`AccessStats` counts sorted/random accesses so benchmarks and
 the CI perf gate can assert the early-termination win instead of
@@ -36,100 +30,27 @@ trusting it.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Protocol, TypeVar
 
 import numpy as np
 
-from repro.diagnostics.contracts import check_sorted_descending, contracts_enabled
 from repro.index.vectorized import PostingVectors, scaled_entries
-
-#: Object-id type of one TA run (dense integer ids in the engines,
-#: strings on the rescore path).
-#: Ids only need hashing and a total order.
-IdT = TypeVar("IdT")
-
-
-class _ReverseStr:
-    """Id wrapper with inverted ordering.
-
-    Heap entries are ``(score, _ReverseStr(id))`` so the min-heap root is
-    the *worst* element under the output order (score descending, id
-    ascending): lowest score, and among score ties the largest id.
-    Without this, ties at the k-th score would keep a different object
-    than the final sort reports.  Works for any totally ordered id type
-    (strings, dense integer ranks).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_ReverseStr") -> bool:
-        return bool(self.value > other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReverseStr) and bool(self.value == other.value)
-
-
-class TopKSource(Protocol[IdT]):
-    """What the TA walk needs from an input list: its length,
-    descending sorted access by rank, and O(1) random access."""
-
-    def __len__(self) -> int: ...
-
-    def entry(self, rank: int) -> tuple[IdT, float]: ...
-
-    def score(self, object_id: IdT) -> float: ...
-
-
-class SortedListSource:
-    """One TA input: descending-sorted access plus O(1) random access.
-
-    Parameters
-    ----------
-    entries:
-        ``(object_id, score)`` pairs; sorted internally by descending
-        score (ties by id, so runs are deterministic).
-    """
-
-    __slots__ = ("_sorted", "_scores")
-
-    def __init__(self, entries: Sequence[tuple[str, float]]) -> None:
-        self._sorted: list[tuple[str, float]] = sorted(
-            entries, key=lambda e: (-e[1], e[0])
-        )
-        self._scores: dict[str, float] = {oid: s for oid, s in entries}
-        if len(self._scores) != len(self._sorted):
-            raise ValueError("duplicate object ids within one source")
-        if contracts_enabled():
-            # Early termination is unsound on an unsorted source.
-            check_sorted_descending(self._sorted, what="TA sorted-access source")
-
-    def __len__(self) -> int:
-        return len(self._sorted)
-
-    def entry(self, rank: int) -> tuple[str, float]:
-        """Sorted access: the ``rank``-th best entry."""
-        return self._sorted[rank]
-
-    def score(self, object_id: str) -> float:
-        """Random access; missing objects score 0."""
-        return self._scores.get(object_id, 0.0)
 
 
 class ImpactSortedSource:
     """One query clique's TA input: its posting's scored entries,
     already in descending impact order (see :func:`impact_sources`),
-    keyed by dense object id."""
+    keyed by dense object id.  Sorted access is by rank, random access
+    by id in O(1)."""
 
     __slots__ = ("_sorted", "_scores")
 
     def __init__(self, entries: list[tuple[int, float]]) -> None:
         self._sorted = entries
         self._scores = dict(entries)
+        if len(self._scores) != len(entries):
+            raise ValueError("duplicate object ids within one source")
 
     def __len__(self) -> int:
         return len(self._sorted)
@@ -199,28 +120,27 @@ class AccessStats:
 
 
 def threshold_algorithm(
-    sources: Sequence[TopKSource[IdT]],
+    sources: Sequence[ImpactSortedSource],
     k: int,
-    aggregate: Callable[[Sequence[float]], float] = sum,
     stats: AccessStats | None = None,
-) -> list[tuple[IdT, float]]:
-    """Top-``k`` objects by aggregated score across ``sources``.
+) -> list[tuple[int, float]]:
+    """Top-``k`` dense object ids by summed score across ``sources``.
 
-    Returns at most ``k`` ``(object_id, score)`` pairs in descending
-    score order (ties broken by id).  ``aggregate`` must be monotone in
-    every argument for early termination to be sound; the default sum
-    over non-negative scores is.  Object ids only need a total order.
+    Returns at most ``k`` ``(dense_id, score)`` pairs in descending
+    score order (ties broken by ascending id).  The sum over
+    non-negative scores is monotone in every argument, which early
+    termination needs.
 
     The walk does one sorted access per source per round (Fagin's
     round-robin), fully scores unseen objects by random access, and
     stops when ``k`` objects have been found whose scores are all
     strictly above the frontier threshold, or when every list is
     exhausted.  An unseen object scores at most the threshold (each of
-    its entries sits at or below the frontier, and the aggregate is
-    monotone — for a float sum in source order too, as rounding is
-    monotone), so under the strict stop it cannot even tie the ``k``-th
-    score: the result is exactly the first ``k`` of all objects in
-    ``(-score, id)`` order, ties at the ``k``-th place included.
+    its entries sits at or below the frontier, and a float sum in
+    source order is monotone, as rounding is), so under the strict stop
+    it cannot even tie the ``k``-th score: the result is exactly the
+    first ``k`` of all objects in ``(-score, id)`` order, ties at the
+    ``k``-th place included.
 
     ``stats``, when given, is filled with the access counts of this run
     — the hook the perf benches and the CI early-termination gate read.
@@ -230,9 +150,12 @@ def threshold_algorithm(
     if not sources:
         return []
 
-    seen: set[IdT] = set()
-    # Min-heap of (score, reverse-ordered id) holding the current top-k.
-    heap: list[tuple[float, _ReverseStr]] = []
+    seen: set[int] = set()
+    # Min-heap of (score, -id) holding the current top-k: the root is
+    # the worst entry under the output order — lowest score, and among
+    # score ties the largest id — so ties at the k-th score keep the
+    # object the final sort reports.
+    heap: list[tuple[float, int]] = []
     depth = 0
     lens = [len(s) for s in sources]
     max_len = max(lens)
@@ -246,10 +169,10 @@ def threshold_algorithm(
                 frontier.append(score)
                 if object_id not in seen:
                     seen.add(object_id)
-                    full = aggregate([s.score(object_id) for s in sources])
+                    full = sum([s.score(object_id) for s in sources])
                     if stats is not None:
                         stats.random_accesses += len(sources)
-                    entry = (full, _ReverseStr(object_id))
+                    entry = (full, -object_id)
                     if len(heap) < k:
                         heapq.heappush(heap, entry)
                     elif entry > heap[0]:
@@ -257,12 +180,9 @@ def threshold_algorithm(
             else:
                 frontier.append(0.0)
         depth += 1
-        if len(heap) >= k:
-            threshold = aggregate(frontier)
-            if heap[0][0] > threshold:
-                break
+        if len(heap) >= k and heap[0][0] > sum(frontier):
+            break
 
     if stats is not None:
         stats.rounds = depth
-    results = sorted(heap, key=lambda e: (-e[0], e[1].value))
-    return [(rev.value, score) for score, rev in results]
+    return [(-neg_id, score) for score, neg_id in sorted(heap, reverse=True)]

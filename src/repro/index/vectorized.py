@@ -33,7 +33,8 @@ arrays:
 **Bit parity.**  Both index modes score the entries
 :func:`scaled_entries` returns; mixing and scaling go through the
 shared :mod:`repro.core.mrf` helpers, elementwise, so each entry also
-carries the bits the rescoring scorer computes for it.
+carries the bits of the exact model's weighted potential
+(:meth:`~repro.core.mrf.CliqueScorer.potential`) for it.
 ``np.bincount`` adds each object's entries sequentially in input
 order — source order — starting from ``0.0``, exactly the partial sums
 of adding scalar ``score()`` calls source by source (a source without
@@ -252,18 +253,23 @@ class MmapVectorView:
         return None if slot is None else self._reader.posting_cors(slot)
 
     def vectors(self, key: str) -> PostingVectors | None:
-        if key in self._cache:
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = self._read(key, cache=True)
+        return self._cache[key]
+
+    def read_vectors(self, key: str) -> PostingVectors | None:
+        """:meth:`vectors` without keeping the result or its decoded ids
+        — the full scans' read, which must not pin every posting."""
+        cached = self._cache.get(key)
+        return cached if cached is not None else self._read(key, cache=False)
+
+    def _read(self, key: str, cache: bool) -> PostingVectors | None:
         slot = self._reader.find_slot(key)
         if slot is None:
-            self._cache[key] = None
             return None
-        ids = self._reader.posting_dense_ids(slot)
+        ids = self._reader.posting_dense_ids(slot, cache=cache)
         freq, smooth = self._reader.posting_components(slot)
-        cors = self._reader.posting_cors(slot)
-        result = PostingVectors(key, cors, ids, freq, smooth)
-        self._cache[key] = result
-        return result
+        return PostingVectors(key, self._reader.posting_cors(slot), ids, freq, smooth)
 
     @property
     def closed(self) -> bool:
@@ -349,11 +355,18 @@ class InMemoryVectorView:
         return None if posting is None else posting.cors
 
     def vectors(self, key: str) -> PostingVectors | None:
-        if key in self._cache:
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = self.read_vectors(key)
+        return self._cache[key]
+
+    def read_vectors(self, key: str) -> PostingVectors | None:
+        """:meth:`vectors` without keeping the result — the full scans'
+        read, which must not pin every converted posting."""
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
         posting = self._index.lookup(key)
         if posting is None:
-            self._cache[key] = None
             return None
         n = len(posting)
         rank = self._rank
@@ -364,11 +377,7 @@ class InMemoryVectorView:
         freq = np.asarray(freq_list, dtype=np.float64)
         smooth = np.asarray(smooth_list, dtype=np.float64)
         order = np.argsort(dense)
-        result = PostingVectors(
-            key, posting.cors, dense[order], freq[order], smooth[order]
-        )
-        self._cache[key] = result
-        return result
+        return PostingVectors(key, posting.cors, dense[order], freq[order], smooth[order])
 
     @property
     def closed(self) -> bool:
@@ -484,27 +493,36 @@ class SegmentedVectorView:
         return None
 
     def vectors(self, key: str) -> PostingVectors | None:
-        if key in self._cache:
-            return self._cache[key]
-        self._global_ids()
-        parts: list[tuple[np.ndarray, PostingVectors]] = []
-        for segment, remap in zip(self._segments, self._remaps):
-            pv = segment.vectors(key)
-            if pv is not None:
-                parts.append((remap, pv))
-        result: PostingVectors | None
-        if not parts:
-            result = None
-        elif len(parts) == 1:
-            remap, pv = parts[0]
-            result = PostingVectors(key, pv.cors, remap[pv.ids], pv.freq, pv.smooth)
-        else:
-            ids = np.concatenate([remap[pv.ids] for remap, pv in parts])
-            freq = np.concatenate([pv.freq for _, pv in parts])
-            smooth = np.concatenate([pv.smooth for _, pv in parts])
-            order = np.argsort(ids)
-            result = PostingVectors(
-                key, parts[0][1].cors, ids[order], freq[order], smooth[order]
+        if key not in self._cache:
+            self._global_ids()
+            self._cache[key] = self._merge(
+                key, [segment.vectors(key) for segment in self._segments]
             )
-        self._cache[key] = result
-        return result
+        return self._cache[key]
+
+    def read_vectors(self, key: str) -> PostingVectors | None:
+        """:meth:`vectors` without keeping the result here or in any
+        segment — the full scans' read, which must not pin every
+        posting."""
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        self._global_ids()
+        return self._merge(key, [segment.read_vectors(key) for segment in self._segments])
+
+    def _merge(
+        self, key: str, per_segment: list[PostingVectors | None]
+    ) -> PostingVectors | None:
+        parts = [
+            (remap, pv) for remap, pv in zip(self._remaps, per_segment) if pv is not None
+        ]
+        if not parts:
+            return None
+        if len(parts) == 1:
+            remap, pv = parts[0]
+            return PostingVectors(key, pv.cors, remap[pv.ids], pv.freq, pv.smooth)
+        ids = np.concatenate([remap[pv.ids] for remap, pv in parts])
+        freq = np.concatenate([pv.freq for _, pv in parts])
+        smooth = np.concatenate([pv.smooth for _, pv in parts])
+        order = np.argsort(ids)
+        return PostingVectors(key, parts[0][1].cors, ids[order], freq[order], smooth[order])

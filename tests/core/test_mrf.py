@@ -185,22 +185,6 @@ def test_release_clears_candidate_cache():
     scorer.joint_probability(Clique((T("a"),)), obj)
 
 
-def test_row_sum_cache_bounded_fifo():
-    """Long scans that never release() must not grow without bound."""
-    scorer = CliqueScorer(FixedCorrelations(), MRFParameters(alpha=0.0), max_cached_objects=4)
-    clique = Clique((T("a"),))
-    for i in range(10):
-        scorer.joint_probability(clique, MediaObject.build(f"o{i}", tags=["a", "b"]))
-    assert len(scorer._row_sums) <= 4
-    assert "o9" in scorer._row_sums  # newest entry survives
-    assert "o0" not in scorer._row_sums  # oldest evicted
-
-
-def test_invalid_cache_bound_rejected():
-    with pytest.raises(ValueError):
-        CliqueScorer(FixedCorrelations(), MRFParameters(), max_cached_objects=0)
-
-
 def test_joint_components_match_joint_probability():
     """The build-time factorization must re-mix to the scorer's Eq. 7
     value bit-exactly — the contract the impact-ordered index rests on."""

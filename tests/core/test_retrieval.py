@@ -68,8 +68,9 @@ def test_retrieval_finds_same_topic_objects(engine, tiny_corpus):
 
 
 def test_invalid_mode_rejected(engine, tiny_corpus):
-    with pytest.raises(ValueError):
-        engine.search(tiny_corpus[0], k=3, mode="turbo")
+    for mode in ("turbo", "index-rescore"):
+        with pytest.raises(ValueError):
+            engine.search(tiny_corpus[0], k=3, mode=mode)
 
 
 def test_scan_only_engine_refuses_index_mode(tiny_corpus):

@@ -10,6 +10,7 @@ Two things are under test for every invariant:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.cliques import Clique
@@ -36,7 +37,8 @@ from repro.diagnostics.contracts import (
     symmetric_correlation,
 )
 from repro.index.postings import Posting
-from repro.index.threshold import SortedListSource
+from repro.index.threshold import impact_sources
+from repro.index.vectorized import PostingVectors
 
 
 # The contracts_on / contracts_off fixtures live in tests/conftest.py.
@@ -337,16 +339,19 @@ def test_posting_duplicate_silent_when_disabled(contracts_off):
 
 
 # ----------------------------------------------------------------------
-# seam: TA sorted-access order (index/threshold.py)
+# TA sorted-access order (index/threshold.py)
 # ----------------------------------------------------------------------
 def test_sorted_source_passes_contract(contracts_on):
-    src = SortedListSource([("a", 1.0), ("b", 3.0), ("c", 2.0)])
-    assert src.entry(0) == ("b", 3.0)
+    freq = np.array([1.0, 3.0, 2.0])
+    vectors = PostingVectors("T:a", 1.0, np.arange(3), freq, np.zeros(3))
+    (src,) = impact_sources([(vectors, 1.0, 1.0)], 1.0)
+    entries = [src.entry(rank) for rank in range(len(src))]
+    check_sorted_descending(entries, what="TA sorted-access source")
+    assert entries[0] == (1, 3.0)
 
 
 def test_sorted_source_contract_catches_bad_order(contracts_on):
-    # The constructor sorts, so corrupt the invariant directly — this
-    # is the regression net for any future "skip the sort" fast path.
+    # ``impact_sources`` sorts, so corrupt the invariant directly.
     with pytest.raises(ContractViolation):
         check_sorted_descending(
             [("a", 1.0), ("b", 3.0)], what="TA sorted-access source"

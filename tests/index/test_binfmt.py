@@ -40,6 +40,13 @@ def _sample_postings() -> list[Posting]:
     return [a, b, empty]
 
 
+def _read(reader, slot):
+    """Slot ``slot`` as ``(object_ids, freq, smooth, cors)`` lists."""
+    ids = [reader.object_id_at(dense) for dense in reader.posting_dense_ids(slot).tolist()]
+    freq, smooth = reader.posting_components(slot)
+    return ids, freq.tolist(), smooth.tolist(), reader.posting_cors(slot)
+
+
 @pytest.fixture()
 def artifact(tmp_path):
     return write_index_file(
@@ -70,7 +77,7 @@ def test_postings_round_trip_canonicalized(artifact):
     with BinaryIndexReader(artifact) as reader:
         slot = reader.find_slot("tag:ünïcode|tag:zebra")
         assert slot is not None
-        ids, freq, smooth, cors = reader.read_posting(slot)
+        ids, freq, smooth, cors = _read(reader, slot)
         # entries come back ascending by id, components permuted in parallel
         assert ids == ["obj001", "obj005", "obj009"]
         assert freq == [0.125, 1.0, 0.5]
@@ -81,8 +88,8 @@ def test_postings_round_trip_canonicalized(artifact):
 def test_empty_posting_round_trips(artifact):
     with BinaryIndexReader(artifact) as reader:
         slot = reader.find_slot("tag:empty")
-        assert reader.posting_length(slot) == 0
-        ids, freq, smooth, cors = reader.read_posting(slot)
+        assert reader.posting_lengths()[slot] == 0
+        ids, freq, smooth, cors = _read(reader, slot)
         assert ids == [] and freq == [] and smooth == []
         assert cors == 0.0
 
@@ -255,7 +262,7 @@ def test_undecodable_posting_stream(tmp_path):
     with BinaryIndexReader(path, verify_payload=False) as reader:
         with pytest.raises(BinaryFormatError) as exc_info:
             for slot in range(reader.n_cliques):
-                reader.read_posting(slot)
+                reader.posting_dense_ids(slot)
         assert exc_info.value.section == "postings"
 
 

@@ -128,12 +128,6 @@ def test_build_invalid_workers(tiny_corpus, correlations):
         CliqueInvertedIndex(correlations, max_clique_size=2).build(tiny_corpus, n_workers=0)
 
 
-def test_set_n_objects_rejects_negative(correlations):
-    index = CliqueInvertedIndex(correlations, max_clique_size=2)
-    with pytest.raises(ValueError):
-        index.set_n_objects(-1)
-
-
 def test_scalar_search_fills_views_only_for_looked_up_postings(tiny_corpus, correlations):
     """Nothing is converted ahead of the first query; a scalar search
     fills the vector view's per-key cache with exactly the postings of

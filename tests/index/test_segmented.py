@@ -248,3 +248,30 @@ def test_stack_lookup_equals_monolithic(fixture_state, main_segment, cuts):
         assert _entries(merged) == _entries(posting), (key, held[key])
     assert stack.lookup("no-such-clique") is None
     assert stack.cors_for_key("no-such-clique") is None
+
+
+@pytest.mark.parametrize("layout", ["memory", "mmap", "mmap+deltas"])
+def test_full_scan_keeps_nothing_decoded(fixture_state, tmp_path, layout):
+    """``iter_postings`` (``save_index``'s input) reads every posting
+    but leaves each segment's decoded arrays and the stack's posting
+    cache as it found them: a query-touched clique stays decoded, no
+    other one is pinned."""
+    from repro.index.vectorized import InMemoryVectorView
+    from repro.storage.store import load_index, save_index
+
+    _full, model, mono, main, extra = fixture_state
+    if layout == "memory":
+        stack = SegmentedCliqueIndex(InMemoryVectorView(main))
+    else:
+        stack = load_index(save_index(main, tmp_path / "main.bin"), model)
+        if layout == "mmap+deltas":
+            stack = _stack(stack.main, extra, [5, 11], model)
+    assert stack.lookup(next(iter(mono.iter_postings())).key) is not None
+    before = stack.stats()
+    assert before["decoded_slots"] >= 1 and before["materialized_postings"] == 1
+    assert sum(1 for _ in stack.iter_postings()) == len(mono)
+    after = stack.stats()
+    assert after["decoded_slots"] == before["decoded_slots"]
+    assert after["materialized_postings"] == 1
+    segments = (stack.main, *stack.deltas)
+    assert sum(segment.decoded_slots for segment in segments) <= len(segments)

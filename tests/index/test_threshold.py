@@ -7,11 +7,17 @@ from hypothesis import strategies as st
 
 from repro.index.threshold import (
     AccessStats,
-    SortedListSource,
+    ImpactSortedSource,
     impact_sources,
     threshold_algorithm,
 )
 from repro.index.vectorized import PostingVectors
+
+
+def _sorted_source(entries):
+    """A TA source over ``(dense_id, score)`` pairs in any order:
+    sorted by descending score, ties by ascending id."""
+    return ImpactSortedSource(sorted(entries, key=lambda e: (-e[1], e[0])))
 
 
 def _brute_force_topk(sources, k):
@@ -24,51 +30,51 @@ def _brute_force_topk(sources, k):
 
 
 def test_single_source():
-    src = SortedListSource([("a", 3.0), ("b", 1.0), ("c", 2.0)])
-    assert threshold_algorithm([src], k=2) == [("a", 3.0), ("c", 2.0)]
+    src = _sorted_source([(0, 3.0), (1, 1.0), (2, 2.0)])
+    assert threshold_algorithm([src], k=2) == [(0, 3.0), (2, 2.0)]
 
 
 def test_missing_scores_zero():
-    s1 = SortedListSource([("a", 1.0), ("b", 0.5)])
-    s2 = SortedListSource([("b", 1.0)])
+    s1 = _sorted_source([(0, 1.0), (1, 0.5)])
+    s2 = _sorted_source([(1, 1.0)])
     result = threshold_algorithm([s1, s2], k=2)
-    assert result[0] == ("b", 1.5)
-    assert result[1] == ("a", 1.0)
+    assert result[0] == (1, 1.5)
+    assert result[1] == (0, 1.0)
 
 
 def test_k_larger_than_universe():
-    src = SortedListSource([("a", 1.0)])
-    assert threshold_algorithm([src], k=10) == [("a", 1.0)]
+    src = _sorted_source([(0, 1.0)])
+    assert threshold_algorithm([src], k=10) == [(0, 1.0)]
 
 
 def test_empty_sources():
     assert threshold_algorithm([], k=3) == []
-    assert threshold_algorithm([SortedListSource([])], k=3) == []
+    assert threshold_algorithm([ImpactSortedSource([])], k=3) == []
 
 
 def test_invalid_k():
     with pytest.raises(ValueError):
-        threshold_algorithm([SortedListSource([])], k=0)
+        threshold_algorithm([ImpactSortedSource([])], k=0)
 
 
 def test_duplicate_ids_in_source_rejected():
     with pytest.raises(ValueError):
-        SortedListSource([("a", 1.0), ("a", 2.0)])
+        ImpactSortedSource([(0, 2.0), (0, 1.0)])
 
 
 def test_source_sorted_access():
-    src = SortedListSource([("a", 1.0), ("b", 3.0), ("c", 2.0)])
-    assert src.entry(0) == ("b", 3.0)
-    assert src.entry(1) == ("c", 2.0)
-    assert src.score("a") == 1.0
-    assert src.score("zzz") == 0.0
+    src = ImpactSortedSource([(1, 3.0), (2, 2.0), (0, 1.0)])
+    assert src.entry(0) == (1, 3.0)
+    assert src.entry(1) == (2, 2.0)
+    assert src.score(0) == 1.0
+    assert src.score(99) == 0.0
 
 
 def test_early_termination_depth():
     """One dominant object lets TA stop far before exhausting lists."""
     n = 100
-    s1 = SortedListSource([("top", 100.0)] + [(f"x{i}", 1.0 - i * 1e-4) for i in range(n)])
-    s2 = SortedListSource([("top", 100.0)] + [(f"x{i}", 1.0 - i * 1e-4) for i in range(n)])
+    s1 = _sorted_source([(0, 100.0)] + [(i + 1, 1.0 - i * 1e-4) for i in range(n)])
+    s2 = _sorted_source([(0, 100.0)] + [(i + 1, 1.0 - i * 1e-4) for i in range(n)])
     stats = AccessStats()
     threshold_algorithm([s1, s2], k=1, stats=stats)
     assert stats.rounds <= 3
@@ -76,8 +82,8 @@ def test_early_termination_depth():
 
 def test_results_sorted_and_unique():
     sources = [
-        SortedListSource([(f"o{i}", float(i % 7)) for i in range(20)]),
-        SortedListSource([(f"o{i}", float((i * 3) % 5)) for i in range(0, 20, 2)]),
+        _sorted_source([(i, float(i % 7)) for i in range(20)]),
+        _sorted_source([(i, float((i * 3) % 5)) for i in range(0, 20, 2)]),
     ]
     result = threshold_algorithm(sources, k=10)
     ids = [oid for oid, _ in result]
@@ -200,7 +206,7 @@ def test_impact_source_exclude_absent_id_keeps_length():
 
 def test_impact_source_interchangeable_with_eager_source():
     pairs = [(0, 3.0), (2, 2.0), (1, 1.0)]
-    eager = SortedListSource(list(pairs))
+    eager = ImpactSortedSource(list(pairs))
     impact = _impact_source(pairs)
     assert threshold_algorithm([eager], k=3) == threshold_algorithm([impact], k=3)
 
@@ -220,7 +226,7 @@ def test_impact_source_early_termination_skips_tail():
 # access accounting
 # ----------------------------------------------------------------------
 def test_access_stats_counts_full_walk():
-    src = SortedListSource([("a", 3.0), ("b", 2.0), ("c", 1.0)])
+    src = ImpactSortedSource([(0, 3.0), (1, 2.0), (2, 1.0)])
     stats = AccessStats()
     threshold_algorithm([src], k=3, stats=stats)
     assert stats.sorted_accesses == 3
@@ -240,14 +246,14 @@ def test_matches_brute_force(data):
     """TA returns exactly the brute-force top-k (scores always; ids up
     to ties at the k-th score)."""
     n_sources = data.draw(st.integers(1, 4))
-    universe = [f"o{i}" for i in range(data.draw(st.integers(1, 15)))]
+    universe = list(range(data.draw(st.integers(1, 15))))
     sources = []
     for _ in range(n_sources):
         members = data.draw(st.lists(st.sampled_from(universe), unique=True, min_size=0))
         entries = [
             (m, data.draw(st.floats(0.0, 10.0, allow_nan=False, width=32))) for m in members
         ]
-        sources.append(SortedListSource(entries))
+        sources.append(_sorted_source(entries))
     k = data.draw(st.integers(1, 10))
     got = threshold_algorithm(sources, k=k)
     expected = _brute_force_topk(sources, k)
@@ -274,7 +280,8 @@ def test_ties_at_kth_place_match_brute_force(lists, k):
     """Small-integer scores make exact ties common: TA's output must be
     the brute-force ``(-score, id)`` top-k exactly, including which of
     several objects tied at the ``k``-th score it keeps."""
-    sources = [SortedListSource([(oid, float(s)) for oid, s in d.items()]) for d in lists]
+    lists = [{"abcdefgh".index(oid): s for oid, s in d.items()} for d in lists]
+    sources = [_sorted_source([(oid, float(s)) for oid, s in d.items()]) for d in lists]
     universe = set().union(*lists)
     totals = {oid: sum(float(d.get(oid, 0)) for d in lists) for oid in universe}
     expected = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:k]

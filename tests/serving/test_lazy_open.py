@@ -22,7 +22,7 @@ from repro.serving.service import QueryService
 from repro.serving.snapshot import SnapshotManager, build_snapshot
 from repro.storage.store import save_corpus, save_index
 
-MODES = ("auto", "index", "index-rescore")
+MODES = ("auto", "index")
 PHASES = ("load", "ingest", "compact")
 
 

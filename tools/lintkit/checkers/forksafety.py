@@ -7,10 +7,9 @@ are meaningless or dangerous in the child process.  A ``threading.Lock``
 captured into a ``ProcessPoolExecutor`` task is a fresh, unrelated lock
 after fork (mutual exclusion silently lost) and a pickle error under
 spawn; open file handles share kernel offsets with the parent; mmap
-views and sockets cannot cross at all.  The shard-parallel index build
-(`index/inverted.py`) and the scanner pool (`core/parallel.py`) must
-keep their workers resource-free — module-level pure functions fed by
-value.
+views and sockets cannot cross at all.  The shard-parallel index builds
+(`index/inverted.py`, `index/segbuild.py`) must keep their workers
+resource-free — module-level pure functions fed by value.
 
 Detection is a reachability walk, not a pattern match: for every
 ``.submit(fn, ...)`` / ``.map(fn, ...)`` on a process pool the analyzer

@@ -5,8 +5,8 @@ and functions defined inside another function are not picklable, so
 ``pool.map(lambda ...)`` or ``pool.submit(local_fn)`` dies at runtime —
 but only on the spawn start method, so the bug hides on Linux (fork)
 and surfaces on macOS/Windows or inside test harnesses that force
-spawn.  Task callables crossing the `core/parallel.py` boundary must be
-module-level (the seed's ``_score_shard`` is the pattern to follow).
+spawn.  Task callables crossing a process pool must be module-level
+(the index build's ``_build_shard`` is the pattern to follow).
 
 Detection: track names bound to ``ProcessPoolExecutor(...)`` (plus any
 receiver whose name contains "pool" or "executor"), and flag

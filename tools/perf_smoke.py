@@ -8,8 +8,8 @@ properties the impact-ordering change bought:
   must stay under a budget expressed as a fraction of the total posting
   length of each query's lists (a full walk is ratio 1.0; regressing to
   one means TA's early exit stopped firing);
-* **parity** — index-mode rankings stay bit-identical to the pre-change
-  per-query rescoring path on every smoke query;
+* **parity** — the scalar index-mode rankings stay bit-identical to the
+  vectorized default path (``mode="auto"``) on every smoke query;
 * **binary store** — the mmap'd artifact must open fast (load p50
   under ``--max-binary-load-ms``, default 50 ms) and serve rankings
   bit-identical to the engine it was saved from on every smoke query;
@@ -427,7 +427,7 @@ def run_smoke(
         samples.append(time.perf_counter() - start)
         sorted_accesses += stats.sorted_accesses
         total_entries += stats.total_posting_entries
-        if results != engine.search(query, k=k, mode="index-rescore"):
+        if results != engine.search(query, k=k, mode="auto"):
             parity_failures.append(query.object_id)
 
     binary_index = _binary_store_report(engine, queries, k, max_binary_load_ms)
@@ -609,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     if report["parity_failures"]:
         print(
             f"perf-smoke FAIL: {len(report['parity_failures'])} queries diverged "
-            f"from the rescoring reference: {report['parity_failures'][:5]}",
+            f"from the vectorized default path: {report['parity_failures'][:5]}",
             file=sys.stderr,
         )
         return 1
