@@ -87,7 +87,7 @@ class Recommender:
     index:
         A prebuilt clique index to rank over instead of building one —
         typically the retrieval engine's corpus-wide index (a loaded
-        ``index.bin`` or an in-memory build), so a serving snapshot
+        ``index.bin`` or a build's image), so a serving snapshot
         holds one index.  It must hold every candidate that has
         features and cover ``params``' max clique size, else
         ``ValueError``.  Opening it reads no posting: a query reads a
@@ -140,7 +140,7 @@ class Recommender:
             built = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(self._candidates)
-            self._index = SegmentedCliqueIndex(built.vector_view())
+            self._index = as_stack(built)
         self._candidate_mask: np.ndarray | None = (
             self._mask_candidates(self._index) if self._index is not None else None
         )

@@ -162,7 +162,9 @@ class RetrievalEngine:
         A prebuilt index to adopt instead of building one — a
         :class:`~repro.index.segmented.SegmentedCliqueIndex` (the path
         the serving layer uses to load a persisted index) or a
-        :class:`CliqueInvertedIndex`, read as a main-only stack.  Must
+        :class:`CliqueInvertedIndex`, read as a main-only stack over
+        its image as of adoption (later ``add_object`` calls change
+        nothing the engine reads).  Must
         cover at least ``params``' max clique size; takes precedence
         over ``build_index``.
     index_workers:
@@ -204,7 +206,7 @@ class RetrievalEngine:
             built = CliqueInvertedIndex(
                 self._correlations, max_clique_size=self._max_clique_size
             ).build(corpus, n_workers=index_workers)
-            self._index = SegmentedCliqueIndex(built.vector_view())
+            self._index = as_stack(built)
         self._clique_cache: dict[frozenset, tuple[Clique, ...]] = {}
 
     # ------------------------------------------------------------------

@@ -37,11 +37,11 @@ Sections (fixed set, every one required, any order on disk):
   count, entry offset into the float arrays, and CorS (never NaN; a
   reader rejects the file otherwise).
 * ``postings`` — concatenated d-gap + varint streams of dense object
-  ids (:func:`repro.index.compression.encode_postings`).
+  ids (:func:`repro.index.compression.encode_posting_spans`).
 * ``freq`` / ``smooth`` — the two build-time Eq. 7 components as
   contiguous f64 arrays, parallel to the decoded id streams.  f64 (not
   f32) because loaded rankings must stay **bit-identical** to the
-  in-memory build.
+  build they were written from.
 
 String tables: ``u32 count | u32 offsets[count+1] | utf-8 blob``.
 
@@ -52,6 +52,16 @@ any ranking: the query paths select by ``(-score, id)``
 (``accumulate_top_k``, ``ImpactSortedSource``).
 Posting order is canonicalized the same way (key order), so the file
 is a pure function of the postings' contents.
+
+One encoder, three destinations.  :func:`encode_slot_run` turns the
+entries of a run of slots into the payload sections in whole-array
+passes; the writer (:func:`write_index_file`) runs it once over every
+posting, and the streaming segment merge (:mod:`repro.index.segbuild`)
+once per key-range chunk.  :func:`encode_image` lays the writer's
+bytes out in an anonymous mapping instead of a file: that *image* is
+the in-memory segment form — a built index and every ingest delta are
+read through a :class:`BinaryIndexReader` over their image exactly as
+a mapped ``index.bin`` is.
 
 Corruption handling: every failure raises :class:`BinaryFormatError`
 carrying the section name and byte offset; the storage layer maps it
@@ -71,11 +81,13 @@ import struct
 import zlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from repro.index.compression import decode_postings, encode_postings
+from repro.index.compression import decode_postings, encode_posting_spans
 from repro.index.postings import Posting
 
 MAGIC = b"RPROIDX4"
@@ -84,7 +96,6 @@ BINARY_FORMAT_VERSION = 4
 _HEADER = struct.Struct("<8sIIIIQQQ")
 _CRC = struct.Struct("<I")
 _SECTION_RECORD = struct.Struct("<8sQQI4x")
-_POSTMETA_RECORD = struct.Struct("<QIIQd")
 _POSTMETA_DTYPE = np.dtype(
     [
         ("post_off", "<u8"),
@@ -128,29 +139,6 @@ class BinaryFormatError(ValueError):
         self.offset = offset
 
 
-def pack_string_table(strings: Sequence[str]) -> bytes:
-    """Pack ``strings`` as ``count | offsets[count+1] | utf-8 blob``."""
-    blob = bytearray()
-    offsets = [0]
-    for s in strings:
-        blob.extend(s.encode("utf-8"))
-        offsets.append(len(blob))
-    if len(blob) > 0xFFFFFFFF or len(strings) > 0xFFFFFFFF:
-        raise BinaryFormatError("string table exceeds u32 addressing")
-    return (
-        struct.pack("<I", len(strings))
-        + np.asarray(offsets, dtype="<u4").tobytes()
-        + bytes(blob)
-    )
-
-
-def pack_postmeta_record(
-    post_off: int, post_len: int, count: int, entry_off: int, cors: float
-) -> bytes:
-    """Pack one ``postmeta`` record."""
-    return _POSTMETA_RECORD.pack(post_off, post_len, count, entry_off, float(cors))
-
-
 def pack_postmeta_table(
     post_off: np.ndarray,
     post_len: np.ndarray,
@@ -158,10 +146,11 @@ def pack_postmeta_table(
     entry_off: np.ndarray,
     cors: np.ndarray,
 ) -> bytes:
-    """Pack a whole ``postmeta`` section from parallel column arrays —
-    bit-identical to :func:`pack_postmeta_record` per row (the dtype is
-    packed, little-endian, field order matching the struct), without a
-    per-slot Python loop.  ``cors`` is copied as raw f8."""
+    """Pack a whole ``postmeta`` section from parallel column arrays
+    (the dtype is packed, little-endian, one record per slot); ``cors``
+    is copied as raw f8."""
+    if int(post_len.max(initial=0)) > 0xFFFFFFFF or int(counts.max(initial=0)) > 0xFFFFFFFF:
+        raise BinaryFormatError("posting exceeds u32 postmeta addressing")
     table = np.empty(len(counts), dtype=_POSTMETA_DTYPE)
     table["post_off"] = post_off
     table["post_len"] = post_len
@@ -172,8 +161,7 @@ def pack_postmeta_table(
 
 
 def pack_string_table_bytes(items: Sequence[bytes]) -> bytes:
-    """:func:`pack_string_table` over already-encoded UTF-8 items (the
-    vectorized merge keeps keys as bytes throughout)."""
+    """Pack UTF-8 ``items`` as ``count | offsets[count+1] | blob``."""
     offsets = np.zeros(len(items) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, items), dtype=np.int64, count=len(items)),
               out=offsets[1:])
@@ -184,6 +172,59 @@ def pack_string_table_bytes(items: Sequence[bytes]) -> bytes:
         struct.pack("<I", len(items))
         + offsets.astype("<u4").tobytes()
         + b"".join(items)
+    )
+
+
+class EncodedRun(NamedTuple):
+    """The payload of a run of consecutive slots (see
+    :func:`encode_slot_run`)."""
+
+    #: The slots' d-gap + varint id streams, back to back.
+    postings: bytes
+    #: Per slot: its stream's byte offset inside :attr:`postings`.
+    post_off: np.ndarray
+    #: Per slot: its stream's byte length.
+    post_len: np.ndarray
+    #: The entries' ``freq`` components as little-endian f64.
+    freq: bytes
+    #: The entries' ``smooth`` components as little-endian f64.
+    smooth: bytes
+
+
+def encode_slot_run(
+    slots: np.ndarray,
+    ids: np.ndarray,
+    freq: np.ndarray,
+    smooth: np.ndarray,
+    counts: np.ndarray,
+) -> EncodedRun:
+    """Encode the entries of a run of consecutive slots — the one slot
+    encoder the writer and the segment merge share.
+
+    ``slots`` (any labels that increase with the slot), ``ids`` (dense
+    object ids), ``freq`` and ``smooth`` are parallel per-entry arrays
+    in any order; ``counts`` holds each slot's entry count, in slot
+    order, zeros included.  Entries sort by ``(slot, id)`` — the
+    ascending-id order a posting is stored in — and the ids of each
+    slot encode as one stream (:func:`repro.index.compression.encode_posting_spans`).
+    An id repeated inside one slot raises :class:`BinaryFormatError`.
+    """
+    perm = np.lexsort((ids, slots))
+    slots, ids = slots[perm], ids[perm]
+    if bool(np.any((np.diff(slots) == 0) & (np.diff(ids) == 0))):
+        raise BinaryFormatError("an object id repeats inside a posting")
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    stream, nbytes = encode_posting_spans(ids, starts[:-1][counts > 0])
+    ends = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=ends[1:])
+    post_off = ends[starts[:-1]]
+    return EncodedRun(
+        stream,
+        post_off,
+        ends[starts[1:]] - post_off,
+        freq[perm].astype("<f8", copy=False).tobytes(),
+        smooth[perm].astype("<f8", copy=False).tobytes(),
     )
 
 
@@ -201,25 +242,26 @@ class SpilledSection:
     crc: int
 
 
-def assemble_index_file(
-    file_path: str | Path,
+class _Layout(NamedTuple):
+    """Where every byte of an index goes: the head (header, CRCs,
+    section table, padding), each section's ``(name, offset, length)``
+    and the total size."""
+
+    head: bytes
+    records: list[tuple[str, int, int]]
+    size: int
+
+
+def _layout(
     sections: Mapping[str, "bytes | SpilledSection"],
     *,
     n_objects: int,
     n_cliques: int,
     total_entries: int,
     max_clique_size: int,
-) -> Path:
-    """Lay out ``sections`` as an index file — the single source of truth
-    for the byte layout (header, CRCs, section table, 8-byte padding).
-
-    Both the in-memory writer (:func:`write_index_file`) and the
-    streaming segment merge funnel through here, so a merged file is
-    byte-identical to a monolithic rewrite by construction.  The write
-    is atomic (temp file + ``os.replace``) for the same
-    serving-holds-the-old-inode reason as :func:`write_index_file`.
-    """
-    path = Path(file_path)
+) -> _Layout:
+    """The single source of truth for the byte layout (header, CRCs,
+    section table, 8-byte padding)."""
     missing = set(SECTION_NAMES) - set(sections)
     if missing:
         raise BinaryFormatError(f"assembler is missing sections: {sorted(missing)}")
@@ -227,14 +269,16 @@ def assemble_index_file(
     table_start = _HEADER.size + _CRC.size
     payload_start = table_start + len(SECTION_NAMES) * _SECTION_RECORD.size + _CRC.size
     offset = payload_start + (-payload_start) % _ALIGN
-    records: list[tuple[str, int, int, int]] = []
+    records: list[tuple[str, int, int]] = []
+    table = bytearray()
     for name in SECTION_NAMES:
         payload = sections[name]
         if isinstance(payload, SpilledSection):
             length, crc = payload.length, payload.crc
         else:
             length, crc = len(payload), zlib.crc32(payload)
-        records.append((name, offset, length, crc))
+        records.append((name, offset, length))
+        table.extend(_SECTION_RECORD.pack(name.encode("ascii"), offset, length, crc))
         offset += length + (-length) % _ALIGN
 
     header = _HEADER.pack(
@@ -247,30 +291,99 @@ def assemble_index_file(
         n_cliques,
         total_entries,
     )
-    table = bytearray()
-    for name, record_offset, length, crc in records:
-        table.extend(
-            _SECTION_RECORD.pack(name.encode("ascii"), record_offset, length, crc)
-        )
     head = bytearray(header)
     head.extend(_CRC.pack(zlib.crc32(header)))
     head.extend(table)
     head.extend(_CRC.pack(zlib.crc32(bytes(table))))
     head.extend(b"\x00" * ((-payload_start) % _ALIGN))
+    return _Layout(bytes(head), records, offset)
 
+
+def _emit(
+    out: BinaryIO | mmap.mmap,
+    layout: _Layout,
+    sections: Mapping[str, "bytes | SpilledSection"],
+) -> None:
+    """Write ``layout``'s bytes to ``out`` (a file or a mapping)."""
+    out.write(layout.head)
+    for name, _, length in layout.records:
+        payload = sections[name]
+        if isinstance(payload, SpilledSection):
+            with open(payload.path, "rb") as spill:
+                shutil.copyfileobj(spill, out, 1 << 20)
+        else:
+            out.write(payload)
+        out.write(b"\x00" * ((-length) % _ALIGN))
+
+
+def assemble_index_file(
+    file_path: str | Path,
+    sections: Mapping[str, "bytes | SpilledSection"],
+    *,
+    n_objects: int,
+    n_cliques: int,
+    total_entries: int,
+    max_clique_size: int,
+) -> Path:
+    """Lay out ``sections`` as an index file.
+
+    The writer (:func:`write_index_file`), the image
+    (:func:`encode_image`) and the streaming segment merge all lay out
+    through :func:`_layout`, so a merged file is byte-identical to a
+    monolithic rewrite by construction.  The write is atomic (temp
+    file + ``os.replace``): a serving process holding the previous
+    artifact mmap'd keeps reading the old inode — rewriting in place
+    would hand it torn pages.
+    """
+    path = Path(file_path)
+    layout = _layout(
+        sections,
+        n_objects=n_objects,
+        n_cliques=n_cliques,
+        total_entries=total_entries,
+        max_clique_size=max_clique_size,
+    )
     tmp_path = path.with_name(path.name + ".tmp")
     with open(tmp_path, "wb") as out:
-        out.write(bytes(head))
-        for name, _, length, _ in records:
-            payload = sections[name]
-            if isinstance(payload, SpilledSection):
-                with open(payload.path, "rb") as spill:
-                    shutil.copyfileobj(spill, out, 1 << 20)
-            else:
-                out.write(payload)
-            out.write(b"\x00" * ((-length) % _ALIGN))
+        _emit(out, layout, sections)
     os.replace(tmp_path, path)
     return path
+
+
+def _encode_postings(postings: Sequence[Posting]) -> tuple[dict[str, bytes], int]:
+    """The six sections of ``postings`` and their total entry count:
+    one :func:`encode_slot_run` over every entry, slots in key order."""
+    slotted = sorted(postings, key=lambda posting: posting.key)
+    keys = [posting.key.encode("utf-8") for posting in slotted]
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        raise BinaryFormatError("duplicate posting keys in index")
+    object_ids = sorted(set().union(*slotted))
+    rank = {oid: dense for dense, oid in enumerate(object_ids)}
+    counts = np.fromiter(map(len, slotted), dtype=np.int64, count=len(slotted))
+    total = int(counts.sum())
+    run = encode_slot_run(
+        np.repeat(np.arange(len(slotted), dtype=np.int64), counts),
+        np.fromiter(map(rank.__getitem__, chain.from_iterable(slotted)), np.int64, total),
+        np.fromiter(
+            chain.from_iterable(p.component_arrays()[0] for p in slotted), np.float64, total
+        ),
+        np.fromiter(
+            chain.from_iterable(p.component_arrays()[1] for p in slotted), np.float64, total
+        ),
+        counts,
+    )
+    cors = np.fromiter((p.cors for p in slotted), np.float64, len(slotted))
+    sections = {
+        "objids": pack_string_table_bytes([oid.encode("utf-8") for oid in object_ids]),
+        "keys": pack_string_table_bytes(keys),
+        "postmeta": pack_postmeta_table(
+            run.post_off, run.post_len, counts, np.cumsum(counts) - counts, cors
+        ),
+        "postings": run.postings,
+        "freq": run.freq,
+        "smooth": run.smooth,
+    }
+    return sections, total
 
 
 def write_index_file(
@@ -280,65 +393,35 @@ def write_index_file(
     n_objects: int,
     max_clique_size: int,
 ) -> Path:
-    """Serialize ``postings`` as an index file.  Their order does not
-    matter: slots are written in key order.
-
-    The write is atomic (temp file + ``os.replace``): a serving process
-    holding the previous artifact mmap'd keeps reading the old inode —
-    rewriting in place would hand it torn pages.
-    """
-    path = Path(file_path)
-    keys = [p.key for p in postings]
-    if len(set(keys)) != len(keys):
-        raise BinaryFormatError("duplicate posting keys in index")
-
-    all_ids: set[str] = set()
-    for posting in postings:
-        all_ids.update(posting.object_ids)
-    object_ids = sorted(all_ids)
-    rank = {oid: i for i, oid in enumerate(object_ids)}
-
-    slot_order = sorted(range(len(postings)), key=lambda i: keys[i])
-
-    postmeta = bytearray()
-    streams = bytearray()
-    freq_parts = bytearray()
-    smooth_parts = bytearray()
-    total_entries = 0
-    for posting_index in slot_order:
-        posting = postings[posting_index]
-        entries = []
-        for i, oid in enumerate(posting.object_ids):
-            f, s = posting.components(i)
-            entries.append((rank[oid], f, s))
-        entries.sort(key=lambda e: e[0])
-        stream = encode_postings([e[0] for e in entries])
-        postmeta.extend(
-            pack_postmeta_record(
-                len(streams), len(stream), len(entries), total_entries, posting.cors
-            )
-        )
-        streams.extend(stream)
-        freq_parts.extend(np.asarray([e[1] for e in entries], dtype="<f8").tobytes())
-        smooth_parts.extend(np.asarray([e[2] for e in entries], dtype="<f8").tobytes())
-        total_entries += len(entries)
-
-    sections: dict[str, bytes | SpilledSection] = {
-        "objids": pack_string_table(object_ids),
-        "keys": pack_string_table([keys[i] for i in slot_order]),
-        "postmeta": bytes(postmeta),
-        "postings": bytes(streams),
-        "freq": bytes(freq_parts),
-        "smooth": bytes(smooth_parts),
-    }
+    """Serialize ``postings`` as an index file, atomically.  Their order
+    does not matter: slots are written in key order."""
+    sections, total_entries = _encode_postings(postings)
     return assemble_index_file(
-        path,
+        file_path,
         sections,
         n_objects=n_objects,
         n_cliques=len(postings),
         total_entries=total_entries,
         max_clique_size=max_clique_size,
     )
+
+
+def encode_image(
+    postings: Sequence[Posting], *, n_objects: int, max_clique_size: int
+) -> "BinaryIndexReader":
+    """The exact bytes :func:`write_index_file` writes for ``postings``,
+    in an anonymous mapping, opened — the in-memory segment form."""
+    sections, total_entries = _encode_postings(postings)
+    layout = _layout(
+        sections,
+        n_objects=n_objects,
+        n_cliques=len(postings),
+        total_entries=total_entries,
+        max_clique_size=max_clique_size,
+    )
+    image = mmap.mmap(-1, layout.size)
+    _emit(image, layout, sections)
+    return BinaryIndexReader(image, verify_payload=False)
 
 
 def read_section_table(file_path: str | Path) -> dict[str, tuple[int, int]]:
@@ -349,35 +432,46 @@ def read_section_table(file_path: str | Path) -> dict[str, tuple[int, int]]:
 
 
 class BinaryIndexReader:
-    """mmap-backed random access into one index file.
+    """mmap-backed random access into one index file or image.
 
-    Opening parses the header and section table, validates structure
-    (bounds, string-table monotonicity, postmeta consistency) and
-    CRC-checks the metadata sections — plus the
-    payload sections when ``verify_payload`` (the default).  Postings
+    ``source`` is a file path, or the anonymous mapping of an image
+    (:func:`encode_image`), which the reader then owns.  Opening parses
+    the header and section table, validates structure (bounds,
+    string-table monotonicity, postmeta consistency) and CRC-checks the
+    metadata sections — plus the payload sections when
+    ``verify_payload`` (the default).  Postings
     decode lazily, one clique at a time; the float arrays are zero-copy
     views into the mapping.
 
-    The mapping is read-only and shared: concurrent readers (threads or
-    forked worker processes) and successive serving generations over
-    the same artifact all hit the same page-cache pages.
+    A file's mapping is read-only and shared: concurrent readers
+    (threads or forked worker processes) and successive serving
+    generations over the same artifact all hit the same page-cache
+    pages.
     """
 
-    def __init__(self, file_path: str | Path, *, verify_payload: bool = True) -> None:
-        self._path = Path(file_path)
-        try:
-            self._file = open(self._path, "rb")
-        except FileNotFoundError:
-            raise BinaryFormatError(f"missing binary index artifact: {self._path}") from None
-        except OSError as exc:
-            raise BinaryFormatError(f"unreadable binary index artifact: {exc}") from exc
-        try:
-            self._mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:
-            self._file.close()
-            raise BinaryFormatError(
-                f"cannot mmap {self._path}: {exc}", section="header", offset=0
-            ) from exc
+    def __init__(
+        self, source: str | Path | mmap.mmap, *, verify_payload: bool = True
+    ) -> None:
+        if isinstance(source, mmap.mmap):
+            self._path: Path | None = None
+            self._mm = source
+        else:
+            self._path = Path(source)
+            try:
+                self._file = open(self._path, "rb")
+            except FileNotFoundError:
+                raise BinaryFormatError(
+                    f"missing binary index artifact: {self._path}"
+                ) from None
+            except OSError as exc:
+                raise BinaryFormatError(f"unreadable binary index artifact: {exc}") from exc
+            try:
+                self._mm = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError) as exc:
+                self._file.close()
+                raise BinaryFormatError(
+                    f"cannot mmap {self._path}: {exc}", section="header", offset=0
+                ) from exc
         try:
             self._parse(verify_payload)
         except BaseException:
@@ -531,7 +625,7 @@ class BinaryIndexReader:
 
     def _open_postmeta(self) -> np.ndarray:
         offset, length = self._section("postmeta")
-        expected = self.n_cliques * _POSTMETA_RECORD.size
+        expected = self.n_cliques * _POSTMETA_DTYPE.itemsize
         if length != expected:
             raise BinaryFormatError(
                 f"postmeta is {length} bytes, expected {expected} for "
@@ -581,13 +675,16 @@ class BinaryIndexReader:
                 section=name,
                 offset=offset,
             )
-        return np.frombuffer(self._mm, dtype="<f8", count=self.total_entries, offset=offset)
+        floats = np.frombuffer(self._mm, dtype="<f8", count=self.total_entries, offset=offset)
+        floats.flags.writeable = False  # an image's mapping is writable
+        return floats
 
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
     @property
-    def path(self) -> Path:
+    def path(self) -> Path | None:
+        """The mapped file; ``None`` for an image (:func:`encode_image`)."""
         return self._path
 
     @property

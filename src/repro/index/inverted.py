@@ -12,10 +12,12 @@ weight and ranks the stored arrays: no per-candidate scoring and no
 corpus access.  The scalar path sorts each touched posting into its
 α-specific impact order per query; nothing is sorted ahead of a query.
 
-This builder is also the in-memory segment: a snapshot that has no
-``index.bin`` and every ingest delta serve one through its
-:class:`~repro.index.vectorized.InMemoryVectorView`, inside a
-:class:`~repro.index.segmented.SegmentedCliqueIndex`.
+This builder only builds.  Queries read it as its image — the bytes
+``save_index`` writes for it, in an anonymous mapping
+(:func:`~repro.index.segmented.image_segment`) — inside a
+:class:`~repro.index.segmented.SegmentedCliqueIndex`, like a mapped
+``index.bin``: a snapshot that has no ``index.bin`` and every ingest
+delta are served that way.
 
 Building is shard-parallel: the corpus splits into contiguous shards
 (:func:`~repro.core.sharding.split_shards`), each worker scores
@@ -36,7 +38,6 @@ from repro.core.mrf import score_object
 from repro.core.objects import MediaObject
 from repro.core.sharding import split_shards
 from repro.index.postings import Posting
-from repro.index.vectorized import InMemoryVectorView
 
 def _build_shard(
     payload: tuple[Sequence[MediaObject], CorrelationModel, int],
@@ -80,7 +81,6 @@ class CliqueInvertedIndex:
         self._cors_lookup = cors_lookup
         self._postings: dict[str, Posting] = {}
         self._n_objects = 0
-        self._vector_view: InMemoryVectorView | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -111,7 +111,6 @@ class CliqueInvertedIndex:
                 postings[key] = posting
             posting.add(obj.object_id, freq_part, smooth_part)
         self._n_objects += 1
-        self._vector_view = None
         return len(scored)
 
     def build(
@@ -150,15 +149,6 @@ class CliqueInvertedIndex:
                 object_ids = shard_posting.object_ids
                 freq, smooth = shard_posting.component_arrays()
                 posting.extend_scored(list(zip(object_ids, freq, smooth)))
-        self._vector_view = None
-
-    def vector_view(self) -> InMemoryVectorView:
-        """Cached read surface of this index as a segment (see
-        :mod:`repro.index.vectorized`); rebuilt after any mutation
-        because the dense-id table depends on the posting contents."""
-        if self._vector_view is None:
-            self._vector_view = InMemoryVectorView(self)
-        return self._vector_view
 
     # ------------------------------------------------------------------
     # queries

@@ -11,14 +11,15 @@ LSM/Lucene way:
    ``split_shards`` dispatch) and each writes its partial postings as a
    *self-contained segment file* in the index format.  A worker's peak
    RSS is bounded by its shard, not the corpus.
-2. **Streaming k-way merge** (:func:`merge_segment_files`) mmaps the
-   segments and emits the final ``index.bin`` slot by slot: per-clique
-   entries are remapped to the global dense-id space and merged in
-   ascending-id order, payload sections spill to temp files with
-   incremental CRCs, and the file is assembled by the same
-   :func:`~repro.index.binfmt.assemble_index_file` layout path the
-   monolithic writer uses.  At no point do all postings live in one
-   heap.
+2. **Streaming k-way merge** (:func:`merge_segments` over open
+   readers; :func:`merge_segment_files` opens files for it) emits the
+   final ``index.bin`` key range by key range: per-clique entries are
+   remapped to the global dense-id space and encoded by the slot
+   encoder the monolithic writer uses
+   (:func:`~repro.index.binfmt.encode_slot_run`), payload sections
+   spill to temp files with incremental CRCs, and the file is
+   assembled by the same :func:`~repro.index.binfmt.assemble_index_file`
+   layout path.  At no point do all postings live in one heap.
 
 **Byte identity.**  The merged file equals ``write_index_file`` over
 the monolithic postings byte for byte because every section is a pure
@@ -31,9 +32,11 @@ holding a key stores the same value the serial first encounter did.
 Tests gate this with ``cmp``.
 
 The same merge folds **delta segments** into the main segment during
-compaction: a delta holds only newer objects (ids disjoint from the
-main segment, appended after it), which is precisely the "next shard"
-shape the merge already handles.
+compaction, straight from the serving stack's open readers — a mapped
+``index.bin`` or a built main's image, and each delta's image: a delta
+holds only newer objects (ids disjoint from the main segment, appended
+after it), which is precisely the "next shard" shape the merge already
+handles.
 
 One build path: ``n_workers == 1`` (or a corpus too small to shard)
 scores the whole corpus inline into one segment with no process pool,
@@ -44,6 +47,7 @@ The artifact does not depend on the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import resource
 import tempfile
@@ -64,11 +68,12 @@ from repro.index.binfmt import (
     BinaryIndexReader,
     SpilledSection,
     assemble_index_file,
+    encode_slot_run,
     pack_postmeta_table,
     pack_string_table_bytes,
     write_index_file,
 )
-from repro.index.compression import decode_posting_spans, encode_posting_spans
+from repro.index.compression import decode_posting_spans
 from repro.index.inverted import _build_shard
 
 #: Name template for shard segment files inside a build directory.
@@ -165,31 +170,35 @@ def merge_segment_files(
     *,
     verify_payload: bool = False,
 ) -> Path:
-    """Stream-merge segment files into one index file at ``out_path``.
-
-    Segments must hold disjoint object-id sets (contiguous corpus
-    shards, or main + delta segments); entries merge per clique in
-    ascending global-id order and the output is byte-identical to a
-    monolithic :func:`~repro.index.binfmt.write_index_file` over the
-    union.  The pass over postings is vectorized (batch varint decode /
-    encode, one lexsort per chunk) and chunked by key range, spilling
-    payload sections to temp files with incremental CRCs.
-    """
-    if not segment_paths:
-        raise ValueError("merge_segment_files needs at least one segment")
-    out = Path(out_path)
+    """Open segment files and :func:`merge_segments` them into
+    ``out_path``."""
     readers = [
         BinaryIndexReader(path, verify_payload=verify_payload)
         for path in segment_paths
     ]
     try:
-        return _merge(readers, out)
+        return merge_segments(readers, out_path)
     finally:
         for reader in readers:
             reader.close()
 
 
-def _merge(readers: Sequence[BinaryIndexReader], out: Path) -> Path:
+def merge_segments(readers: Sequence[BinaryIndexReader], out_path: str | Path) -> Path:
+    """Stream-merge open segments — files or images — into one index
+    file at ``out_path``.
+
+    Segments must hold disjoint object-id sets (contiguous corpus
+    shards, or main + delta segments); entries merge per clique in
+    ascending global-id order and the output is byte-identical to a
+    monolithic :func:`~repro.index.binfmt.write_index_file` over the
+    union.  The pass over postings is vectorized (batch varint decode,
+    then :func:`~repro.index.binfmt.encode_slot_run` per chunk) and
+    chunked by key range, spilling payload sections to temp files with
+    incremental CRCs.  The readers stay open.
+    """
+    if not readers:
+        raise ValueError("merging needs at least one segment")
+    out = Path(out_path)
     max_clique_size = readers[0].max_clique_size
     for reader in readers[1:]:
         if reader.max_clique_size != max_clique_size:
@@ -247,11 +256,11 @@ def _merge(readers: Sequence[BinaryIndexReader], out: Path) -> Path:
         }
         crcs = dict.fromkeys(spill_paths, 0)
         post_bytes = 0
-        with (
-            open(spill_paths["postings"], "wb") as post_out,
-            open(spill_paths["freq"], "wb") as freq_out,
-            open(spill_paths["smooth"], "wb") as smooth_out,
-        ):
+        with contextlib.ExitStack() as stack:
+            spills = {
+                name: stack.enter_context(open(path, "wb"))
+                for name, path in spill_paths.items()
+            }
             chunk_lo = 0
             while chunk_lo < n_global:
                 chunk_hi = int(
@@ -289,44 +298,26 @@ def _merge(readers: Sequence[BinaryIndexReader], out: Path) -> Path:
                     freq_parts.append(freq_all[entry_lo:entry_hi])
                     smooth_parts.append(smooth_all[entry_lo:entry_hi])
 
-                slots = np.concatenate(slot_parts)
-                ids = np.concatenate(id_parts)
-                perm = np.lexsort((ids, slots))
-                slots = slots[perm]
-                ids = ids[perm]
-                if bool(np.any((np.diff(slots) == 0) & (np.diff(ids) <= 0))):
-                    raise BinaryFormatError(
-                        "segments are not disjoint inside a posting"
-                    )
-                freq_arr = np.concatenate(freq_parts)[perm].astype("<f8", copy=False)
-                smooth_arr = np.concatenate(smooth_parts)[perm].astype(
-                    "<f8", copy=False
-                )
-
                 counts_chunk = counts_g[chunk_lo:chunk_hi]
-                starts_rel = entry_cum[chunk_lo:chunk_hi] - entry_cum[chunk_lo]
-                stream, nbytes = encode_posting_spans(ids, starts_rel)
-                nb_cum = np.zeros(len(ids) + 1, dtype=np.int64)
-                np.cumsum(nbytes, out=nb_cum[1:])
-                post_off_g[chunk_lo:chunk_hi] = post_bytes + nb_cum[starts_rel]
-                post_len_g[chunk_lo:chunk_hi] = (
-                    nb_cum[starts_rel + counts_chunk] - nb_cum[starts_rel]
+                run = encode_slot_run(
+                    np.concatenate(slot_parts),
+                    np.concatenate(id_parts),
+                    np.concatenate(freq_parts),
+                    np.concatenate(smooth_parts),
+                    counts_chunk,
                 )
-                post_out.write(stream)
-                crcs["postings"] = zlib.crc32(stream, crcs["postings"])
-                post_bytes += len(stream)
-                freq_bytes = freq_arr.tobytes()
-                freq_out.write(freq_bytes)
-                crcs["freq"] = zlib.crc32(freq_bytes, crcs["freq"])
-                smooth_bytes = smooth_arr.tobytes()
-                smooth_out.write(smooth_bytes)
-                crcs["smooth"] = zlib.crc32(smooth_bytes, crcs["smooth"])
+                post_off_g[chunk_lo:chunk_hi] = post_bytes + run.post_off
+                post_len_g[chunk_lo:chunk_hi] = run.post_len
+                for name, payload in (
+                    ("postings", run.postings),
+                    ("freq", run.freq),
+                    ("smooth", run.smooth),
+                ):
+                    spills[name].write(payload)
+                    crcs[name] = zlib.crc32(payload, crcs[name])
+                post_bytes += len(run.postings)
                 chunk_lo = chunk_hi
 
-        if int(post_len_g.max(initial=0)) > 0xFFFFFFFF or int(
-            counts_g.max(initial=0)
-        ) > 0xFFFFFFFF:
-            raise BinaryFormatError("posting exceeds u32 postmeta addressing")
         sections: dict[str, bytes | SpilledSection] = {
             "objids": pack_string_table_bytes(global_oids.tolist()),
             "keys": pack_string_table_bytes(global_keys.tolist()),

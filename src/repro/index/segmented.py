@@ -5,13 +5,16 @@ Every query reads the clique index (Section 3.5, Figure 3) through a
 (:func:`repro.storage.store.load_index`) and a built index alike are a
 *main-only* stack over one segment; streaming ingest, which cannot
 afford a rebuild — at paper scale a monolithic build is ~25 minutes —
-appends small **delta segments** (in-memory indexes built over just the
-new objects with the snapshot's frozen correlation model) and queries
-run over the stack, LSM-style.
+appends small **delta segments** (indexes built over just the new
+objects with the snapshot's frozen correlation model) and queries run
+over the stack, LSM-style.
 
-A segment is read only through its vector view
-(:class:`~repro.index.vectorized.MmapVectorView` over a mapped file,
-:class:`~repro.index.vectorized.InMemoryVectorView` over a builder).
+Every segment has one form, the index format: a mapped ``index.bin``,
+or the *image* of a builder (:func:`image_segment` — the bytes
+``save_index`` would write, in an anonymous mapping).  An image is a
+snapshot of its builder: adding objects to the builder afterwards
+changes nothing a stack reads.  A segment is read only through its
+:class:`~repro.index.vectorized.MmapVectorView`.
 The stack derives its whole read API — ``lookup``, ``iter_postings``,
 ``cors_for_key``, ``len``, ``in``, ``stats`` — once, from one view: a
 main-only stack reads its segment's own view as is (no remap, no global
@@ -42,7 +45,8 @@ no posting — the publish cost of an ingest batch is the batch's own
 build, never proportional to the corpus.
 
 The stack has no mutators: growth happens by deriving a new stack,
-compaction by merging segment *files* (:mod:`repro.index.segbuild`) and
+compaction by merging the stack's open segments into a new
+``index.bin`` (:func:`~repro.index.segbuild.merge_segments`) and
 hot-reloading.
 """
 
@@ -51,9 +55,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from repro.core.cliques import Clique
+from repro.index.binfmt import encode_image
 from repro.index.inverted import CliqueInvertedIndex
 from repro.index.postings import Posting
-from repro.index.vectorized import PostingVectors, SegmentedVectorView, SegmentView
+from repro.index.vectorized import MmapVectorView, PostingVectors, SegmentedVectorView
 
 
 class SegmentedCliqueIndex:
@@ -62,19 +67,20 @@ class SegmentedCliqueIndex:
     Parameters
     ----------
     main:
-        The large immutable segment's view — typically an
-        :class:`~repro.index.vectorized.MmapVectorView` over
-        ``index.bin``.  The stack owns one pin on it: a freshly opened
+        The large immutable segment's view — ``index.bin`` or a built
+        index's image.  The stack owns one pin on it: a freshly opened
         view carries exactly one, :meth:`with_delta` takes another for
         the derived stack, and :meth:`close` releases the stack's.
     deltas:
-        Delta segment views in arrival order (oldest first).  Their
+        Delta segment images in arrival order (oldest first).  Their
         objects must be disjoint from ``main``'s and from each other's,
         and each must be built with the same correlation model and
         clique bound as ``main``.
     """
 
-    def __init__(self, main: SegmentView, deltas: Sequence[SegmentView] = ()) -> None:
+    def __init__(
+        self, main: MmapVectorView, deltas: Sequence[MmapVectorView] = ()
+    ) -> None:
         for delta in deltas:
             if delta.max_clique_size != main.max_clique_size:
                 raise ValueError(
@@ -83,23 +89,20 @@ class SegmentedCliqueIndex:
                 )
         self._main = main
         self._deltas = tuple(deltas)
-        self._view: SegmentView | SegmentedVectorView = (
+        self._view: MmapVectorView | SegmentedVectorView = (
             SegmentedVectorView((main, *self._deltas)) if self._deltas else main
         )
-        #: Postings built by :meth:`lookup`; queries read the view's
-        #: arrays instead.
-        self._postings: dict[str, Posting] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
     # stack structure
     # ------------------------------------------------------------------
     @property
-    def main(self) -> SegmentView:
+    def main(self) -> MmapVectorView:
         return self._main
 
     @property
-    def deltas(self) -> tuple[SegmentView, ...]:
+    def deltas(self) -> tuple[MmapVectorView, ...]:
         return self._deltas
 
     @property
@@ -116,12 +119,12 @@ class SegmentedCliqueIndex:
         """Objects living in delta segments (compaction folds them in)."""
         return sum(delta.n_objects for delta in self._deltas)
 
-    def with_delta(self, delta: SegmentView) -> "SegmentedCliqueIndex":
+    def with_delta(self, delta: MmapVectorView) -> "SegmentedCliqueIndex":
         """A new stack with ``delta`` appended — O(delta): the main
         segment and every prior delta are shared, not copied."""
         return SegmentedCliqueIndex(self._main.acquire(), (*self._deltas, delta))
 
-    def vector_view(self) -> SegmentView | SegmentedVectorView:
+    def vector_view(self) -> MmapVectorView | SegmentedVectorView:
         """The one view every query reads (see :mod:`repro.index.vectorized`)."""
         return self._view
 
@@ -131,24 +134,19 @@ class SegmentedCliqueIndex:
     def lookup(self, clique: Clique | str) -> Posting | None:
         """Posting for a clique (``None`` when no segment holds it) —
         Algorithm 1's ``InvList(c_i)``, entries in ascending object id
-        order, built from the view's arrays on first lookup and kept."""
+        order, built from the view's arrays on every call."""
         key = clique.key if isinstance(clique, Clique) else clique
-        posting = self._postings.get(key)
-        if posting is None:
-            posting = self._posting(self._view.vectors(key))
-            if posting is not None:
-                self._postings[key] = posting
-        return posting
+        return self._posting(self._view.vectors(key))
 
     def iter_postings(self) -> Iterator[Posting]:
         """Every posting once, merged across segments: the main
         segment's keys, then each delta's novel keys.  A full scan (the
-        writer's input) keeps none of the postings it builds and leaves
-        every segment's decoded arrays as it found them.  The writer
-        sorts by key, so the order does not reach a file."""
+        writer's input) leaves every segment's decoded arrays as it
+        found them.  The writer sorts by key, so the order does not
+        reach a file."""
         view = self._view
         for key in view.keys():
-            posting = self._postings.get(key) or self._posting(view.read_vectors(key))
+            posting = self._posting(view.read_vectors(key))
             assert posting is not None
             yield posting
 
@@ -179,10 +177,9 @@ class SegmentedCliqueIndex:
 
     def stats(self) -> dict[str, float]:
         """Size/selectivity summary from the merged posting lengths — no
-        posting is decoded.  ``materialized_postings`` (postings built
-        by :meth:`lookup`) and ``decoded_slots`` (postings decoded into
-        arrays) show how much of the index queries have touched; both
-        are 0 after open."""
+        posting is decoded.  ``decoded_slots`` (postings decoded into
+        arrays) shows how much of the index queries have touched; it is
+        0 after open."""
         lengths = self._view.posting_lengths()
         n_cliques = len(lengths)
         total = int(lengths.sum()) if n_cliques else 0
@@ -192,7 +189,6 @@ class SegmentedCliqueIndex:
             "total_postings": float(total),
             "avg_posting_length": total / n_cliques if n_cliques else 0.0,
             "max_posting_length": float(lengths.max()) if n_cliques else 0.0,
-            "materialized_postings": float(len(self._postings)),
             "decoded_slots": float(self._view.decoded_slots),
         }
 
@@ -217,7 +213,8 @@ class SegmentedCliqueIndex:
         """Release this stack's pin on the main segment (idempotent).
         Built postings keep working (they own their arrays); after the
         last pin is released, not-yet-touched cliques cannot be read.
-        Delta segments are in-memory and need no release."""
+        Delta images are shared by every later stack and are freed
+        with their last reference."""
         if not self._closed:
             self._closed = True
             self._main.close()
@@ -235,9 +232,21 @@ class SegmentedCliqueIndex:
         )
 
 
+def image_segment(index: CliqueInvertedIndex) -> MmapVectorView:
+    """``index`` as a segment: the bytes ``save_index`` writes for it,
+    in an anonymous mapping (:func:`~repro.index.binfmt.encode_image`)."""
+    return MmapVectorView(
+        encode_image(
+            list(index.iter_postings()),
+            n_objects=index.n_objects,
+            max_clique_size=index.max_clique_size,
+        )
+    )
+
+
 def as_stack(index: CliqueInvertedIndex | SegmentedCliqueIndex) -> SegmentedCliqueIndex:
     """``index`` as the stack a query reads: a builder becomes a
-    main-only stack over its in-memory view."""
+    main-only stack over its image."""
     if isinstance(index, CliqueInvertedIndex):
-        return SegmentedCliqueIndex(index.vector_view())
+        return SegmentedCliqueIndex(image_segment(index))
     return index

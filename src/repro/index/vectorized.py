@@ -22,10 +22,12 @@ arrays:
   ``n_objects``-sized array, no per-α cache, no Threshold Algorithm
   walk — every entry is summed anyway, so early termination would
   save no reading (DESIGN.md §9).
-* :class:`MmapVectorView` / :class:`InMemoryVectorView` — the read
-  surface of one segment (a mapped ``index.bin`` or a builder): the
-  posting arrays plus the sorted object-id table, keys, posting
-  lengths, CorS by key and backing file a
+* :class:`MmapVectorView` — the read surface of one segment, the
+  one segment form: a mapped ``index.bin``, or the image of a built
+  index or ingest delta (the same bytes in an anonymous mapping,
+  :func:`~repro.index.binfmt.encode_image`).  It holds the posting
+  arrays plus the sorted object-id table, keys, posting lengths, CorS
+  by key and reader a
   :class:`~repro.index.segmented.SegmentedCliqueIndex` derives its
   read API from.  :class:`SegmentedVectorView` is the same surface
   merged over a main segment and its ingest deltas.
@@ -47,15 +49,12 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.mrf import mix_components, scale_impacts
 from repro.index.binfmt import BinaryIndexReader
-
-if TYPE_CHECKING:
-    from repro.index.inverted import CliqueInvertedIndex
 
 
 class PostingVectors:
@@ -190,18 +189,21 @@ def accumulate_top_k(
 
 
 class MmapVectorView:
-    """The read surface of an mmap'd segment: zero-copy component views,
-    the reader's cached dense-id decode, and the metadata a segment
-    stack needs — the id table, keys, posting lengths and CorS, all
-    read straight off the mapping with no posting decoded.
+    """The read surface of a mapped segment — an ``index.bin`` file or
+    an image: zero-copy component views, the reader's cached dense-id
+    decode, and the metadata a segment stack needs — the id table,
+    keys, posting lengths and CorS, all read straight off the mapping
+    with no posting decoded.
 
     The view owns its reader and counts the sharers of the mapping:
     stacks derived by ingest share one main segment across snapshot
     generations (guarded by: ``SnapshotManager._swap_lock`` — pins only
     move while a snapshot is being constructed or retired).
     Construction counts as the first pin; each :meth:`acquire` is
-    balanced by one :meth:`close`, and the last close releases the
-    mapping.
+    balanced by one :meth:`close`, and the last close releases a file's
+    mapping.  An image holds nothing but memory: it is freed with its
+    last reference, so a retired snapshot's built index keeps
+    answering, as its heap-built index did.
     """
 
     def __init__(self, reader: BinaryIndexReader) -> None:
@@ -219,8 +221,13 @@ class MmapVectorView:
 
     @property
     def path(self) -> Path | None:
-        """The backing ``index.bin``."""
+        """The backing ``index.bin``; ``None`` for an image."""
         return self._reader.path
+
+    @property
+    def reader(self) -> BinaryIndexReader:
+        """The open segment — what compaction merges."""
+        return self._reader
 
     @property
     def decoded_slots(self) -> int:
@@ -282,117 +289,10 @@ class MmapVectorView:
         return self
 
     def close(self) -> None:
-        """Release one pin; the mapping closes with the last one."""
+        """Release one pin; a file's mapping closes with the last one."""
         self._pins -= 1
-        if self._pins <= 0:
+        if self._pins <= 0 and self.path is not None:
             self._reader.close()
-
-
-class InMemoryVectorView:
-    """The read surface of a built (in-memory) index, shaped like
-    :class:`MmapVectorView`.
-
-    Builds one sorted object-id table up front (dense id = rank, so
-    dense order == string order) and converts each posting to ascending
-    dense-id arrays on first touch — the in-memory segment a snapshot
-    serves without an ``index.bin``, and every ingest delta.
-    """
-
-    def __init__(self, index: CliqueInvertedIndex) -> None:
-        self._index = index
-        ids: set[str] = set()
-        for posting in index.iter_postings():
-            ids.update(posting.object_ids)
-        self._table = sorted(ids)
-        self._rank = {oid: dense for dense, oid in enumerate(self._table)}
-        self._cache: dict[str, PostingVectors | None] = {}
-        self._slots: dict[str, int] | None = None
-
-    @property
-    def n_objects(self) -> int:
-        return self._index.n_objects
-
-    @property
-    def max_clique_size(self) -> int:
-        return self._index.max_clique_size
-
-    @property
-    def path(self) -> Path | None:
-        """``None``: the segment has no backing file."""
-        return None
-
-    @property
-    def decoded_slots(self) -> int:
-        """Postings converted to arrays so far."""
-        return sum(vectors is not None for vectors in self._cache.values())
-
-    def dense_id(self, object_id: str) -> int | None:
-        return self._rank.get(object_id)
-
-    def object_id(self, dense: int) -> str:
-        return self._table[dense]
-
-    def object_ids(self) -> list[str]:
-        """The sorted object-id table (dense id = position)."""
-        return self._table
-
-    def keys(self) -> Iterator[str]:
-        """Every clique key in first-encounter order."""
-        return (posting.key for posting in self._index.iter_postings())
-
-    def posting_lengths(self) -> np.ndarray:
-        """Posting lengths, parallel to :meth:`keys`."""
-        return np.fromiter((len(p) for p in self._index.iter_postings()), dtype=np.int64)
-
-    def slot(self, key: str) -> int | None:
-        """Position of ``key`` in :meth:`keys`; ``None`` when absent."""
-        if self._slots is None:
-            self._slots = {key: slot for slot, key in enumerate(self.keys())}
-        return self._slots.get(key)
-
-    def cors(self, key: str) -> float | None:
-        posting = self._index.lookup(key)
-        return None if posting is None else posting.cors
-
-    def vectors(self, key: str) -> PostingVectors | None:
-        if key not in self._cache:
-            self._cache[key] = self.read_vectors(key)
-        return self._cache[key]
-
-    def read_vectors(self, key: str) -> PostingVectors | None:
-        """:meth:`vectors` without keeping the result — the full scans'
-        read, which must not pin every converted posting."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        posting = self._index.lookup(key)
-        if posting is None:
-            return None
-        n = len(posting)
-        rank = self._rank
-        dense = np.fromiter(
-            (rank[oid] for oid in posting), dtype=np.int64, count=n
-        )
-        freq_list, smooth_list = posting.component_arrays()
-        freq = np.asarray(freq_list, dtype=np.float64)
-        smooth = np.asarray(smooth_list, dtype=np.float64)
-        order = np.argsort(dense)
-        return PostingVectors(key, posting.cors, dense[order], freq[order], smooth[order])
-
-    @property
-    def closed(self) -> bool:
-        return False
-
-    def acquire(self) -> "InMemoryVectorView":
-        """Nothing to pin: the heap holds the postings."""
-        return self
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-#: One segment of a stack, read through its view.
-SegmentView = MmapVectorView | InMemoryVectorView
 
 
 class SegmentedVectorView:
@@ -418,7 +318,7 @@ class SegmentedVectorView:
     keys; ``posting_lengths()`` are the merged lengths parallel to them.
     """
 
-    def __init__(self, segments: Sequence[SegmentView]) -> None:
+    def __init__(self, segments: Sequence[MmapVectorView]) -> None:
         self._segments = tuple(segments)
         self._n_objects = sum(segment.n_objects for segment in self._segments)
         self._table: list[str] | None = None

@@ -359,9 +359,7 @@ class QueryService:
             index = snapshot.engine.index
             if index is not None:
                 # How much of the index queries have touched so far.
-                counters = index.stats()
-                for name in ("materialized_postings", "decoded_slots"):
-                    index_stats[name] = int(counters[name])
+                index_stats["decoded_slots"] = int(index.stats()["decoded_slots"])
         return {
             "snapshot": {
                 "generation": snapshot.generation,

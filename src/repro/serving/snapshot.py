@@ -44,8 +44,8 @@ from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine
 from repro.index.binfmt import BINARY_FORMAT_VERSION
 from repro.index.inverted import CliqueInvertedIndex
-from repro.index.segbuild import merge_segment_files
-from repro.index.segmented import SegmentedCliqueIndex
+from repro.index.segbuild import merge_segments
+from repro.index.segmented import SegmentedCliqueIndex, as_stack, image_segment
 from repro.social.corpus import Corpus
 from repro.storage.store import (
     StorageError,
@@ -53,7 +53,6 @@ from repro.storage.store import (
     load_corpus,
     load_index,
     load_params,
-    save_index,
 )
 
 #: The persisted retrieval index the snapshot loader picks up (written
@@ -132,10 +131,10 @@ class EngineSnapshot:
     def close(self) -> None:
         """Release OS resources held by this snapshot's index.
 
-        A snapshot whose index came from the binary artifact holds a
-        pin on the artifact's file descriptor and mapping
-        (:class:`repro.index.vectorized.MmapVectorView`); a built
-        in-memory index holds nothing to release.  The manager calls
+        The snapshot's main segment holds a pin on its mapping
+        (:class:`repro.index.vectorized.MmapVectorView`): the
+        artifact's file descriptor and pages, or a built index's
+        image.  The manager calls
         this once the snapshot is retired and the last lease is
         released — never while a request may still read it.
         """
@@ -211,7 +210,7 @@ def _attach_index(
 ) -> tuple[RetrievalEngine, IndexProvenance]:
     """Give the engine its retrieval index, a main-only stack: over
     ``index.bin`` (mmap) when a valid one sits next to the corpus,
-    otherwise over an in-memory build.
+    otherwise over the image of a fresh build.
 
     A stale artifact (object count differing from the corpus), a
     corrupt one or one of an older format version falls through to
@@ -246,7 +245,7 @@ def _attach_index(
     built = CliqueInvertedIndex(
         engine.correlations, max_clique_size=engine.params.max_clique_size
     ).build(corpus)
-    index = SegmentedCliqueIndex(built.vector_view())
+    index = as_stack(built)
     engine.adopt_index(index)
     stats = index.stats()
     return engine, IndexProvenance(
@@ -444,8 +443,9 @@ class SnapshotManager:
 
         The batch is scored with the current snapshot's **frozen**
         correlation model (corpus statistics do not refresh until the
-        next full build/reload), indexed as a small in-memory delta
-        segment, and stacked behind the serving index
+        next full build/reload), encoded as a small delta segment — an
+        image in the index format, exactly what ``save_index`` would
+        write for the batch — and stacked behind the serving index
         (:class:`~repro.index.segmented.SegmentedCliqueIndex` shares the
         main segment across generations, so whatever earlier queries
         decoded or cached on it stays cached).
@@ -485,7 +485,7 @@ class SnapshotManager:
                 max_clique_size=base.max_clique_size,
                 cors_lookup=base.cors_for_key,
             ).build(materialized)
-            stack = base.with_delta(delta.vector_view())
+            stack = base.with_delta(image_segment(delta))
             new_engine = engine.with_ingested(corpus, stack)
             if persist:
                 append_objects(self._corpus_dir, materialized)
@@ -506,13 +506,13 @@ class SnapshotManager:
         Returns ``(snapshot, folded_objects)``; ``folded_objects`` is 0
         (and the snapshot unchanged) when there was nothing to fold.
 
-        Every segment without a file (the deltas, and a main segment
-        the snapshot built in memory) is written as a temporary segment
-        file, and one streaming k-way merge
-        (:func:`~repro.index.segbuild.merge_segment_files`) over all the
-        segment files rewrites the artifact without materializing a
-        mapped main segment's postings in the heap — compaction cost is
-        O(artifact bytes + delta), published atomically via
+        Every segment — a mapped ``index.bin``, a built main's image,
+        each delta's image — is already in the index format, so one
+        streaming k-way merge
+        (:func:`~repro.index.segbuild.merge_segments`) over the stack's
+        own open readers rewrites the artifact, writing no intermediate
+        segment and materializing no posting in the heap — compaction
+        cost is O(artifact bytes + delta), published atomically via
         ``os.replace`` while the old inode keeps serving.
 
         The merged artifact is byte-identical to a from-scratch write
@@ -532,19 +532,8 @@ class SnapshotManager:
             if index is None or not index.deltas:
                 return current, 0
             folded = index.n_delta_objects
-            out_path = self._corpus_dir.joinpath(INDEX_ARTIFACT)
-            paths: list[Path] = []
-            written: list[Path] = []
-            try:
-                for i, segment in enumerate((index.main, *index.deltas)):
-                    path = segment.path
-                    if path is None:
-                        path = self._corpus_dir.joinpath(f"index-segment-{i:05d}.tmp.bin")
-                        save_index(SegmentedCliqueIndex(segment), path)
-                        written.append(path)
-                    paths.append(path)
-                merge_segment_files(paths, out_path)
-            finally:
-                for path in written:
-                    path.unlink(missing_ok=True)
+            merge_segments(
+                [segment.reader for segment in (index.main, *index.deltas)],
+                self._corpus_dir.joinpath(INDEX_ARTIFACT),
+            )
             return self._load_locked(), folded

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import GeneratorConfig, SyntheticFlickr
 from repro.core.mrf import MRFParameters
+from repro.core.objects import MediaObject
 from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine
 from repro.index.inverted import CliqueInvertedIndex
@@ -264,3 +266,38 @@ def test_with_params_shares_index_and_mask(rec_corpus, shared_indexes):
     clone = rec.with_params(MRFParameters(delta=0.5))
     assert clone.index is rec.index is indexes["mmap"]
     assert clone._candidate_mask is rec._candidate_mask
+
+
+def test_adopted_builder_keeps_its_adoption_time_rankings():
+    """An engine and a recommender adopting a builder read it as it was
+    when adopted: objects the builder indexes afterwards change no
+    ranking and break no read (the adopted view once kept a frozen id
+    table over live postings, and the first read of a clique holding a
+    later object raised ``KeyError``)."""
+    config = GeneratorConfig(n_objects=60, n_tracked_users=3)
+    corpus = SyntheticFlickr(config, seed=3).generate_recommendation_corpus()
+    reference = RetrievalEngine(corpus)
+    model = reference.correlations
+    expected_rec = Recommender(corpus, index=reference.index, correlations=model)
+    builder = CliqueInvertedIndex(model, max_clique_size=reference.params.max_clique_size)
+    builder.build(corpus)
+    engine = RetrievalEngine(corpus, build_index=False, index=builder)
+    recommender = Recommender(corpus, index=builder, correlations=model)
+    for i, obj in enumerate(corpus.objects[:5]):
+        builder.add_object(
+            MediaObject(f"late{i:03d}", features=dict(obj.features), timestamp=obj.timestamp)
+        )
+
+    def bits(hits):
+        return [(hit.object_id, hit.score.hex()) for hit in hits]
+
+    for query in corpus.objects[:10]:
+        for mode in ("auto", "index"):
+            assert bits(engine.search(query, k=10, mode=mode)) == bits(
+                reference.search(query, k=10, mode=mode)
+            )
+    for user in corpus.favorite_users():
+        for mode in ("auto", "index"):
+            assert bits(recommender.recommend(user, k=10, mode=mode)) == bits(
+                expected_rec.recommend(user, k=10, mode=mode)
+            )

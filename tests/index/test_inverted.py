@@ -134,7 +134,7 @@ def test_scalar_search_fills_views_only_for_looked_up_postings(tiny_corpus, corr
     the cliques it used, and a search at another α reuses them."""
     index = CliqueInvertedIndex(correlations, max_clique_size=3).build(tiny_corpus)
     engine = RetrievalEngine(tiny_corpus, correlations=correlations, index=index)
-    view = index.vector_view()
+    view = engine.index.vector_view()
     assert not view._cache
     query = tiny_corpus.objects[0]
     assert engine.search(query, k=10, mode="index")

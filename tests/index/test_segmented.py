@@ -22,7 +22,7 @@ from repro.core.mrf import MRFParameters
 from repro.core.objects import Feature, MediaObject
 from repro.core.retrieval import RetrievalEngine, correlation_model_for_corpus
 from repro.index.inverted import CliqueInvertedIndex
-from repro.index.segmented import SegmentedCliqueIndex
+from repro.index.segmented import SegmentedCliqueIndex, image_segment
 from repro.social.corpus import Corpus
 from repro.social.users import SocialGraph
 
@@ -90,16 +90,16 @@ cuts_strategy = st.lists(
 
 def _stack(main, extra, cuts, model):
     """``main`` (a builder, or the view of a mapped segment) stacked
-    with one in-memory delta per slice of ``extra`` between ``cuts``."""
+    with one delta image per slice of ``extra`` between ``cuts``."""
     bounds = [0, *cuts, len(extra)]
     deltas = [
-        CliqueInvertedIndex(model, max_clique_size=MAX_CLIQUE).build(
-            extra[lo:hi]
-        ).vector_view()
+        image_segment(
+            CliqueInvertedIndex(model, max_clique_size=MAX_CLIQUE).build(extra[lo:hi])
+        )
         for lo, hi in zip(bounds, bounds[1:])
         if hi > lo
     ]
-    main_view = main.vector_view() if isinstance(main, CliqueInvertedIndex) else main
+    main_view = image_segment(main) if isinstance(main, CliqueInvertedIndex) else main
     return SegmentedCliqueIndex(main_view, deltas)
 
 
@@ -152,10 +152,11 @@ def test_with_delta_shares_main_and_prior_deltas(fixture_state):
     _full, model, _mono, main, extra = fixture_state
     stack = _stack(main, extra[:8], [], model)
     tail = CliqueInvertedIndex(model, max_clique_size=MAX_CLIQUE).build(extra[8:])
-    grown = stack.with_delta(tail.vector_view())
+    delta = image_segment(tail)
+    grown = stack.with_delta(delta)
     assert grown.main is stack.main
     assert grown.deltas[: len(stack.deltas)] == stack.deltas
-    assert grown.deltas[-1] is tail.vector_view()
+    assert grown.deltas[-1] is delta
     assert grown.n_objects == stack.n_objects + tail.n_objects
 
 
@@ -191,15 +192,15 @@ def test_serializing_stack_matches_monolithic_bytes(fixture_state, tmp_path):
 # ----------------------------------------------------------------------
 # the stack's read API equals the monolithic build's
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=["memory", "mmap"])
+@pytest.fixture(scope="module", params=["image", "mmap"])
 def main_segment(request, fixture_state, tmp_path_factory):
-    """The main segment as a stack reads it: the builder's in-memory
-    view, or the view of the same segment written and mapped."""
+    """The main segment as a stack reads it: the builder's image, or the
+    same segment written and mapped."""
     from repro.storage.store import load_index, save_index
 
     _full, model, _mono, main, _extra = fixture_state
-    if request.param == "memory":
-        yield main.vector_view()
+    if request.param == "image":
+        yield image_segment(main)
         return
     path = save_index(main, tmp_path_factory.mktemp("segmented") / "main.bin")
     loaded = load_index(path, model)
@@ -250,28 +251,25 @@ def test_stack_lookup_equals_monolithic(fixture_state, main_segment, cuts):
     assert stack.cors_for_key("no-such-clique") is None
 
 
-@pytest.mark.parametrize("layout", ["memory", "mmap", "mmap+deltas"])
+@pytest.mark.parametrize("layout", ["image", "mmap", "mmap+deltas"])
 def test_full_scan_keeps_nothing_decoded(fixture_state, tmp_path, layout):
     """``iter_postings`` (``save_index``'s input) reads every posting
-    but leaves each segment's decoded arrays and the stack's posting
-    cache as it found them: a query-touched clique stays decoded, no
-    other one is pinned."""
-    from repro.index.vectorized import InMemoryVectorView
+    but leaves each segment's decoded arrays as it found them: a
+    query-touched clique stays decoded, no other one is pinned."""
     from repro.storage.store import load_index, save_index
 
     _full, model, mono, main, extra = fixture_state
-    if layout == "memory":
-        stack = SegmentedCliqueIndex(InMemoryVectorView(main))
+    if layout == "image":
+        stack = SegmentedCliqueIndex(image_segment(main))
     else:
         stack = load_index(save_index(main, tmp_path / "main.bin"), model)
         if layout == "mmap+deltas":
             stack = _stack(stack.main, extra, [5, 11], model)
     assert stack.lookup(next(iter(mono.iter_postings())).key) is not None
     before = stack.stats()
-    assert before["decoded_slots"] >= 1 and before["materialized_postings"] == 1
+    assert before["decoded_slots"] >= 1
     assert sum(1 for _ in stack.iter_postings()) == len(mono)
     after = stack.stats()
     assert after["decoded_slots"] == before["decoded_slots"]
-    assert after["materialized_postings"] == 1
     segments = (stack.main, *stack.deltas)
     assert sum(segment.decoded_slots for segment in segments) <= len(segments)

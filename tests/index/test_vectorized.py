@@ -4,9 +4,9 @@ Unit coverage for :mod:`repro.index.vectorized`.  The kernel's scores
 must equal the source-order sum of the scaled impacts, computed in
 Python floats, bit for bit (compared as ``float.hex``), and its ranking
 must equal brute force and the scalar Threshold Algorithm's over the
-same terms — through every vector view flavour (in-memory, mmap'd
-segment, and a segment stack holding one key in several segments) and
-through the recommender's candidate mask.
+same terms — through every vector view flavour (an image of the
+postings, a mapped file, and a segment stack holding one key in
+several segments) and through the recommender's candidate mask.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from hypothesis import strategies as st
 from repro.core.mrf import MRFParameters
 from repro.core.recommendation import Recommender
 from repro.core.retrieval import RetrievalEngine
-from repro.index.binfmt import BinaryIndexReader, write_index_file
+from repro.index.binfmt import BinaryIndexReader, encode_image, write_index_file
 from repro.index.postings import Posting
 from repro.index.threshold import AccessStats, impact_sources, threshold_algorithm
 from repro.index.vectorized import (
-    InMemoryVectorView,
     MmapVectorView,
     PostingVectors,
     SegmentedVectorView,
@@ -145,19 +144,10 @@ def _oid(i: int) -> str:
     return f"o{i:03d}"
 
 
-class _PostingIndex:
-    """Just enough builder surface for :class:`InMemoryVectorView`:
-    ``lookup``, ``iter_postings`` and the indexed-object count."""
-
-    def __init__(self, postings: list[Posting]) -> None:
-        self._postings = {p.key: p for p in postings}
-        self.n_objects = len({oid for p in postings for oid in p})
-
-    def lookup(self, key: str) -> Posting | None:
-        return self._postings.get(key)
-
-    def iter_postings(self):
-        return iter(self._postings.values())
+def _image(postings: list[Posting]) -> MmapVectorView:
+    """The postings' image, counting the objects they hold."""
+    n_objects = len({oid for p in postings for oid in p})
+    return MmapVectorView(encode_image(postings, n_objects=n_objects, max_clique_size=3))
 
 
 def _posting(key: str, entries: dict[int, tuple[float, float]]) -> Posting:
@@ -196,9 +186,9 @@ def _top_k(full, k):
 
 @contextmanager
 def _every_view(raw, split):
-    """The postings of ``raw`` behind every vector-view flavour: in
-    memory, one mmap'd file, and a segment stack (an mmap'd main plus
-    two in-memory segments) over which each posting's entries are dealt
+    """The postings of ``raw`` behind every vector-view flavour: their
+    image, one mmap'd file, and a segment stack (an mmap'd main plus
+    two images) over which each posting's entries are dealt
     by object — an object lives in one segment, as ingest appends new
     objects — so most keys sit in several segments."""
     postings = [_posting(f"c{i}", entries) for i, entries in enumerate(raw)]
@@ -225,11 +215,10 @@ def _every_view(raw, split):
             try:
                 segments: list = [MmapVectorView(r) for r in readers]
                 segments += [
-                    InMemoryVectorView(_PostingIndex([p for p in part if len(p)]))
-                    for part in parts[1:]
+                    _image([p for p in part if len(p)]) for part in parts[1:]
                 ]
                 yield postings, {
-                    "memory": InMemoryVectorView(_PostingIndex(postings)),
+                    "image": _image(postings),
                     "mmap": MmapVectorView(reader),
                     "segmented": SegmentedVectorView(segments),
                 }
@@ -331,14 +320,14 @@ def test_scalar_ta_equals_brute_force_on_every_view(
 @pytest.fixture(scope="module")
 def shared_recommenders(rec_corpus, tmp_path_factory):
     """Recommenders over the engine's corpus-wide index (so the
-    candidate mask is a strict subset), in memory and as an index file."""
+    candidate mask is a strict subset), built and as an index file."""
     engine = RetrievalEngine(rec_corpus)
     path = tmp_path_factory.mktemp("kernel-rec") / "index.bin"
     save_index(engine.index, path)
     mmapped = load_index(path, engine.correlations)
     recs = {
         name: Recommender(rec_corpus, index=index, correlations=engine.correlations)
-        for name, index in (("memory", engine.index), ("mmap", mmapped))
+        for name, index in (("built", engine.index), ("mmap", mmapped))
     }
     yield recs
     mmapped.close()

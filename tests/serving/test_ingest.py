@@ -8,7 +8,9 @@ shared session fixtures.
 
 from __future__ import annotations
 
+import builtins
 import json
+from pathlib import Path
 
 import pytest
 
@@ -166,11 +168,14 @@ def test_compact_without_deltas_is_noop(own_service):
 
 
 @pytest.mark.parametrize("origin", ["loaded", "built"])
-def test_compaction_writes_the_monolithic_artifact(origin, tmp_path, tiny_corpus):
-    """Whether the main segment is the mapped ``index.bin`` or was built
-    in memory, compaction merges every segment file into an artifact
-    byte-identical to saving a from-scratch build of the extended
-    corpus under the frozen model."""
+def test_compaction_writes_the_monolithic_artifact(
+    origin, tmp_path, tiny_corpus, monkeypatch
+):
+    """Whether the main segment is the mapped ``index.bin`` or a built
+    index's image, compaction merges the stack's open segments into an
+    artifact byte-identical to saving a from-scratch build of the
+    extended corpus under the frozen model — writing no intermediate
+    segment file."""
     path = tmp_path / "corpus"
     save_corpus(tiny_corpus, path)
     if origin == "loaded":
@@ -189,8 +194,22 @@ def test_compaction_writes_the_monolithic_artifact(origin, tmp_path, tiny_corpus
     ]
     for batch in batches:
         manager.ingest(batch)
-    _, folded = manager.compact()
+    written: list[str] = []
+    real_open = builtins.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if any(flag in mode for flag in "wax+"):
+            written.append(Path(file).name)
+        return real_open(file, mode, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", spy_open)
+        _, folded = manager.compact()
     assert folded == 7
+    # The merge reads the stack's own readers: it writes its spill
+    # sections and the artifact, and no segment file.
+    assert "index.bin.tmp" in written
+    assert not [name for name in written if name.startswith("index-segment-")]
     mono = CliqueInvertedIndex(
         engine.correlations, max_clique_size=engine.params.max_clique_size
     ).build([*tiny_corpus.objects, *batches[0], *batches[1]])

@@ -60,9 +60,8 @@ def _manager_at(phase, indexed_dir, target, batch) -> SnapshotManager:
     return manager
 
 
-def _lazy_counters(index) -> tuple[int, int]:
-    stats = index.stats()
-    return int(stats["materialized_postings"]), int(stats["decoded_slots"])
+def _decoded_slots(index) -> int:
+    return int(index.stats()["decoded_slots"])
 
 
 def _warm(snapshot) -> None:
@@ -111,7 +110,7 @@ def test_build_snapshot_builds_no_posting_and_decodes_no_slot(indexed_dir, monke
         assert snapshot.index_provenance.origin == "loaded"
         assert snapshot.recommender is not None and snapshot.recommender.index is index
         assert built == [] and decoded == []
-        assert _lazy_counters(index) == (0, 0)
+        assert _decoded_slots(index) == 0
     finally:
         snapshot.close()
 
@@ -122,7 +121,7 @@ def test_lazy_rankings_equal_warmed_rankings(
 ):
     lazy = _manager_at(phase, indexed_dir, tmp_path / "lazy", ingest_batch)
     warm = _manager_at(phase, indexed_dir, tmp_path / "warm", ingest_batch)
-    assert _lazy_counters(lazy.current.engine.index) == (0, 0)
+    assert _decoded_slots(lazy.current.engine.index) == 0
     _warm(warm.current)
     queries = [obj.object_id for obj in rec_corpus.objects[:8]]
     if phase != "load":
@@ -135,10 +134,9 @@ def test_lazy_rankings_equal_warmed_rankings(
 
 @pytest.mark.parametrize("ingested", [False, True], ids=["mmap", "segmented"])
 def test_stats_expose_lazy_caches(ingested, indexed_dir, ingest_batch, tmp_path):
-    """``/stats`` reports 0 materialized postings and 0 decoded slots
-    after load (and after an ingest publish).  A scalar ``mode="index"``
-    query decodes the slots of its own cliques and still builds no
-    posting: it reads the same arrays as the default path."""
+    """``/stats`` reports 0 decoded slots after load (and after an
+    ingest publish).  A scalar ``mode="index"`` query decodes the slots
+    of its own cliques only."""
     manager = _manager_at(
         "ingest" if ingested else "load", indexed_dir, tmp_path / "corpus", ingest_batch
     )
@@ -146,10 +144,9 @@ def test_stats_expose_lazy_caches(ingested, indexed_dir, ingest_batch, tmp_path)
     index = manager.current.engine.index
     assert bool(index.deltas) is ingested
     opened = service.stats()["index"]
-    assert (opened["materialized_postings"], opened["decoded_slots"]) == (0, 0)
+    assert opened["decoded_slots"] == 0
     service.search(query=manager.current.corpus.objects[0].object_id, k=5, mode="index")
     touched = service.stats()["index"]
-    assert touched["materialized_postings"] == 0
     assert touched["decoded_slots"] > 0
     # Only the query's own cliques were touched.
     assert touched["decoded_slots"] < touched["cliques"]

@@ -14,8 +14,8 @@ properties the impact-ordering change bought:
   under ``--max-binary-load-ms``, default 50 ms) and serve rankings
   bit-identical to the engine it was saved from on every smoke query;
   a snapshot opened over it (``build_snapshot``, the serving load path)
-  must build no scalar posting (``materialized_postings == 0``) — the
-  open time and both lazy-cache counters are recorded;
+  must decode no posting (``decoded_slots == 0``) — the open time and
+  the lazy-cache counter are recorded;
 * **vectorized scoring** — on a larger corpus (default 2,500 objects)
   the vectorized mode must beat the scalar index mode by at least
   ``--min-vectorized-speedup`` at p50 (default 2.0, i.e. half the
@@ -124,7 +124,6 @@ def _binary_store_report(
         "snapshot_open": {
             "seconds": open_seconds,
             "origin": origin,
-            "materialized_postings": int(opened["materialized_postings"]),
             "decoded_slots": int(opened["decoded_slots"]),
         },
     }
@@ -455,7 +454,7 @@ def run_smoke(
         binary_index["within_load_budget"]
         and not binary_index["parity_failures"]
         and binary_index["snapshot_open"]["origin"] == "loaded"
-        and binary_index["snapshot_open"]["materialized_postings"] == 0
+        and binary_index["snapshot_open"]["decoded_slots"] == 0
     )
     vectorized_ok = (
         vectorized["fast_enough"]
@@ -631,10 +630,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     opened = binary["snapshot_open"]
-    if opened["origin"] != "loaded" or opened["materialized_postings"]:
+    if opened["origin"] != "loaded" or opened["decoded_slots"]:
         print(
             f"perf-smoke FAIL: snapshot open over index.bin (origin "
-            f"{opened['origin']!r}) materialized {opened['materialized_postings']} "
+            f"{opened['origin']!r}) decoded {opened['decoded_slots']} "
             f"postings; the open must read none",
             file=sys.stderr,
         )
