@@ -95,6 +95,7 @@ BINARY_FORMAT_VERSION = 4
 
 _HEADER = struct.Struct("<8sIIIIQQQ")
 _CRC = struct.Struct("<I")
+_OFFSET_PAIR = struct.Struct("<II")
 _SECTION_RECORD = struct.Struct("<8sQQI4x")
 _POSTMETA_DTYPE = np.dtype(
     [
@@ -703,9 +704,7 @@ class BinaryIndexReader:
         return self._objid_bytes(dense).decode("utf-8")
 
     def _objid_bytes(self, dense: int) -> bytes:
-        start = self._objid_blob_start + int(self._objid_offsets[dense])
-        end = self._objid_blob_start + int(self._objid_offsets[dense + 1])
-        return self._mm[start:end]
+        return self._string(self._objid_blob_start, self._n_objid, dense)
 
     def find_object(self, object_id: str) -> int | None:
         """Binary search the sorted object-id table; the dense id of
@@ -728,9 +727,15 @@ class BinaryIndexReader:
         return None
 
     def _key_bytes(self, slot: int) -> bytes:
-        start = self._key_blob_start + int(self._key_offsets[slot])
-        end = self._key_blob_start + int(self._key_offsets[slot + 1])
-        return self._mm[start:end]
+        return self._string(self._key_blob_start, self.n_cliques, slot)
+
+    def _string(self, blob_start: int, count: int, index: int) -> bytes:
+        """Item ``index`` of the string table of ``count`` items whose
+        blob starts at ``blob_start`` — the step of every binary search,
+        so both offsets come off the mapping in one ``struct`` read (a
+        third of the cost of two numpy scalar reads)."""
+        start, end = _OFFSET_PAIR.unpack_from(self._mm, blob_start - 4 * (count + 1 - index))
+        return self._mm[blob_start + start:blob_start + end]
 
     def key_at(self, slot: int) -> str:
         if not 0 <= slot < self.n_cliques:
