@@ -192,14 +192,14 @@ def test_serializing_stack_matches_monolithic_bytes(fixture_state, tmp_path):
 # ----------------------------------------------------------------------
 # the stack's read API equals the monolithic build's
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=["image", "mmap"])
+@pytest.fixture(scope="module", params=["memory", "mmap"])
 def main_segment(request, fixture_state, tmp_path_factory):
-    """The main segment as a stack reads it: the builder's image, or the
-    same segment written and mapped."""
+    """The main segment as a stack reads it: the builder's image in
+    memory, or the same segment written to a file and mapped."""
     from repro.storage.store import load_index, save_index
 
     _full, model, _mono, main, _extra = fixture_state
-    if request.param == "image":
+    if request.param == "memory":
         yield image_segment(main)
         return
     path = save_index(main, tmp_path_factory.mktemp("segmented") / "main.bin")
@@ -251,7 +251,7 @@ def test_stack_lookup_equals_monolithic(fixture_state, main_segment, cuts):
     assert stack.cors_for_key("no-such-clique") is None
 
 
-@pytest.mark.parametrize("layout", ["image", "mmap", "mmap+deltas"])
+@pytest.mark.parametrize("layout", ["memory", "mmap", "mmap+deltas"])
 def test_full_scan_keeps_nothing_decoded(fixture_state, tmp_path, layout):
     """``iter_postings`` (``save_index``'s input) reads every posting
     but leaves each segment's decoded arrays as it found them: a
@@ -259,7 +259,7 @@ def test_full_scan_keeps_nothing_decoded(fixture_state, tmp_path, layout):
     from repro.storage.store import load_index, save_index
 
     _full, model, mono, main, extra = fixture_state
-    if layout == "image":
+    if layout == "memory":
         stack = SegmentedCliqueIndex(image_segment(main))
     else:
         stack = load_index(save_index(main, tmp_path / "main.bin"), model)
